@@ -1,38 +1,18 @@
-"""Hot integer kernels over Cayley tables, with two interchangeable paths.
+"""Hot integer kernels over Cayley tables, written in numpy.
 
-Every kernel has a numba ``@njit`` implementation and a pure numpy
-implementation with identical outputs (including witness scan order).  The
-numpy path is selected when numba is unavailable or when ``FANLOOPS_PURE=1``
-is set; ``benchmarks/bench_kernels.py`` times one against the other.
+Kernels that return a witness scan in a fixed order, stated above each, so
+reports are reproducible.
 
 Exact-rational code (lp/haar) deliberately does not go through this module:
-those computations run on arbitrary-precision rationals, which neither numba
-nor numpy can carry.
+those computations run on arbitrary-precision rationals, which numpy cannot
+carry.
 """
 
 import numpy as np
 
-from .config import pure_python_requested
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via FANLOOPS_PURE instead
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # identity decorator so the _nb definitions below stay importable
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USE_NUMBA = HAS_NUMBA and not pure_python_requested()
+# Only the numpy kernels exist; perfbench/run.py reads this for its
+# environment block.
+USE_NUMBA = False
 
 # Latin violation codes
 LATIN_OK = 0
@@ -43,38 +23,13 @@ LATIN_COL = 3  # duplicate within a column
 
 # ---------------------------------------------------------------------------
 # Latin-square check.
-# Scan order (fixed so both paths report the same witness): all cells
-# row-major for range violations; then each row left-to-right for the first
-# repeated value; then each column top-to-bottom.
+# Scan order (fixed so the witness is reproducible): all cells row-major for
+# range violations; then each row left-to-right for the first repeated
+# value; then each column top-to-bottom.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _latin_violation_nb(table):
-    n = table.shape[0]
-    for i in range(n):
-        for j in range(n):
-            v = table[i, j]
-            if v < 0 or v >= n:
-                return LATIN_VALUE, i, j
-    seen = np.empty(n, np.uint8)
-    for i in range(n):
-        seen[:] = 0
-        for j in range(n):
-            v = table[i, j]
-            if seen[v]:
-                return LATIN_ROW, i, j
-            seen[v] = 1
-    for j in range(n):
-        seen[:] = 0
-        for i in range(n):
-            v = table[i, j]
-            if seen[v]:
-                return LATIN_COL, i, j
-            seen[v] = 1
-    return LATIN_OK, -1, -1
-
-
-def _latin_violation_np(table):
+def latin_violation(table):
+    """Return (code, row, col); code 0 means the table is a Latin square."""
     n = table.shape[0]
     bad = (table < 0) | (table >= n)
     if bad.any():
@@ -96,33 +51,13 @@ def _latin_violation_np(table):
     return LATIN_OK, -1, -1
 
 
-def latin_violation(table):
-    """Return (code, row, col); code 0 means the table is a Latin square."""
-    if USE_NUMBA:
-        code, i, j = _latin_violation_nb(table)
-        return int(code), int(i), int(j)
-    return _latin_violation_np(table)
-
-
 # ---------------------------------------------------------------------------
 # Division tables.  ldiv[a, b] = a \ b  (solution x of a·x = b)
 #                   rdiv[b, a] = b / a  (solution y of y·a = b)
 # Requires a verified Latin square.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _division_tables_nb(table):
-    n = table.shape[0]
-    ldiv = np.empty((n, n), table.dtype)
-    rdiv = np.empty((n, n), table.dtype)
-    for a in range(n):
-        for b in range(n):
-            ldiv[a, table[a, b]] = b
-            rdiv[table[a, b], b] = a
-    return ldiv, rdiv
-
-
-def _division_tables_np(table):
+def division_tables(table):
     n = table.shape[0]
     ldiv = np.empty((n, n), table.dtype)
     rdiv = np.empty((n, n), table.dtype)
@@ -133,34 +68,12 @@ def _division_tables_np(table):
     return ldiv, rdiv
 
 
-def division_tables(table):
-    if USE_NUMBA:
-        return _division_tables_nb(table)
-    return _division_tables_np(table)
-
-
 # ---------------------------------------------------------------------------
 # Associator defect tensors:
 #   t[a,b,c] = ((ab)c) / (a(bc))      p[a,b,c] = (a(bc)) \ ((ab)c)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _assoc_tensors_nb(table, ldiv, rdiv):
-    n = table.shape[0]
-    t = np.empty((n, n, n), table.dtype)
-    p = np.empty((n, n, n), table.dtype)
-    for a in range(n):
-        for b in range(n):
-            ab = table[a, b]
-            for c in range(n):
-                lhs = table[ab, c]
-                rhs = table[a, table[b, c]]
-                t[a, b, c] = rdiv[lhs, rhs]
-                p[a, b, c] = ldiv[rhs, lhs]
-    return t, p
-
-
-def _assoc_tensors_np(table, ldiv, rdiv):
+def assoc_tensors(table, ldiv, rdiv):
     n = table.shape[0]
     t = np.empty((n, n, n), table.dtype)
     p = np.empty((n, n, n), table.dtype)
@@ -172,35 +85,12 @@ def _assoc_tensors_np(table, ldiv, rdiv):
     return t, p
 
 
-def assoc_tensors(table, ldiv, rdiv):
-    if USE_NUMBA:
-        return _assoc_tensors_nb(table, ldiv, rdiv)
-    return _assoc_tensors_np(table, ldiv, rdiv)
-
-
 # ---------------------------------------------------------------------------
 # Nucleus part membership masks.
 #   nl[a] = forall b,c: (ab)c == a(bc)   (and cyclically for nm, nr)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _nucleus_masks_nb(table):
-    n = table.shape[0]
-    nl = np.ones(n, np.bool_)
-    nm = np.ones(n, np.bool_)
-    nr = np.ones(n, np.bool_)
-    for a in range(n):
-        for b in range(n):
-            ab = table[a, b]
-            for c in range(n):
-                if table[ab, c] != table[a, table[b, c]]:
-                    nl[a] = False
-                    nm[b] = False
-                    nr[c] = False
-    return nl, nm, nr
-
-
-def _nucleus_masks_np(table):
+def nucleus_masks(table):
     n = table.shape[0]
     nl = np.ones(n, np.bool_)
     nm = np.ones(n, np.bool_)
@@ -214,32 +104,12 @@ def _nucleus_masks_np(table):
     return nl, nm, nr
 
 
-def nucleus_masks(table):
-    if USE_NUMBA:
-        return _nucleus_masks_nb(table)
-    return _nucleus_masks_np(table)
-
-
 # ---------------------------------------------------------------------------
 # First associator value outside a membership mask, in lexicographic (a,b,c)
 # order.  Used for fan-loop witnesses.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _fan_violation_nb(table, ldiv, rdiv, member):
-    n = table.shape[0]
-    for a in range(n):
-        for b in range(n):
-            ab = table[a, b]
-            for c in range(n):
-                lhs = table[ab, c]
-                rhs = table[a, table[b, c]]
-                if not member[rdiv[lhs, rhs]] or not member[ldiv[rhs, lhs]]:
-                    return True, a, b, c
-    return False, -1, -1, -1
-
-
-def _fan_violation_np(table, ldiv, rdiv, member):
+def fan_violation(table, ldiv, rdiv, member):
     n = table.shape[0]
     for a in range(n):
         lhs = table[table[a], :]
@@ -251,115 +121,17 @@ def _fan_violation_np(table, ldiv, rdiv, member):
     return False, -1, -1, -1
 
 
-def fan_violation(table, ldiv, rdiv, member):
-    if USE_NUMBA:
-        ok, a, b, c = _fan_violation_nb(table, ldiv, rdiv, member)
-        return bool(ok), int(a), int(b), int(c)
-    return _fan_violation_np(table, ldiv, rdiv, member)
-
-
 # ---------------------------------------------------------------------------
-# Reduced Latin square counting (first row and column in natural order).
+# Reduced Latin squares (first row and column in natural order).
 # Row-major backtracking with bitmask forward checking on rows/columns.
 # Candidate values tried in increasing order => lexicographic traversal.
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _count_reduced_nb(n):
-    if n <= 1:
-        return 1
-    m = (n - 1) * (n - 1)
-    rowmask = np.zeros(n, np.int64)
-    colmask = np.zeros(n, np.int64)
-    for i in range(n):
-        rowmask[i] |= np.int64(1) << i  # column 0 entry of row i is i
-        colmask[i] |= np.int64(1) << i  # row 0 entry of column i is i
-    rowmask[0] = (np.int64(1) << n) - 1
-    colmask[0] = (np.int64(1) << n) - 1
-    choice = np.full(m, -1, np.int64)
-    count = 0
-    pos = 0
-    while pos >= 0:
-        i = 1 + pos // (n - 1)
-        j = 1 + pos % (n - 1)
-        v = choice[pos] + 1
-        if choice[pos] >= 0:
-            bit = np.int64(1) << choice[pos]
-            rowmask[i] &= ~bit
-            colmask[j] &= ~bit
-            choice[pos] = -1
-        while v < n:
-            bit = np.int64(1) << v
-            if not (rowmask[i] & bit) and not (colmask[j] & bit):
-                break
-            v += 1
-        if v >= n:
-            pos -= 1
-            continue
-        choice[pos] = v
-        bit = np.int64(1) << v
-        rowmask[i] |= bit
-        colmask[j] |= bit
-        if pos == m - 1:
-            count += 1  # complete square; stay to try the next value here
-        else:
-            pos += 1
-    return count
-
-
-def _count_reduced_py(n):
-    if n <= 1:
-        return 1
-    m = (n - 1) * (n - 1)
-    full = (1 << n) - 1
-    rowmask = [(1 << i) for i in range(n)]
-    colmask = [(1 << i) for i in range(n)]
-    rowmask[0] = full
-    colmask[0] = full
-    choice = [-1] * m
-    count = 0
-    pos = 0
-    while pos >= 0:
-        i = 1 + pos // (n - 1)
-        j = 1 + pos % (n - 1)
-        v = choice[pos] + 1
-        if choice[pos] >= 0:
-            bit = 1 << choice[pos]
-            rowmask[i] &= ~bit
-            colmask[j] &= ~bit
-            choice[pos] = -1
-        while v < n:
-            bit = 1 << v
-            if not (rowmask[i] & bit) and not (colmask[j] & bit):
-                break
-            v += 1
-        if v >= n:
-            pos -= 1
-            continue
-        choice[pos] = v
-        bit = 1 << v
-        rowmask[i] |= bit
-        colmask[j] |= bit
-        if pos == m - 1:
-            count += 1
-        else:
-            pos += 1
-    return count
-
-
-def count_reduced_latin(n):
-    """Number of reduced Latin squares of order n (exhaustive count)."""
-    if USE_NUMBA:
-        return int(_count_reduced_nb(n))
-    return _count_reduced_py(n)
-
-
 def iter_reduced_latin(n, dtype=np.int16):
     """Yield every reduced Latin square of order n in lexicographic order.
 
-    Python generator (shared by both kernel paths): enumeration has to
-    materialize each table anyway, so the bitmask bookkeeping is not the
-    bottleneck at the supported orders.
+    Python generator: enumeration has to materialize each table anyway, so
+    the bitmask bookkeeping is not the bottleneck at the supported orders.
     """
     if n < 1:
         return
@@ -403,3 +175,8 @@ def iter_reduced_latin(n, dtype=np.int16):
             yield base.copy()
         else:
             pos += 1
+
+
+def count_reduced_latin(n):
+    """Number of reduced Latin squares of order n (exhaustive count)."""
+    return sum(1 for _ in iter_reduced_latin(n))

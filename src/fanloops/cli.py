@@ -136,9 +136,21 @@ def parse_loop_text(text, path=None, cap=None):
     return core.verify_loop(table, identity=0, labels=labels, cap=cap)
 
 
+def _read_text(path):
+    """The file's UTF-8 text; an unreadable file is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc.strerror}",
+                         path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                         path=path) from exc
+
+
 def parse_loop_file(path, cap=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_loop_text(fh.read(), path=path, cap=cap)
+    return parse_loop_text(_read_text(path), path=path, cap=cap)
 
 
 def serialize_loop(G):
@@ -187,8 +199,7 @@ def parse_function_text(text, G, path=None):
 
 
 def parse_function_file(path, G):
-    with open(path, encoding="utf-8") as fh:
-        return parse_function_text(fh.read(), G, path=path)
+    return parse_function_text(_read_text(path), G, path=path)
 
 
 def serialize_function(f):
@@ -263,10 +274,8 @@ def _parse_arrow(line, lineno, path, nargs):
 
 
 def parse_smash_file(path, cap=None):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     base = os.path.dirname(os.path.abspath(path))
-    sections = _split_sections(text, path)
+    sections = _split_sections(_read_text(path), path)
 
     def loop_from(section):
         entries = sections[section]

@@ -1,12 +1,12 @@
-"""Runtime knobs: size caps, seeds, and kernel-path selection.
+"""Runtime knobs: size caps and seeds.
 
 Environment variables:
     FANLOOP_CAP      -- overrides the default analysis order cap (same as --cap).
-    FANLOOPS_PURE    -- "1" forces the pure numpy kernel path even when numba
-                        is importable (used by the benchmark to compare paths).
 """
 
 import os
+
+from .errors import OrderCapExceeded
 
 DEFAULT_ORDER_CAP = 256
 CENSUS_ORDER_CAP = 7
@@ -21,16 +21,20 @@ TENSOR_CACHE_DEFAULT_LIMIT = 64
 # trigger a BitGrowthWarning; growth itself is allowed.
 LP_BIT_ALARM = 4096
 
+# Tables hold element indices as int16, so a larger order would wrap.
+_INT16_MAX = 32767
+
 
 def order_cap(explicit=None):
-    """Resolve the analysis order cap: explicit argument > env > default."""
+    """Resolve the analysis order cap: explicit argument > env > default.
+
+    A cap above the int16 index width raises OrderCapExceeded.
+    """
     if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("FANLOOP_CAP")
-    if env is not None and env.strip():
-        return int(env)
-    return DEFAULT_ORDER_CAP
-
-
-def pure_python_requested():
-    return os.environ.get("FANLOOPS_PURE", "") == "1"
+        cap = int(explicit)
+    else:
+        env = os.environ.get("FANLOOP_CAP")
+        cap = int(env) if env is not None and env.strip() else DEFAULT_ORDER_CAP
+    if cap > _INT16_MAX:
+        raise OrderCapExceeded(cap, _INT16_MAX)
+    return cap

@@ -253,7 +253,7 @@ def verify_loop(table, identity=None, labels=None, cap=None):
         the identity sits at index 0 (labels are permuted along).
     Raises NotLatinSquare / NoIdentity / OrderCapExceeded.
     """
-    table = np.ascontiguousarray(np.asarray(table, dtype=_DTYPE))
+    table = np.asarray(table)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ValueError(f"table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -262,6 +262,13 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     cap = order_cap(cap)
     if n > cap:
         raise OrderCapExceeded(n, cap)
+    if table.dtype != _DTYPE and table.dtype.kind in "iuO":
+        # range-check before the cast: a wider integer would wrap to int16
+        bad = (table < 0) | (table >= n)
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            raise NotLatinSquare("value", i, j, int(table[i, j]))
+    table = np.ascontiguousarray(table, dtype=_DTYPE)
 
     code, i, j = _kernels.latin_violation(table)
     if code == _kernels.LATIN_VALUE:

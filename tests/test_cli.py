@@ -236,6 +236,49 @@ def test_exit_7_order_cap(capsys):
     assert report["error"] == "OrderCapExceeded"
 
 
+def test_exit_7_cap_above_index_width(monkeypatch, capsys):
+    # element indices are int16: a larger cap would let products wrap
+    code = cli.main(["--cap", "40000", "check", _corpus("c2.loop")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_CAP
+    assert report["error"] == "OrderCapExceeded"
+    monkeypatch.setenv("FANLOOP_CAP", "40000")
+    code = cli.main(["check", _corpus("c2.loop")])
+    assert code == cli.EXIT_CAP
+    capsys.readouterr()
+    monkeypatch.setenv("FANLOOP_CAP", "32767")
+    assert cli.main(["--quiet", "check", _corpus("c2.loop")]) == cli.EXIT_OK
+
+
+# --- unreadable input files: exit 1, never a traceback -----------------------
+
+def test_exit_1_missing_loop_file(tmp_path, capsys):
+    path = str(tmp_path / "absent.loop")
+    code = cli.main(["check", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_PARSE
+    assert (report["error"], report["path"]) == ("ParseError", path)
+
+
+def test_exit_1_non_utf8_loop_file(tmp_path, capsys):
+    p = tmp_path / "latin1.loop"
+    p.write_bytes(b"2 e \xe9\ne \xe9\n\xe9 e\n")
+    code = cli.main(["check", str(p)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_PARSE
+    assert (report["error"], report["path"]) == ("ParseError", str(p))
+
+
+def test_exit_1_smash_factor_file_missing(tmp_path, capsys):
+    shutil.copy(_corpus("s4-xi-c2-q8.smash"), tmp_path)
+    shutil.copy(_corpus("c2.loop"), tmp_path)  # [B] q8.loop is absent
+    code = cli.main(["smash", str(tmp_path / "s4-xi-c2-q8.smash")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_PARSE
+    assert report["error"] == "ParseError"
+    assert report["path"].endswith("q8.loop")
+
+
 # --- check on a valid non-fan loop: expected failures, not inconsistency -----
 
 def test_check_non_fan_loop_is_consistent(tmp_path, capsys):

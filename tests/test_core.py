@@ -35,6 +35,14 @@ def test_verify_loop_rejects_out_of_range():
     with pytest.raises(NotLatinSquare) as exc:
         core.verify_loop([[0, 1], [1, 5]])
     assert exc.value.kind == "value"
+    # 65537 wraps to 1 in int16: it must be refused before the cast, both
+    # from a wider array and from a Python list
+    for table in (np.array([[0, 1], [65537, 0]], dtype=np.int32),
+                  [[0, 1], [65537, 0]]):
+        with pytest.raises(NotLatinSquare) as exc:
+            core.verify_loop(table)
+        assert (exc.value.kind, exc.value.row, exc.value.col,
+                exc.value.value) == ("value", 1, 0, 65537)
 
 
 def test_verify_loop_rejects_missing_identity():
