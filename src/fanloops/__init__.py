@@ -29,6 +29,7 @@ from .errors import (
     AxiomError,
     FanloopsError,
     FanLoopCheckFailed,
+    InvalidOrderCap,
     NoIdentity,
     NotASubloop,
     NotFanLoop,

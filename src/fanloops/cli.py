@@ -601,6 +601,7 @@ def cmd_smash(data_path, out_path=None, cap=None):
 def cmd_census(order, filter="all", limit=None, cap=None):
     """Enumerate reduced squares; stream loop files inside the report."""
     try:
+        order_cap(cap)  # the census has its own cap; refuse a bad one all the same
         query = census.CensusQuery(order=order, filter=filter, limit=limit)
         loops = [serialize_loop(G) for G in census.enumerate_loops(query)]
         reduced_total = census.count_reduced(order)
@@ -628,7 +629,8 @@ def _build_parser():
     )
     ap.add_argument("--seed", type=int, default=None,
                     help="seed for randomized property suites")
-    ap.add_argument("--cap", type=int, default=None,
+    # parsed by config.order_cap, so a bad value exits 7 like FANLOOP_CAP
+    ap.add_argument("--cap", default=None,
                     help="raise the order cap (mirrors FANLOOP_CAP)")
     ap.add_argument("--quiet", action="store_true",
                     help="exit-code-only mode")

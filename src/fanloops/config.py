@@ -4,9 +4,10 @@ Environment variables:
     FANLOOP_CAP      -- overrides the default analysis order cap (same as --cap).
 """
 
+import operator
 import os
 
-from .errors import OrderCapExceeded
+from .errors import InvalidOrderCap, OrderCapExceeded
 
 DEFAULT_ORDER_CAP = 256
 CENSUS_ORDER_CAP = 7
@@ -28,13 +29,16 @@ _INT16_MAX = 32767
 def order_cap(explicit=None):
     """Resolve the analysis order cap: explicit argument > env > default.
 
-    A cap above the int16 index width raises OrderCapExceeded.
+    A cap that is not an integer raises InvalidOrderCap, one above the
+    int16 index width OrderCapExceeded (InvalidOrderCap's base class).
     """
-    if explicit is not None:
-        cap = int(explicit)
-    else:
-        env = os.environ.get("FANLOOP_CAP")
-        cap = int(env) if env is not None and env.strip() else DEFAULT_ORDER_CAP
+    raw = explicit if explicit is not None else os.environ.get("FANLOOP_CAP")
+    if raw is None or (explicit is None and not raw.strip()):
+        return DEFAULT_ORDER_CAP
+    try:
+        cap = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        raise InvalidOrderCap(raw) from None
     if cap > _INT16_MAX:
         raise OrderCapExceeded(cap, _INT16_MAX)
     return cap

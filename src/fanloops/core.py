@@ -262,12 +262,17 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     cap = order_cap(cap)
     if n > cap:
         raise OrderCapExceeded(n, cap)
-    if table.dtype != _DTYPE and table.dtype.kind in "iuO":
-        # range-check before the cast: a wider integer would wrap to int16
+    if table.dtype != _DTYPE and table.dtype.kind in "iuOf":
+        # check before the cast: a wider integer would wrap to int16 and a
+        # float would lose its fraction (NaN != floor(NaN) catches NaN)
         bad = (table < 0) | (table >= n)
+        is_float = table.dtype.kind == "f"
+        if is_float:
+            bad |= table != np.floor(table)
         if bad.any():
             i, j = divmod(int(np.argmax(bad)), n)
-            raise NotLatinSquare("value", i, j, int(table[i, j]))
+            v = table[i, j]
+            raise NotLatinSquare("value", i, j, float(v) if is_float else int(v))
     table = np.ascontiguousarray(table, dtype=_DTYPE)
 
     code, i, j = _kernels.latin_violation(table)

@@ -33,8 +33,8 @@ class AxiomError(FanloopsError):
 
 class NotLatinSquare(AxiomError):
     def __init__(self, kind, row, col, value):
-        # kind: "value" (entry out of range), "row" (duplicate in row),
-        # "col" (duplicate in column)
+        # kind: "value" (entry out of range or not an integer), "row"
+        # (duplicate in row), "col" (duplicate in column)
         self.kind = kind
         self.row = row
         self.col = col
@@ -72,6 +72,15 @@ class OrderCapExceeded(FanloopsError):
 
 class SizeCapExceeded(OrderCapExceeded):
     pass
+
+
+class InvalidOrderCap(OrderCapExceeded):
+    """A --cap or FANLOOP_CAP value that is not an integer."""
+
+    def __init__(self, value):
+        FanloopsError.__init__(self, f"order cap must be an integer, got {value!r}")
+        self.order = None
+        self.cap = value
 
 
 class LoopMismatch(FanloopsError):

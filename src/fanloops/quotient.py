@@ -15,6 +15,9 @@ import numpy as np
 from . import core
 from .errors import NotASubloop, NotNormal, WellDefinednessFailure
 
+# Coset entries per block of rows in is_normal_subloop (bounds its memory).
+_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class NormalityReport:
@@ -77,37 +80,32 @@ def is_normal_subloop(G, H):
     T = G.table
     hs = np.array(sorted(H.members), dtype=np.intp)
     n = G.order
+    xs = np.arange(n)
+    Th = T[:, hs]    # row z: z·h over h in H
+    hT = T[hs].T     # row z: h·z over h in H
+    xH = np.sort(Th, axis=1)  # sorted cosets, one row per x
+    bad = (xH != np.sort(hT, axis=1)).any(axis=1)
+    if bad.any():
+        return NormalityReport(False, "2.7.1", (G.label(int(np.argmax(bad))),))
 
-    def cs(arr):  # canonical sorted-tuple form of a coset
-        return tuple(sorted(int(v) for v in arr))
-
-    xH = [cs(T[x, hs]) for x in range(n)]
-    Hx = [cs(T[hs, x]) for x in range(n)]
-    for x in range(n):
-        if xH[x] != Hx[x]:
-            return NormalityReport(False, "2.7.1", (G.label(x),))
-
-    for x in range(n):
-        for y in range(n):
-            xy = int(T[x, y])
-            # (xy)H = x(yH)
-            left = xH[xy]
-            right = cs(T[x, T[y, hs]])
-            if left != right:
-                return NormalityReport(False, "2.7.2a",
-                                       (G.label(x), G.label(y)))
-            # (xH)y = x(Hy)
-            left = cs(T[T[x, hs], y])
-            right = cs(T[x, T[hs, y]])
-            if left != right:
-                return NormalityReport(False, "2.7.2b",
-                                       (G.label(x), G.label(y)))
-            # H(xy) = (Hx)y
-            left = Hx[xy]
-            right = cs(T[T[hs, x], y])
-            if left != right:
-                return NormalityReport(False, "2.7.2c",
-                                       (G.label(x), G.label(y)))
+    # 2.7.1 holds from here on, so H(xy) is the sorted row xH[xy] as well.
+    # Rows of x are taken in blocks of about _BLOCK coset entries; the first
+    # block with a violation holds the first one in (x, y) row-major order.
+    rows = max(1, _BLOCK // (n * len(hs)))
+    y = xs[None, :, None]
+    for lo in range(0, n, rows):
+        blk = slice(lo, lo + rows)
+        x = xs[blk, None, None]
+        xy_h = xH[T[blk]]                                 # (xy)H = H(xy)
+        a = (xy_h != np.sort(T[x, Th[None]], axis=2)).any(axis=2)  # x(yH)
+        b = (np.sort(T[Th[blk, None], y], axis=2)         # (xH)y
+             != np.sort(T[x, hT[None]], axis=2)).any(axis=2)  # x(Hy)
+        c = (xy_h != np.sort(T[hT[blk, None], y], axis=2)).any(axis=2)  # (Hx)y
+        hit = a | b | c
+        if hit.any():
+            i, j = divmod(int(np.argmax(hit)), n)
+            cond = "2.7.2a" if a[i, j] else "2.7.2b" if b[i, j] else "2.7.2c"
+            return NormalityReport(False, cond, (G.label(lo + i), G.label(j)))
     return NormalityReport(True)
 
 

@@ -9,8 +9,10 @@ import types
 import pytest
 
 from fanloops import catalog, census, cli, laws, products
+from fanloops.config import order_cap
 from fanloops.errors import (
     DuplicateLabel,
+    InvalidOrderCap,
     NotASubgroup,
     OrderCapExceeded,
     ParseError,
@@ -248,6 +250,29 @@ def test_exit_7_cap_above_index_width(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv("FANLOOP_CAP", "32767")
     assert cli.main(["--quiet", "check", _corpus("c2.loop")]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_exit_7_non_integer_cap_from_env(value, monkeypatch, capsys):
+    monkeypatch.setenv("FANLOOP_CAP", value)
+    for argv in (["check", _corpus("c2.loop")], ["census", "3"]):
+        code = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_CAP
+        assert report["error"] == "InvalidOrderCap"
+        assert repr(value) in report["message"]
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_exit_7_non_integer_cap_option(value, capsys):
+    for argv in (["--cap", value, "check", _corpus("c2.loop")],
+                 ["--cap", value, "census", "3"]):
+        code = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_CAP
+        assert report["error"] == "InvalidOrderCap"
+    with pytest.raises(InvalidOrderCap):
+        order_cap(1.5)  # a library caller's float is not truncated either
 
 
 # --- unreadable input files: exit 1, never a traceback -----------------------

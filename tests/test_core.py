@@ -43,6 +43,18 @@ def test_verify_loop_rejects_out_of_range():
             core.verify_loop(table)
         assert (exc.value.kind, exc.value.row, exc.value.col,
                 exc.value.value) == ("value", 1, 0, 65537)
+    # a float table must not be truncated to C2 by the int16 cast
+    for table, v in (([[0.0, 1.0], [1.0, 0.5]], 0.5),
+                     ([[0.0, 1.0], [1.0, 65536.0]], 65536.0)):
+        with pytest.raises(NotLatinSquare) as exc:
+            core.verify_loop(table)
+        assert (exc.value.kind, exc.value.row, exc.value.col,
+                exc.value.value) == ("value", 1, 1, v)
+    with pytest.raises(NotLatinSquare) as exc:
+        core.verify_loop([[0.0, 1.0], [1.0, float("nan")]])
+    assert (exc.value.kind, exc.value.row, exc.value.col) == ("value", 1, 1)
+    # integral floats are still accepted
+    assert core.verify_loop([[0.0, 1.0], [1.0, 0.0]]).order == 2
 
 
 def test_verify_loop_rejects_missing_identity():

@@ -144,3 +144,94 @@ def test_law_text_uses_division_notation():
     by_id = {law.id: law for law in laws.REGISTRY}
     assert "t(" in by_id["2.2.1"].text
     assert "p(" in by_id["2.2.1'"].text
+
+
+# --- reduced domains against the full-meshgrid evaluator --------------------
+
+def _oracle(G, law):
+    return laws._check_full(G, law, laws._pools(G))
+
+
+def test_check_law_matches_full_meshgrid_oracle(corpus_loops, oct16,
+                                                smash_products):
+    c2 = catalog.cyclic(2)
+    s4 = dict((d.name, P) for d, P in smash_products)["s4-xi-c2-q8"]
+    loops = list(corpus_loops)
+    loops += [("oct16xC2", products.direct_product([oct16, c2])),
+              ("s4xC2", products.direct_product([s4, c2]))]
+    loops += [(f"non-fan-5-{i}", W) for i, W in enumerate(
+        census.enumerate_loops(census.CensusQuery(5, filter="non-fan")))]
+    reduced = 0
+    for name, G in loops:
+        for law in laws.REGISTRY:
+            try:
+                rep = laws.check_law(G, law)
+            except NotApplicable:
+                continue
+            assert rep == _oracle(G, law), (name, law.id)
+            if laws._reduced_holds(G, law, laws._pools(G)):
+                reduced += 1
+    # the six invariance laws on every fan loop took the reduced path
+    assert reduced == 6 * sum(G.analysis.is_fan_loop for _, G in loops)
+
+
+def test_reduced_check_catches_a_non_central_pool_element(oct16,
+                                                          monkeypatch):
+    # negative control: with e1 forced into the Z and N pools every
+    # invariance law fails, first in its slot-wise check, then with the
+    # oracle's witness
+    e1 = oct16.index("e1")
+    pools = laws._pools
+
+    def forced(G):
+        out = pools(G)
+        for dom in ("Z", "N"):
+            out[dom] = np.union1d(out[dom], [e1])
+        return out
+
+    monkeypatch.setattr(laws, "_pools", forced)
+    for law_id in laws._INVARIANCE:
+        law = laws.get_law(law_id)
+        assert laws._reduced_holds(oct16, law, forced(oct16)) is False
+        rep = laws.check_law(oct16, law)
+        assert rep.status == laws.FAILS, law_id
+        assert rep == _oracle(oct16, law), law_id
+
+
+@pytest.mark.parametrize("law_id", sorted(laws._INVARIANCE))
+def test_reduced_check_agrees_on_equivariant_tensors(law_id, rng,
+                                                     monkeypatch):
+    # X(a1,a2,a3) = f(a_k) with f equivariant for one side and twist,
+    # f(move_b(a)) = twist_b(f(a)), over subgroups of S3 forced in as the
+    # pool: a reduction with the wrong side, twist or slots passes some of
+    # these tensors where the full evaluator finds a failure
+    G = catalog.symmetric3()
+    T, n = G.table, G.order
+    inv = G.ldiv[:, 0]
+    moves = {"left": lambda b: T[b], "right": lambda b: T[:, b]}
+    twists = {"none": lambda b: np.arange(n),
+              "conj": lambda b: T[T[b], inv[b]],
+              "conj_inv": lambda b: T[T[inv[b]], b]}
+    r = next(x for x in range(1, n) if T[x, x] != 0)
+    law = laws.get_law(law_id)
+    seen = set()
+    for members in ([0, G.index("s")], [0, r, int(T[r, r])], range(n)):
+        pool = np.array(sorted(members), dtype=np.intp)
+        monkeypatch.setattr(laws, "_pools", lambda _: {
+            "G": np.arange(n, dtype=np.intp), "N": pool, "Z": pool})
+        for k in range(3):
+            for side, twist in [(s, t) for s in moves for t in twists]:
+                f = np.full(n, -1)
+                for a in range(n):
+                    if f[a] < 0:
+                        v = rng.randrange(n)
+                        for b in pool:
+                            f[moves[side](b)[a]] = twists[twist](b)[v]
+                shape = [1, 1, 1]
+                shape[k] = n
+                X = np.broadcast_to(f.reshape(shape), (n, n, n))
+                G._tensors = (X.astype(T.dtype), X.astype(T.dtype))
+                rep = laws.check_law(G, law)
+                assert rep == _oracle(G, law), (members, k, side, twist)
+                seen.add(rep.status)
+    assert seen == {laws.HOLDS, laws.FAILS}

@@ -8,7 +8,7 @@ nonidentity coset squares to the identity).
 import numpy as np
 import pytest
 
-from fanloops import catalog, core, products, quotient
+from fanloops import catalog, census, core, products, quotient
 from fanloops.errors import NotASubloop, NotNormal
 
 
@@ -125,3 +125,50 @@ def test_non_normal_raises_from_decomposition():
     H = _subgroup(G, {0, G.index("s")})
     with pytest.raises(NotNormal):
         quotient.quotient(G, H)
+
+
+def _normality_oracle(G, H):
+    """Pair-by-pair Def-2.7 check on sorted coset tuples; first violation in
+    (x, y) row-major order, 2.7.2a before 2.7.2b before 2.7.2c."""
+    T = G.table
+    hs = np.array(sorted(H.members), dtype=np.intp)
+    n = G.order
+
+    def cs(arr):
+        return tuple(sorted(int(v) for v in arr))
+
+    xH = [cs(T[x, hs]) for x in range(n)]
+    Hx = [cs(T[hs, x]) for x in range(n)]
+    for x in range(n):
+        if xH[x] != Hx[x]:
+            return quotient.NormalityReport(False, "2.7.1", (G.label(x),))
+    for x in range(n):
+        for y in range(n):
+            xy = int(T[x, y])
+            if xH[xy] != cs(T[x, T[y, hs]]):
+                return quotient.NormalityReport(False, "2.7.2a",
+                                                (G.label(x), G.label(y)))
+            if cs(T[T[x, hs], y]) != cs(T[x, T[hs, y]]):
+                return quotient.NormalityReport(False, "2.7.2b",
+                                                (G.label(x), G.label(y)))
+            if Hx[xy] != cs(T[T[hs, x], y]):
+                return quotient.NormalityReport(False, "2.7.2c",
+                                                (G.label(x), G.label(y)))
+    return quotient.NormalityReport(True)
+
+
+def test_normality_matches_pairwise_oracle(corpus_loops):
+    # every distinct subloop generated by one element, normal or not; the
+    # order-5 census adds loops whose subloops fail 2.7.2a and 2.7.2b
+    census5 = [(f"census5-{i}", W) for i, W in
+               enumerate(census.enumerate_loops(census.CensusQuery(5)))]
+    conditions = set()
+    for name, G in corpus_loops + census5:
+        subloops = {core.subgroup_closure(G, [g]).members
+                    for g in range(G.order)}
+        for members in sorted(subloops, key=sorted):
+            H = _subgroup(G, members)
+            rep = quotient.is_normal_subloop(G, H)
+            assert rep == _normality_oracle(G, H), (name, sorted(members))
+            conditions.add(rep.condition)
+    assert {None, "2.7.1", "2.7.2a", "2.7.2b"} <= conditions
