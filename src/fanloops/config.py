@@ -14,10 +14,6 @@ CENSUS_ORDER_CAP = 7
 CAYLEY_DICKSON_CAP = 5
 DEFAULT_SEED = 12345
 
-# Above this order, FiniteLoop.assoc_tensors() refuses to cache by default
-# (the caller can still force it); below it the n^3 tensors are kept.
-TENSOR_CACHE_DEFAULT_LIMIT = 64
-
 # Simplex tableau entries past this many bits (numerator plus denominator)
 # trigger a BitGrowthWarning; growth itself is allowed.
 LP_BIT_ALARM = 4096

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .config import TENSOR_CACHE_DEFAULT_LIMIT, order_cap
+from .config import order_cap
 from .errors import (
     LoopMismatch,
     NoIdentity,
@@ -89,16 +89,12 @@ class FiniteLoop:
         return int(self.rdiv[b, a])
 
     def t(self, a, b, c):
-        if self._tensors is not None:
-            return int(self._tensors[0][a, b, c])
         T = self.table
         lhs = T[T[a, b], c]
         rhs = T[a, T[b, c]]
         return int(self.rdiv[lhs, rhs])
 
     def p(self, a, b, c):
-        if self._tensors is not None:
-            return int(self._tensors[1][a, b, c])
         T = self.table
         lhs = T[T[a, b], c]
         rhs = T[a, T[b, c]]
@@ -112,22 +108,14 @@ class FiniteLoop:
         """e / a"""
         return int(self.rdiv[0, a])
 
-    def assoc_tensors(self, cache=None):
-        """Full n^3 tensors (t, p).
-
-        cache=None keeps them on the instance when the order is at most
-        TENSOR_CACHE_DEFAULT_LIMIT; pass cache=True/False to force.
-        """
-        if self._tensors is not None:
-            return self._tensors
-        tensors = _kernels.assoc_tensors(self.table, self.ldiv, self.rdiv)
-        for arr in tensors:
-            arr.setflags(write=False)
-        if cache is None:
-            cache = self.order <= TENSOR_CACHE_DEFAULT_LIMIT
-        if cache:
+    def assoc_tensors(self):
+        """Full n^3 tensors (t, p), computed once and kept on the loop."""
+        if self._tensors is None:
+            tensors = _kernels.assoc_tensors(self.table, self.ldiv, self.rdiv)
+            for arr in tensors:
+                arr.setflags(write=False)
             self._tensors = tensors
-        return tensors
+        return self._tensors
 
     def subset(self, members):
         idx = frozenset(
@@ -371,6 +359,13 @@ def _mask_set(G, mask):
     return ElementSet(G, frozenset(int(i) for i in np.nonzero(mask)[0]))
 
 
+def _value_mask(X, n):
+    """mask[v] iff v occurs in X; unlike np.unique, no sorted copy of X."""
+    mask = np.zeros(n, dtype=bool)
+    mask[X.ravel()] = True
+    return mask
+
+
 def subgroup_closure(G, seed):
     """Smallest subset containing `seed` closed under ·, \\, / (worklist).
 
@@ -403,9 +398,8 @@ def _analyze(G):
     z_mask = com_mask & nuc_mask
 
     t_tensor, p_tensor = G.assoc_tensors()
-    t_vals = np.unique(t_tensor)
-    p_vals = np.unique(p_tensor)
-    is_group = t_vals.tolist() == [0] and p_vals.tolist() == [0]
+    t_mask, p_mask = _value_mask(t_tensor, n), _value_mask(p_tensor, n)
+    is_group = not (t_mask[1:].any() or p_mask[1:].any())
 
     non_assoc_witness = None
     if not is_group:
@@ -417,8 +411,7 @@ def _analyze(G):
     is_fan = not found
     fan_witness = (a, b, c) if found else None
 
-    seed = set(int(v) for v in t_vals) | set(int(v) for v in p_vals)
-    fan_set = subgroup_closure(G, seed)
+    fan_set = subgroup_closure(G, np.flatnonzero(t_mask | p_mask))
 
     # central fan condition: (ab)/(ba) in Z for every pair
     t2 = G.rdiv[T, T.T]
@@ -443,8 +436,8 @@ def _analyze(G):
         nucleus=_mask_set(G, nuc_mask),
         center=_mask_set(G, z_mask),
         fan=fan_set,
-        t_range=ElementSet(G, frozenset(int(v) for v in t_vals)),
-        p_range=ElementSet(G, frozenset(int(v) for v in p_vals)),
+        t_range=_mask_set(G, t_mask),
+        p_range=_mask_set(G, p_mask),
         non_assoc_witness=non_assoc_witness,
         fan_witness=fan_witness,
         central_witness=central_witness,

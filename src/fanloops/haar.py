@@ -307,23 +307,24 @@ class HaarFunctional:
         return total
 
     def _cross_check(self):
-        """Run the real simplex on (f₀:δ_e) and a probe, once, and compare
-        with the closed form; also verify point-mass height invariance."""
+        """Run the real simplex on (p : h·δ_e) once per probe p in (f₀, δ_e)
+        and height h, and compare: at h = 1 with the closed form, at every
+        h the ratio J_{h·δ_e,f₀}(p) with J_{f₀}(p) (point-mass height
+        invariance)."""
         G = self.loop
         de = delta(G)
-        for probe in (self.reference, de):
-            direct = covering_number(probe, de)
-            if direct != self._covering_delta(probe):
-                raise FanLoopCheckFailed(
-                    "point-mass covering mismatch", (probe.values,)
-                )
-        # stabilization: J_{φ,f0} identical for point masses of any height
         probes = (self.reference, de)
         base = [self(p) for p in probes]
         for height in (_F1, Fraction(1, 2), Fraction(3, 1)):
             phi = de.scale(height)
-            got = [ratio_functional(p, self.reference, phi) for p in probes]
-            if got != base:
+            values = [covering_number(p, phi) for p in probes]
+            if height == _F1:
+                for probe, value in zip(probes, values):
+                    if value != self._covering_delta(probe):
+                        raise FanLoopCheckFailed(
+                            "point-mass covering mismatch", (probe.values,)
+                        )
+            if [v / values[0] for v in values] != base:
                 raise FanLoopCheckFailed(
                     "point-mass height variance", (height,)
                 )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .errors import NotApplicable
 
 HOLDS = "holds"
@@ -118,9 +119,7 @@ class TAssoc(Expr):
         a = self.x.ev(G, env)
         b = self.y.ev(G, env)
         c = self.z.ev(G, env)
-        if G._tensors is not None:
-            return G._tensors[0][a, b, c]
-        return G.rdiv[G.table[G.table[a, b], c], G.table[a, G.table[b, c]]]
+        return G.assoc_tensors()[0][a, b, c]
 
     def __repr__(self):
         return f"t({self.x!r},{self.y!r},{self.z!r})"
@@ -138,9 +137,7 @@ class PAssoc(Expr):
         a = self.x.ev(G, env)
         b = self.y.ev(G, env)
         c = self.z.ev(G, env)
-        if G._tensors is not None:
-            return G._tensors[1][a, b, c]
-        return G.ldiv[G.table[a, G.table[b, c]], G.table[G.table[a, b], c]]
+        return G.assoc_tensors()[1][a, b, c]
 
     def __repr__(self):
         return f"p({self.x!r},{self.y!r},{self.z!r})"
@@ -406,12 +403,7 @@ def _generators(G, pool):
         gens.append(b)
         if nuc[b]:
             picks = [g for g in gens if nuc[g]]
-            while True:  # close under left multiplication by the picks
-                grown = spanned.copy()
-                grown[G.table[np.ix_(picks, np.flatnonzero(spanned))]] = True
-                if np.array_equal(grown, spanned):
-                    break
-                spanned = grown
+            spanned = core.subgroup_closure(G, picks).mask()
     return gens
 
 

@@ -413,3 +413,29 @@ def test_quiet_mode(capsys):
     code = cli.main(["--quiet", "check", _corpus("oct16.loop")])
     assert code == cli.EXIT_OK
     assert capsys.readouterr().out == ""
+
+
+def test_smash_cross_check_failure_exits_3(monkeypatch, capsys):
+    failure = ("4.4.1", (1, 2, 3))
+    monkeypatch.setattr(products, "verify_smashed_product",
+                        lambda data, P: [failure])
+    code = cli.main(["smash", _corpus("s4-xi-c2-q8.smash")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_LAW
+    assert report["crossChecks"] == {
+        "ok": False, "failures": [{"id": "4.4.1", "witness": [1, 2, 3]}],
+    }
+
+
+def test_smash_verifies_the_product_once(monkeypatch):
+    calls = []
+    verify = products.verify_smashed_product
+
+    def counted(data, P):
+        calls.append(data.name)
+        return verify(data, P)
+
+    monkeypatch.setattr(products, "verify_smashed_product", counted)
+    code, report = cli.cmd_smash(_corpus("s6-eta-c4-c8.smash"))
+    assert code == cli.EXIT_OK and report["crossChecks"]["ok"]
+    assert len(calls) == 1

@@ -501,3 +501,41 @@ def test_sedenion_spot_check():
     assert J(haar.delta(S32)) == F(1, 32)
     mu = haar.invariant_measure(S32)
     assert mu.total == 32
+
+
+# --- the construction-time cross-check ----------------------------------------
+
+def test_haar_cross_check_solves_each_covering_number_once(oct16,
+                                                           monkeypatch):
+    # (p : h·δ_e) for two probes and three heights: six distinct LPs
+    calls = []
+    solve = haar.lp.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(haar.lp, "solve", counted)
+    haar.haar_limit(oct16)
+    assert len(calls) == 6
+
+
+def test_haar_cross_check_catches_a_wrong_closed_form(oct16, monkeypatch):
+    closed = haar.HaarFunctional._covering_delta
+    monkeypatch.setattr(haar.HaarFunctional, "_covering_delta",
+                        lambda self, f: closed(self, f) + 1)
+    with pytest.raises(FanLoopCheckFailed, match="point-mass covering mismatch"):
+        haar.haar_limit(oct16)
+
+
+def test_haar_cross_check_catches_height_dependence(oct16, monkeypatch):
+    # a covering number that is off by one unless φ has height 1
+    covering = haar.covering_number
+
+    def faulty(f, phi):
+        value = covering(f, phi)
+        return value if phi.sup_norm() == 1 else value + 1
+
+    monkeypatch.setattr(haar, "covering_number", faulty)
+    with pytest.raises(FanLoopCheckFailed, match="point-mass height variance"):
+        haar.haar_limit(oct16)

@@ -317,3 +317,22 @@ def test_direct_product_componentwise_internal_check_fires():
     P = products.direct_product([A, B])
     with pytest.raises(FanLoopCheckFailed):
         products._check_componentwise_sets(P, A, catalog.symmetric3())
+
+
+@pytest.mark.parametrize("tamper, expect", [
+    ({"p": (7, 2, 9)}, ("p", 1, 1, 0, 2, 1, 3)),
+    ({"t": (7, 2, 9), "p": (0, 0, 1)}, ("t", 1, 1, 0, 2, 1, 3)),
+])
+def test_componentwise_assoc_witness_names_the_tensor(tamper, expect):
+    # C2×S3: element 6a+b is (a, b); a tampered p alone must still yield a
+    # witness, and t is searched before p
+    A, B = catalog.cyclic(2), catalog.symmetric3()
+    P = products.direct_product([A, B])
+    tensors = dict(zip("tp", (X.copy() for X in P.assoc_tensors())))
+    for name, idx in tamper.items():
+        tensors[name][idx] = 1
+    P._tensors = (tensors["t"], tensors["p"])
+    with pytest.raises(FanLoopCheckFailed) as info:
+        products._check_componentwise_assoc(P, A, B)
+    assert info.value.check == "direct-product associators not componentwise"
+    assert info.value.witness == expect
