@@ -34,10 +34,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _frac(v):
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 @dataclass(frozen=True)
 class LoopFunction:
     """A nonnegative rational-valued function on a finite loop."""
@@ -46,7 +42,7 @@ class LoopFunction:
     values: tuple = ()
 
     def __post_init__(self):
-        vals = tuple(_frac(v) for v in self.values)
+        vals = tuple(lp.rational(v) for v in self.values)
         if len(vals) != self.loop.order:
             raise ValueError("value vector length != loop order")
         for i, v in enumerate(vals):
@@ -80,7 +76,7 @@ class LoopFunction:
         return max(self.values, default=_F0)
 
     def scale(self, alpha):
-        alpha = _frac(alpha)
+        alpha = lp.rational(alpha)
         return LoopFunction(self.loop, tuple(alpha * v for v in self.values))
 
     def __add__(self, other):
@@ -97,7 +93,7 @@ def _same_loop(f, g):
 
 
 def constant(G, value=1):
-    return LoopFunction(G, (_frac(value),) * G.order)
+    return LoopFunction(G, (lp.rational(value),) * G.order)
 
 
 def delta(G, x=0):
@@ -181,7 +177,7 @@ def covering_number(f, phi):
     sol = lp.LPSolution(lp.OPTIMAL, -dsol.optimum, dsol.dual, dsol.witness,
                         dsol.iterations)
     cert = lp.verify_certificate(problem, sol)
-    if not cert.ok:  # pragma: no cover - solver bug surface
+    if not cert.ok:
         raise FanLoopCheckFailed("covering-lp-certificate", (cert.reason,))
     q = max(range(f.loop.order), key=lambda i: phi.values[i])
     m = len(f.support())
@@ -345,7 +341,7 @@ class HaarFunctional:
     def signed(self, values):
         """Finite signed split J(f⁺) − J(f⁻) for a possibly-negative
         rational value vector."""
-        vals = [_frac(v) for v in values]
+        vals = [lp.rational(v) for v in values]
         plus = LoopFunction(self.loop, [max(v, _F0) for v in vals])
         minus = LoopFunction(self.loop, [max(-v, _F0) for v in vals])
         return self(plus) - self(minus)
@@ -372,11 +368,17 @@ class InvariantMeasure:
         return out
 
 
-def invariant_measure(G):
+def invariant_measure(G, J=None):
     """μ with μ({x}) = J(χ_x)/J(χ_e): on a finite fan loop every weight is
     1 and the total is the order.  Translation invariance on singletons is
-    re-verified exhaustively before returning."""
-    J = haar_limit(G)
+    re-verified exhaustively before returning.
+
+    J is the caller's functional on G, if it has one; by default the
+    constant-reference J = haar_limit(G) is built here."""
+    if J is None:
+        J = haar_limit(G)
+    elif J.loop is not G and not J.loop.equals(G):
+        raise LoopMismatch("functional lives on a different loop")
     je = J(delta(G, 0))
     weights = tuple(J(delta(G, x)) / je for x in range(G.order))
     for w in weights:

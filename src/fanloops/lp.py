@@ -16,9 +16,19 @@ cost of its surplus over d, times the row's scale over the objective's, and
 their growth is bounded by Hadamard's bound; a bit-length alarm warns once
 an entry a/d has more than LP_BIT_ALARM bits in a and d together, rather
 than failing.
+
+``verify_certificate`` checks an optimum from the problem and the solution
+alone, in Python ints too: the data are scaled by one common denominator,
+the witness and the dual each by their own, and each row and column sum
+runs over the nonzero coordinates of the witness or the dual only.
+
+Input is exact: ints, Fractions and rational strings such as "5/2".  Floats
+are refused, since a binary float such as 0.1 is not the rational it reads
+as.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,9 +47,16 @@ class BitGrowthWarning(UserWarning):
     """Tableau rationals exceeded the configured bit-length alarm."""
 
 
-def _frac(x):
+def rational(x):
+    """x as a Fraction: ints (numpy's too), Fractions and rational strings
+    are exact; a float (numpy's too) is refused with a ValueError."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
+        raise ValueError(
+            f"float {x!r} is not exact: give an int, a Fraction or a "
+            "rational string"
+        )
     return Fraction(x.numerator, x.denominator) if hasattr(x, "numerator") \
         else Fraction(x)
 
@@ -53,9 +70,9 @@ class LPProblem:
     b: tuple
 
     def __post_init__(self):
-        obj = tuple(_frac(v) for v in self.objective)
-        rows = tuple(tuple(_frac(v) for v in row) for row in self.A)
-        rhs = tuple(_frac(v) for v in self.b)
+        obj = tuple(rational(v) for v in self.objective)
+        rows = tuple(tuple(rational(v) for v in row) for row in self.A)
+        rhs = tuple(rational(v) for v in self.b)
         if len(rows) != len(rhs):
             raise ValueError("constraint/rhs count mismatch")
         for row in rows:
@@ -298,7 +315,19 @@ def solve(problem):
 def verify_certificate(problem, solution):
     """Re-derive optimality from the solution alone: primal feasibility,
     dual feasibility, exact objective equality, complementary slackness.
-    Independent of the solver path."""
+    Independent of the solver path: it reads only the problem and the
+    solution, never a tableau.
+
+    The check runs in Python ints.  A, b and c are scaled by one common
+    denominator L, the witness x by its own dx and the dual y by its own dy;
+    every row and column sum runs over the nonzero coordinates of x or y
+    alone, and signs and cross-multiplied totals are compared as ints.  The
+    primal objective is rebuilt as a Fraction only for the comparison with
+    ``solution.optimum``.  The checks run in this order, and the first that
+    fails gives the report's reason and index: status, lengths, witness
+    sign, primal rows, dual columns, dual sign, objective, duality gap, then
+    row and column complementary slackness.  A float in the witness or the
+    dual raises ValueError, as in LPProblem."""
     if solution.status != OPTIMAL:
         return CertificateReport(False, "status not optimal")
     x = solution.witness
@@ -307,41 +336,49 @@ def verify_certificate(problem, solution):
         return CertificateReport(False, "witness missing or wrong length")
     if y is None or len(y) != problem.n_constraints:
         return CertificateReport(False, "dual missing or wrong length")
+    x = [rational(v) for v in x]
+    y = [rational(v) for v in y]
     for j, v in enumerate(x):
         if v < 0:
             return CertificateReport(False, "negative witness coordinate", j)
-    slacks = []
-    for i, row in enumerate(problem.A):
-        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
-        if lhs < problem.b[i]:
+    A, b, c = problem.A, problem.b, problem.objective
+    dens = {v.denominator for row in A for v in row}
+    dens.update(v.denominator for v in b + c)
+    L = math.lcm(*dens)
+    unit = {d: L // d for d in dens}
+
+    def z(v):  # L·v as an int
+        return v.numerator * unit[v.denominator]
+
+    dx, X = _scaled(x)
+    dy, Y = _scaled(y)
+    nzx = [(j, v) for j, v in enumerate(X) if v]
+    nzy = [(i, v) for i, v in enumerate(Y) if v]
+    slacks = []  # L·dx·(A x - b), row by row
+    for i, row in enumerate(A):
+        s = sum(z(row[j]) * v for j, v in nzx) - z(b[i]) * dx
+        if s < 0:
             return CertificateReport(False, "primal constraint violated", i)
-        slacks.append(lhs - problem.b[i])
-    reduced = []
-    for j in range(problem.n_vars):
-        if y is not None:
-            col = sum(
-                (problem.A[i][j] * y[i] for i in range(problem.n_constraints)),
-                Fraction(0),
-            )
-            r = problem.objective[j] - col
-            if r < 0:
-                return CertificateReport(False, "dual constraint violated", j)
-            reduced.append(r)
-    for i, v in enumerate(y):
+        slacks.append(s)
+    reduced = []  # L·dy·(c - Aᵀy), column by column
+    for j, cj in enumerate(c):
+        r = z(cj) * dy - sum(z(A[i][j]) * v for i, v in nzy)
+        if r < 0:
+            return CertificateReport(False, "dual constraint violated", j)
+        reduced.append(r)
+    for i, v in enumerate(Y):
         if v < 0:
             return CertificateReport(False, "negative dual coordinate", i)
-    primal_obj = sum(
-        (c * v for c, v in zip(problem.objective, x)), Fraction(0)
-    )
-    dual_obj = sum((problem.b[i] * y[i] for i in range(len(y))), Fraction(0))
-    if primal_obj != solution.optimum:
+    primal = sum(z(c[j]) * v for j, v in nzx)  # L·dx·(c·x)
+    dual = sum(z(b[i]) * v for i, v in nzy)    # L·dy·(b·y)
+    if Fraction(primal, L * dx) != solution.optimum:
         return CertificateReport(False, "objective mismatch with witness")
-    if dual_obj != primal_obj:
+    if dual * dx != primal * dy:
         return CertificateReport(False, "duality gap nonzero")
     for i, s in enumerate(slacks):
-        if y[i] * s != 0:
+        if s and Y[i]:
             return CertificateReport(False, "complementary slackness (row)", i)
     for j, r in enumerate(reduced):
-        if r * x[j] != 0:
+        if r and X[j]:
             return CertificateReport(False, "complementary slackness (col)", j)
     return CertificateReport(True)

@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from fanloops import catalog, census, cli, laws, products
+from fanloops import catalog, census, cli, laws, lp, products
 from fanloops.config import order_cap
 from fanloops.errors import (
     DuplicateLabel,
@@ -360,6 +360,24 @@ def test_haar_reports_are_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert (code1, out1) == (code2, out2)
     assert json.loads(out1)["seed"] == 7
+
+
+@pytest.mark.parametrize("f0, solves", [(None, 12), ("halves.fn", 18)])
+def test_haar_solves_each_functional_once(monkeypatch, f0, solves):
+    # 6 LPs per functional: J and H, plus the measure's own constant-reference
+    # functional when --f0 makes J another one
+    calls = []
+    solve = lp.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    code, report = cli.cmd_haar(_corpus("oct16.loop"),
+                                f0_path=f0 and _corpus(f0))
+    assert code == cli.EXIT_OK and report["measure"]["total"] == "16"
+    assert len(calls) == solves
 
 
 # --- smash command -----------------------------------------------------------

@@ -10,10 +10,11 @@ genuinely nonassociative regimes are exercised.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import test_lp
-from fanloops import catalog, census, core, haar, products
+from fanloops import catalog, census, core, haar, lp, products
 from fanloops.errors import (
     FanLoopCheckFailed,
     LoopMismatch,
@@ -60,6 +61,25 @@ def test_loop_function_validation(oct16):
     assert f.scale(F(1, 2)).values[0] == F(1, 2)
     assert haar.delta(oct16, "e1")(2) == 1
     assert haar.char(oct16, ()).is_zero()
+
+
+@pytest.mark.parametrize("value", [0.1, float("nan"), np.float64(0.1),
+                                   np.float32(0.5)])
+def test_loop_function_refuses_floats(q8, value):
+    with pytest.raises(ValueError, match="float .* is not exact") as exc:
+        haar.LoopFunction(q8, [value] * 8)
+    assert repr(value) in str(exc.value)
+    with pytest.raises(ValueError, match="is not exact"):
+        haar.constant(q8, value)
+    with pytest.raises(ValueError, match="is not exact"):
+        haar.delta(q8).scale(value)
+
+
+def test_loop_function_takes_exact_values(q8):
+    f = haar.LoopFunction(q8, [1, F(1, 3), "2/7", "5", np.int64(4), 0, 0, 0])
+    assert f.values[:5] == (1, F(1, 3), F(2, 7), 5, 4)
+    assert all(type(v) is F for v in f.values)
+    assert haar.constant(q8, "1/2").total() == 4
 
 
 def test_loop_function_equality_across_copies():
@@ -453,6 +473,23 @@ def test_invariant_measure_translation_on_subsets(oct16, rng):
     assert mu.mass(("1", "e1")) == 2
 
 
+def test_invariant_measure_takes_the_callers_functional(oct16, q8,
+                                                       monkeypatch):
+    J = haar.haar_limit(oct16)
+    calls = []
+    solve = haar.lp.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(haar.lp, "solve", counted)
+    assert haar.invariant_measure(oct16, J) == haar.invariant_measure(oct16)
+    assert len(calls) == 6   # the second call's own functional only
+    with pytest.raises(LoopMismatch):
+        haar.invariant_measure(q8, J)
+
+
 def test_verify_uniqueness_constant(oct16):
     f0 = haar.constant(oct16)
     g0 = haar.char(oct16, ("1", "-1", "e1", "-e1")).scale(F(1, 2))
@@ -493,6 +530,24 @@ def test_covering_rejects_mismatched_loops():
     phi = haar.delta(catalog.cyclic(4, "h"))
     with pytest.raises(LoopMismatch):
         haar.covering_number(f, phi)
+
+
+def test_covering_number_refuses_a_failed_certificate(q8, monkeypatch):
+    # a solver whose dual-LP dual, the covering witness, is off by one
+    solve = lp.solve
+
+    def perturbed(problem):
+        sol = solve(problem)
+        dual = (sol.dual[0] + 1,) + sol.dual[1:]
+        return lp.LPSolution(sol.status, sol.optimum, sol.witness, dual,
+                             sol.iterations)
+
+    monkeypatch.setattr(lp, "solve", perturbed)
+    with pytest.raises(FanLoopCheckFailed, match="covering-lp-certificate") \
+            as exc:
+        haar.covering_number(haar.constant(q8), haar.delta(q8))
+    assert exc.value.check == "covering-lp-certificate"
+    assert exc.value.witness == ("objective mismatch with witness",)
 
 
 def test_sedenion_spot_check():

@@ -11,9 +11,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fanloops import lp
+from fanloops import catalog, census, haar, lp
 
 F = Fraction
 
@@ -169,6 +170,20 @@ def test_problem_validation():
         lp.LPProblem((1, 2), ((1, 2, 3),), (1,))     # row width mismatch
     prob = lp.LPProblem(("1/3", 2), ((1, "5/2"),), ("-2",))
     assert prob.objective[0] == F(1, 3) and prob.A[0][1] == F(5, 2)
+    prob = lp.LPProblem((F(1, 3), np.int64(2)), ((1, F(5, 2)),), (-2,))
+    assert prob.objective == (F(1, 3), 2) and prob.b == (-2,)
+    assert all(type(v) is F for v in prob.objective + prob.A[0] + prob.b)
+
+
+@pytest.mark.parametrize("value", [0.5, float("nan"), np.float64(0.1),
+                                   np.float32(2.0)])
+def test_problem_refuses_floats(value):
+    for args in (((value, 1), ((1, 1),), (1,)),
+                 ((1, 1), ((1, value),), (1,)),
+                 ((1, 1), ((1, 1),), (value,))):
+        with pytest.raises(ValueError, match="float .* is not exact") as exc:
+            lp.LPProblem(*args)
+        assert repr(value) in str(exc.value)
 
 
 # --- certificate rejections --------------------------------------------------
@@ -208,6 +223,163 @@ def test_certificate_rejects_tampering():
 
     rep = lp.verify_certificate(prob, _tampered(sol, dual=(F(0), F(0))))
     assert rep.reason == "duality gap nonzero"
+
+    rep = lp.verify_certificate(prob, _tampered(sol, dual=(0, -1)))
+    assert rep.reason == "negative dual coordinate" and rep.index == 1
+
+
+def test_certificate_refuses_a_float_solution():
+    prob = _manual()
+    sol = lp.solve(prob)
+    for field in ({"witness": (0.0, 2.0)}, {"dual": (F(2), np.float64(0))}):
+        with pytest.raises(ValueError, match="float .* is not exact"):
+            lp.verify_certificate(prob, _tampered(sol, **field))
+
+
+# --- the integer checker against the Fraction checker ------------------------
+
+def fraction_certificate(problem, solution):
+    """The Fraction form of lp.verify_certificate, kept as its reference: the
+    same checks in the same order, each sum over every coordinate."""
+    if solution.status != lp.OPTIMAL:
+        return lp.CertificateReport(False, "status not optimal")
+    x = solution.witness
+    y = solution.dual
+    if x is None or len(x) != problem.n_vars:
+        return lp.CertificateReport(False, "witness missing or wrong length")
+    if y is None or len(y) != problem.n_constraints:
+        return lp.CertificateReport(False, "dual missing or wrong length")
+    for j, v in enumerate(x):
+        if v < 0:
+            return lp.CertificateReport(False, "negative witness coordinate", j)
+    slacks = []
+    for i, row in enumerate(problem.A):
+        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
+        if lhs < problem.b[i]:
+            return lp.CertificateReport(False, "primal constraint violated", i)
+        slacks.append(lhs - problem.b[i])
+    reduced = []
+    for j in range(problem.n_vars):
+        col = sum(
+            (problem.A[i][j] * y[i] for i in range(problem.n_constraints)),
+            Fraction(0),
+        )
+        r = problem.objective[j] - col
+        if r < 0:
+            return lp.CertificateReport(False, "dual constraint violated", j)
+        reduced.append(r)
+    for i, v in enumerate(y):
+        if v < 0:
+            return lp.CertificateReport(False, "negative dual coordinate", i)
+    primal_obj = sum(
+        (c * v for c, v in zip(problem.objective, x)), Fraction(0)
+    )
+    dual_obj = sum((problem.b[i] * y[i] for i in range(len(y))), Fraction(0))
+    if primal_obj != solution.optimum:
+        return lp.CertificateReport(False, "objective mismatch with witness")
+    if dual_obj != primal_obj:
+        return lp.CertificateReport(False, "duality gap nonzero")
+    for i, s in enumerate(slacks):
+        if y[i] * s != 0:
+            return lp.CertificateReport(
+                False, "complementary slackness (row)", i)
+    for j, r in enumerate(reduced):
+        if r * x[j] != 0:
+            return lp.CertificateReport(
+                False, "complementary slackness (col)", j)
+    return lp.CertificateReport(True)
+
+
+def _tamperings(problem, sol, rng):
+    """sol and seeded tampered copies of it: status, lengths, a shifted
+    witness (with and without a matching optimum), a shifted dual, a
+    shifted optimum, and a flipped sign in the witness and in the dual."""
+    yield sol
+    if sol.status != lp.OPTIMAL:
+        return
+    x, y = list(sol.witness), list(sol.dual)
+    yield _tampered(sol, status=lp.INFEASIBLE)
+    yield _tampered(sol, witness=tuple(x[:-1]))
+    yield _tampered(sol, dual=None)
+    for _ in range(3):
+        delta = F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+        w = x[:]
+        w[rng.randrange(len(w))] += delta
+        yield _tampered(sol, witness=tuple(w))
+        yield _tampered(sol, witness=tuple(w), optimum=sum(
+            (c * v for c, v in zip(problem.objective, w)), F(0)))
+        d = y[:]
+        d[rng.randrange(len(d))] += delta
+        yield _tampered(sol, dual=tuple(d))
+        yield _tampered(sol, optimum=sol.optimum + delta)
+    for values, field in ((x, "witness"), (y, "dual")):
+        nonzero = [k for k, v in enumerate(values) if v]
+        if nonzero:
+            flipped = values[:]
+            k = rng.choice(nonzero)
+            flipped[k] = -flipped[k]
+            yield _tampered(sol, **{field: tuple(flipped)})
+
+
+def _verdict(report):
+    return report.ok, report.reason, report.index
+
+
+def _compare_checkers(pairs, rng):
+    """Both checkers on every pair and its tamperings; the reasons seen."""
+    reasons = set()
+    for problem, sol in pairs:
+        for candidate in _tamperings(problem, sol, rng):
+            want = fraction_certificate(problem, candidate)
+            assert _verdict(lp.verify_certificate(problem, candidate)) \
+                == _verdict(want), (problem, candidate)
+            reasons.add(want.reason)
+    return reasons
+
+
+# every reason but complementary slackness, which cannot fail once both
+# sides are feasible with no duality gap (c·x - b·y is the sum of its terms)
+_REACHABLE = {
+    None, "status not optimal", "witness missing or wrong length",
+    "dual missing or wrong length", "negative witness coordinate",
+    "primal constraint violated", "dual constraint violated",
+    "negative dual coordinate", "objective mismatch with witness",
+    "duality gap nonzero",
+}
+
+
+def test_integer_certificate_matches_the_fraction_checker():
+    rng = random.Random(60611)
+    pairs = []
+    for _ in range(80):
+        prob = random_problem(rng)
+        pairs.append((prob, lp.solve(prob)))
+    assert _compare_checkers(pairs, rng) == _REACHABLE
+
+
+def test_integer_certificate_matches_on_covering_pairs(monkeypatch):
+    # the swapped (primal problem, dual-LP solution) pairs covering_number
+    # certifies, on criterion 4's loop family
+    family = [catalog.cyclic(k) for k in range(1, 7)]
+    family += [catalog.klein4(), catalog.symmetric3()]
+    family += [census.find_witness(5, "non-fan"),
+               census.find_witness(6, "non-fan")]
+    pairs = []
+    verify = lp.verify_certificate
+
+    def recorded(problem, solution):
+        pairs.append((problem, solution))
+        return verify(problem, solution)
+
+    monkeypatch.setattr(lp, "verify_certificate", recorded)
+    rng = random.Random(60612)
+    for G in family:
+        for _ in range(3):
+            haar.covering_number(haar.random_function(G, rng),
+                                 haar.random_function(G, rng))
+    monkeypatch.undo()
+    assert len(pairs) == 3 * len(family)
+    assert _compare_checkers(pairs, rng) == _REACHABLE
 
 
 # --- bit-growth alarm --------------------------------------------------------
