@@ -1,4 +1,5 @@
-"""Hot integer kernels over Cayley tables, written in numpy.
+"""Hot integer kernels over Cayley tables and their associator tensors,
+written in numpy.
 
 Kernels that return a witness scan in a fixed order, stated above each, so
 reports are reproducible.
@@ -86,35 +87,24 @@ def assoc_tensors(table, ldiv, rdiv):
 
 
 # ---------------------------------------------------------------------------
-# Nucleus part membership masks.
-#   nl[a] = forall b,c: (ab)c == a(bc)   (and cyclically for nm, nr)
+# Nucleus part membership masks, read from the t tensor: t[a,b,c] = e
+# exactly when (ab)c = a(bc), so
+#   nl[a] = forall b,c: t[a,b,c] == e   (and likewise over slots 2, 3)
 # ---------------------------------------------------------------------------
 
-def nucleus_masks(table):
-    n = table.shape[0]
-    nl = np.ones(n, np.bool_)
-    nm = np.ones(n, np.bool_)
-    nr = np.ones(n, np.bool_)
+def nucleus_masks(t):
+    return ~t.any(axis=(1, 2)), ~t.any(axis=(0, 2)), ~t.any(axis=(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# First (a,b,c) in lexicographic order with t[a,b,c] or p[a,b,c] outside a
+# membership mask.  Used for fan-loop witnesses.
+# ---------------------------------------------------------------------------
+
+def fan_violation(t, p, member):
+    n = t.shape[0]
     for a in range(n):
-        defect = table[table[a], :] != table[a][table]  # defect[b, c]
-        if defect.any():
-            nl[a] = False
-            nm &= ~defect.any(axis=1)
-            nr &= ~defect.any(axis=0)
-    return nl, nm, nr
-
-
-# ---------------------------------------------------------------------------
-# First associator value outside a membership mask, in lexicographic (a,b,c)
-# order.  Used for fan-loop witnesses.
-# ---------------------------------------------------------------------------
-
-def fan_violation(table, ldiv, rdiv, member):
-    n = table.shape[0]
-    for a in range(n):
-        lhs = table[table[a], :]
-        rhs = table[a][table]
-        bad = ~member[rdiv[lhs, rhs]] | ~member[ldiv[rhs, lhs]]
+        bad = ~(member[t[a]] & member[p[a]])
         if bad.any():
             flat = int(np.argmax(bad))
             return True, a, flat // n, flat % n

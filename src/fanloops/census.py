@@ -28,13 +28,10 @@ class CensusQuery:
     order: int
     filter: str = "all"
     limit: int | None = None
-    reduced: bool = True
 
     def __post_init__(self):
         if self.filter not in FILTERS:
             raise UnknownPredicate(self.filter, FILTERS)
-        if not self.reduced:
-            raise ValueError("only reduced-form enumeration is supported")
 
 
 def _inverse_split(G):

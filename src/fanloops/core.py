@@ -9,6 +9,7 @@ so that (ab)c = t(a,b,c)·(a(bc)) and (ab)c = (a(bc))·p(a,b,c) hold by
 construction.  The identity element is always index 0 after ingestion.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ class FiniteLoop:
     """Immutable finite loop with precomputed division tables."""
 
     __slots__ = ("labels", "table", "ldiv", "rdiv", "_analysis", "_tensors",
-                 "_label_index")
+                 "_label_index", "__weakref__")
 
     identity = 0
 
@@ -134,15 +135,24 @@ class FiniteLoop:
         return self._analysis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ElementSet:
-    """A subset of a loop's elements, with setwise arithmetic helpers."""
+    """A subset of a loop's elements, with setwise arithmetic helpers.
 
-    loop: FiniteLoop = field(compare=False)
-    members: frozenset = field(default_factory=frozenset)
+    The loop is held weakly, so the sets in a loop's cached analysis do not
+    keep the loop alive; `loop` returns it while it lives.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(int(m) for m in self.members))
+    members: frozenset
+    _loop_ref: weakref.ref = field(compare=False, repr=False)
+
+    def __init__(self, loop, members=frozenset()):
+        object.__setattr__(self, "members", frozenset(int(m) for m in members))
+        object.__setattr__(self, "_loop_ref", weakref.ref(loop))
+
+    @property
+    def loop(self):
+        return self._loop_ref()
 
     def __contains__(self, x):
         return int(x) in self.members
@@ -208,7 +218,6 @@ class ElementSet:
 class LoopAnalysis:
     """Everything classify() knows about a loop."""
 
-    loop: FiniteLoop = field(compare=False)
     is_loop: bool
     is_group: bool
     is_commutative: bool
@@ -227,9 +236,6 @@ class LoopAnalysis:
     non_assoc_witness: tuple | None
     fan_witness: tuple | None
     central_witness: tuple | None
-    # condition 3.5.2 (a subgroup of the nucleus containing every associator
-    # value) is automatic for finite loops once fan ⊆ nucleus; recorded here
-    fan_in_nucleus: bool
 
 
 def verify_loop(table, identity=None, labels=None, cap=None):
@@ -392,24 +398,27 @@ def subgroup_closure(G, seed):
 def _analyze(G):
     T = G.table
     n = G.order
-    nl, nm, nr = _kernels.nucleus_masks(T)
+    t_tensor, p_tensor = G.assoc_tensors()
+    nl, nm, nr = _kernels.nucleus_masks(t_tensor)
     nuc_mask = nl & nm & nr
     com_mask = (T == T.T).all(axis=1)
     z_mask = com_mask & nuc_mask
 
-    t_tensor, p_tensor = G.assoc_tensors()
     t_mask, p_mask = _value_mask(t_tensor, n), _value_mask(p_tensor, n)
-    is_group = not (t_mask[1:].any() or p_mask[1:].any())
+    is_group = bool(nl.all())
 
     non_assoc_witness = None
     if not is_group:
-        bad = t_tensor != 0
-        flat = int(np.argmax(bad))
-        non_assoc_witness = (flat // (n * n), (flat // n) % n, flat % n)
+        # the first a outside N_l holds the first nonzero t in row-major order
+        a = int(np.argmin(nl))
+        flat = int(np.argmax(t_tensor[a] != 0))
+        non_assoc_witness = (a, flat // n, flat % n)
 
-    found, a, b, c = _kernels.fan_violation(T, G.ldiv, G.rdiv, nuc_mask)
-    is_fan = not found
-    fan_witness = (a, b, c) if found else None
+    # fan: every associator value lies in the nucleus
+    is_fan = not ((t_mask | p_mask) & ~nuc_mask).any()
+    fan_witness = None
+    if not is_fan:
+        fan_witness = _kernels.fan_violation(t_tensor, p_tensor, nuc_mask)[1:]
 
     fan_set = subgroup_closure(G, np.flatnonzero(t_mask | p_mask))
 
@@ -423,7 +432,6 @@ def _analyze(G):
         central_witness = (flat // n, flat % n)
 
     return LoopAnalysis(
-        loop=G,
         is_loop=True,
         is_group=is_group,
         is_commutative=bool(com_mask.all()),
@@ -441,7 +449,6 @@ def _analyze(G):
         non_assoc_witness=non_assoc_witness,
         fan_witness=fan_witness,
         central_witness=central_witness,
-        fan_in_nucleus=bool(nuc_mask[list(fan_set.members)].all()),
     )
 
 

@@ -462,6 +462,7 @@ def verify_smashed_product(data, P):
 
     tP, pP = P.assoc_tensors()
     tA3, pA3 = A.assoc_tensors()
+    pB3 = B.assoc_tensors()[1]
 
     # --- 4.4.1 / 4.4.2: associator closed forms, slab-wise over x1
     x23 = np.arange(n * n)
@@ -480,10 +481,7 @@ def verify_smashed_product(data, P):
         ta = tA3[a1, a2, a3]
         xi1 = ib[data.xi[a1, b1, a2, b2]]
         xi3 = ib[data.xi[a12, TB[b1, b2a1], a3, b3]]
-        # p_B(b1, b2^a1, b3^(a1a2)) straight from the tables
-        lhs = TB[TB[b1, b2a1], b3a12]
-        rhs = TB[b1, TB[b2a1, b3a12]]
-        p_B = B.ldiv[rhs, lhs]
+        p_B = pB3[b1, b2a1, b3a12]  # p_B(b1, b2^a1, b3^(a1a2))
         alpha = TB[TB[p_B, _r_check(B, b3a12, xi1)], xi3]
         beta = TB[
             TB[TB[ib[data.eta[a1, a2, b3]], ib[data.kappa[a1, b2, b3a2]]],

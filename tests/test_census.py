@@ -199,8 +199,6 @@ def test_no_witnesses_below_order_5():
 def test_query_validation():
     with pytest.raises(UnknownPredicate):
         census.CensusQuery(5, "weird")
-    with pytest.raises(ValueError):
-        census.CensusQuery(5, reduced=False)
     with pytest.raises(UnknownPredicate):
         census.find_witness(5, "weird")
 

@@ -6,10 +6,13 @@ the independent vector-arithmetic multiplication oracle in
 test_products.py and from the naive nucleus oracle in test_kernels.py.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from fanloops import catalog, core
+from fanloops import catalog, core, products
 from fanloops.errors import (
     NoIdentity,
     NotASubgroup,
@@ -197,6 +200,31 @@ def test_element_set_ops(q8):
     assert Z <= a.nucleus
     m = Z.mask()
     assert m.sum() == 2 and m[0]
+    # the analysis's sets keep their loop while it lives
+    assert Z.loop is q8 and a.nucleus.loop is q8
+    assert Z.mul(a.nucleus) == a.nucleus and Z.mul(Z) == Z
+    # equality and hash read the members only
+    same = core.ElementSet(q8, [1, 0])
+    assert same == Z and hash(same) == hash(Z)
+    assert core.ElementSet(catalog.quaternion8(), {0, 1}) == Z
+    assert len({Z, same, a.nucleus}) == 2
+    with pytest.raises(AttributeError):
+        Z.members = frozenset()
+
+
+def test_dropped_loop_is_freed_without_the_collector():
+    # the cached analysis holds element sets of the loop; they must not
+    # keep it (and its n^3 tensors) alive until a garbage collection
+    gc.disable()
+    try:
+        G = products.direct_product([catalog.octonion16(), catalog.cyclic(8)])
+        assert G.analysis.is_fan_loop
+        G.assoc_tensors()
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_fan_helper_matches_analysis(oct16):

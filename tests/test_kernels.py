@@ -1,8 +1,10 @@
 """Kernel correctness: each kernel against a naive per-element oracle."""
 
+from itertools import islice
+
 import numpy as np
 
-from fanloops import _kernels, catalog
+from fanloops import _kernels, catalog, core
 
 # --- naive oracles ---------------------------------------------------------
 
@@ -49,6 +51,19 @@ def naive_nucleus(table):
     return nl, nm, nr
 
 
+def naive_fan_violation(table, ldiv, rdiv, member):
+    """First (a,b,c) in lexicographic order whose t or p leaves `member`."""
+    n = table.shape[0]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                left = table[table[a, b], c]
+                right = table[a, table[b, c]]
+                if not (member[rdiv[left, right]] and member[ldiv[right, left]]):
+                    return True, a, b, c
+    return False, -1, -1, -1
+
+
 def naive_count_reduced(n):
     """Unpruned row-by-row enumeration: build every row permutation with the
     right first element, keep those that stay Latin.  Exponential, n <= 5."""
@@ -90,6 +105,13 @@ SAMPLE = [
 ]
 
 
+def reduced_loops(n, count=None):
+    """The first `count` (default all) reduced Latin squares of order n as
+    loops."""
+    tables = islice(_kernels.iter_reduced_latin(n), count)
+    return [core.verify_loop(t) for t in tables]
+
+
 def test_division_tables_match_naive():
     for G in SAMPLE:
         ldiv, rdiv = _kernels.division_tables(G.table)
@@ -125,24 +147,43 @@ def test_assoc_tensors_match_naive():
 
 
 def test_nucleus_masks_match_naive():
-    for G in SAMPLE:
-        nl, nm, nr = _kernels.nucleus_masks(G.table)
+    # the first 40 squares of order 6 include loops whose N_l, N_m and N_r
+    # differ pairwise; those of order 5 have N_m = N_r throughout
+    for G in SAMPLE + reduced_loops(5) + reduced_loops(6, 40):
+        nl, nm, nr = _kernels.nucleus_masks(G.assoc_tensors()[0])
         el, em, er = naive_nucleus(G.table)
         assert np.array_equal(nl, el)
         assert np.array_equal(nm, em)
         assert np.array_equal(nr, er)
 
 
+def test_fan_violation_matches_lexicographic_oracle():
+    seen = set()
+    for G in SAMPLE + reduced_loops(5):
+        n = G.order
+        only_e = np.zeros(n, dtype=bool)
+        only_e[0] = True
+        masks = {"nucleus": np.logical_and.reduce(naive_nucleus(G.table)),
+                 "e": only_e, "empty": np.zeros(n, dtype=bool)}
+        for name, member in masks.items():
+            got = _kernels.fan_violation(*G.assoc_tensors(), member)
+            assert got == naive_fan_violation(G.table, G.ldiv, G.rdiv, member)
+            seen.add((name, got[0]))
+    # fan and non-fan loops, groups and non-groups all occur
+    assert seen == {("nucleus", False), ("nucleus", True), ("e", False),
+                    ("e", True), ("empty", True)}
+
+
 def test_fan_violation_octonion():
     G = catalog.octonion16()
+    t, p = G.assoc_tensors()
     member = np.zeros(16, dtype=bool)
     member[[0, 1]] = True  # {1, -1}, the nucleus
-    hit, a, b, c = _kernels.fan_violation(G.table, G.ldiv, G.rdiv, member)
-    assert not hit
+    assert _kernels.fan_violation(t, p, member) == (False, -1, -1, -1)
     # shrink the allowed set to {1}: now t(e1,e2,e4) = -1 escapes
     only_e = np.zeros(16, dtype=bool)
     only_e[0] = True
-    hit, a, b, c = _kernels.fan_violation(G.table, G.ldiv, G.rdiv, only_e)
+    hit, a, b, c = _kernels.fan_violation(t, p, only_e)
     assert hit
     # the reported triple really does have an associator outside {1}
     lhs = G.table[G.table[a, b], c]
