@@ -36,19 +36,16 @@ def latin_violation(table):
     if bad.any():
         flat = int(np.argmax(bad))
         return LATIN_VALUE, flat // n, flat % n
-    # dup[i, j] = value at (i, j) already appeared earlier in row i
-    eq = table[:, :, None] == table[:, None, :]  # eq[i, j, k] = t[i,j]==t[i,k]
-    earlier = np.tril(np.ones((n, n), dtype=bool), k=-1)  # k < j
-    rowdup = (eq & earlier[None, :, :]).any(axis=2)
-    if rowdup.any():
-        flat = int(np.argmax(rowdup))
-        return LATIN_ROW, flat // n, flat % n
-    eqc = table[:, :, None] == table.T[None, :, :]  # eqc[i, j, k] = t[i,j]==t[k,j]
-    coldup = (eqc & earlier[:, None, :]).any(axis=2)  # k < i
-    if coldup.any():
-        # first in column-major order: scan columns left to right
-        flat = int(np.argmax(coldup.T))
-        return LATIN_COL, flat % n, flat // n
+    # with every entry in 0..n-1, a line is duplicate-free iff it sorts to
+    # 0..n-1; only the first bad line is scanned for its first repeat
+    for code, lines in ((LATIN_ROW, table), (LATIN_COL, table.T)):
+        broken = (np.sort(lines, axis=1) != np.arange(n)).any(axis=1)
+        if broken.any():
+            i = int(np.argmax(broken))
+            repeat = np.ones(n, dtype=bool)
+            repeat[np.unique(lines[i], return_index=True)[1]] = False
+            j = int(np.argmax(repeat))
+            return (code, i, j) if code == LATIN_ROW else (code, j, i)
     return LATIN_OK, -1, -1
 
 

@@ -32,6 +32,8 @@ class CensusQuery:
     def __post_init__(self):
         if self.filter not in FILTERS:
             raise UnknownPredicate(self.filter, FILTERS)
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"limit must be at least 0, got {self.limit}")
 
 
 def _inverse_split(G):
@@ -63,7 +65,7 @@ def enumerate_loops(query):
         query = CensusQuery(order=query)
     if query.order > CENSUS_ORDER_CAP:
         raise OrderCapExceeded(query.order, CENSUS_ORDER_CAP)
-    if query.order < 1:
+    if query.order < 1 or query.limit == 0:
         return
     emitted = 0
     for table in iter_reduced_latin(query.order):

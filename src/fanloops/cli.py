@@ -101,6 +101,9 @@ def parse_loop_text(text, path=None, cap=None):
             f"header must start with the order, got {tokens[0]!r}",
             line=lineno, column=1, path=path,
         )
+    if n < 1:
+        raise ParseError(f"order must be at least 1, got {n}",
+                         line=lineno, column=1, path=path)
     labels = tokens[1:]
     if len(labels) != n:
         raise ParseError(
@@ -581,8 +584,13 @@ def cmd_smash(data_path, out_path=None, cap=None):
         return _classify_exit(exc), _error_report("smash", exc)
     loop_text = serialize_loop(P)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(loop_text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(loop_text)
+        except OSError as exc:
+            err = ParseError(f"cannot write file: {exc.strerror}",
+                             path=out_path)
+            return EXIT_PARSE, _error_report("smash", err)
     # built unverified above: the cross-checks run once, here, and their
     # failures go in the report (exit 3) rather than raising
     failures = products.verify_smashed_product(data, P)
@@ -626,6 +634,18 @@ def cmd_census(order, filter="all", limit=None, cap=None):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _limit(text):
+    """The census --limit: an integer of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 0, got {text!r}")
+    return n
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="fanloops",
@@ -658,7 +678,7 @@ def _build_parser():
     p = sub.add_parser("census", help="enumerate small loops")
     p.add_argument("order", type=int)
     p.add_argument("--filter", default="all", choices=census.FILTERS)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_limit, default=None)
     return ap
 
 

@@ -140,7 +140,8 @@ class ElementSet:
     """A subset of a loop's elements, with setwise arithmetic helpers.
 
     The loop is held weakly, so the sets in a loop's cached analysis do not
-    keep the loop alive; `loop` returns it while it lives.
+    keep the loop alive; `loop` returns it while it lives and raises
+    LoopMismatch once it has been freed.
     """
 
     members: frozenset
@@ -152,7 +153,10 @@ class ElementSet:
 
     @property
     def loop(self):
-        return self._loop_ref()
+        loop = self._loop_ref()
+        if loop is None:
+            raise LoopMismatch("the loop of this element set has been freed")
+        return loop
 
     def __contains__(self, x):
         return int(x) in self.members

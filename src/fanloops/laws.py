@@ -34,128 +34,65 @@ NOT_APPLICABLE = "not-applicable"
 # expression trees
 # ---------------------------------------------------------------------------
 
+# Each operation of the signature is one lookup: index the array it names at
+# the values of its arguments.
+_ARRAYS = {
+    "·": lambda G: G.table,
+    "\\": lambda G: G.ldiv,
+    "/": lambda G: G.rdiv,
+    "t": lambda G: G.assoc_tensors()[0],   # t(x,y,z) = ((xy)z)/(x(yz))
+    "p": lambda G: G.assoc_tensors()[1],   # p(x,y,z) = (x(yz)) \ ((xy)z)
+}
+
+
 class Expr:
-    __slots__ = ()
+    """A term: a variable ("var", name), the identity ("e",) or an
+    operation of _ARRAYS applied to argument terms."""
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op, *args):
+        self.op, self.args = op, args
 
     def ev(self, G, env):
-        raise NotImplementedError
+        if self.op == "var":
+            return env[self.args[0]]
+        if self.op == "e":
+            return np.intp(0)
+        return _ARRAYS[self.op](G)[tuple(a.ev(G, env) for a in self.args)]
 
 
-class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def ev(self, G, env):
-        return env[self.name]
-
-    def __repr__(self):
-        return self.name
+def Var(name):
+    return Expr("var", name)
 
 
-class E(Expr):
-    __slots__ = ()
-
-    def ev(self, G, env):
-        return np.intp(0)
-
-    def __repr__(self):
-        return "e"
+def E():
+    return Expr("e")
 
 
-class Mul(Expr):
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x, self.y = x, y
-
-    def ev(self, G, env):
-        return G.table[self.x.ev(G, env), self.y.ev(G, env)]
-
-    def __repr__(self):
-        return f"({self.x!r}·{self.y!r})"
+def Mul(x, y):
+    return Expr("·", x, y)
 
 
-class LDiv(Expr):
-    r"""x \ y."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x, self.y = x, y
-
-    def ev(self, G, env):
-        return G.ldiv[self.x.ev(G, env), self.y.ev(G, env)]
-
-    def __repr__(self):
-        return f"({self.x!r}\\{self.y!r})"
+def LDiv(x, y):
+    return Expr("\\", x, y)
 
 
-class RDiv(Expr):
-    """x / y."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x, self.y = x, y
-
-    def ev(self, G, env):
-        return G.rdiv[self.x.ev(G, env), self.y.ev(G, env)]
-
-    def __repr__(self):
-        return f"({self.x!r}/{self.y!r})"
+def RDiv(x, y):
+    return Expr("/", x, y)
 
 
-class TAssoc(Expr):
-    """t(x,y,z) = ((xy)z)/(x(yz))."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x, y, z):
-        self.x, self.y, self.z = x, y, z
-
-    def ev(self, G, env):
-        a = self.x.ev(G, env)
-        b = self.y.ev(G, env)
-        c = self.z.ev(G, env)
-        return G.assoc_tensors()[0][a, b, c]
-
-    def __repr__(self):
-        return f"t({self.x!r},{self.y!r},{self.z!r})"
+def TAssoc(x, y, z):
+    return Expr("t", x, y, z)
 
 
-class PAssoc(Expr):
-    r"""p(x,y,z) = (x(yz)) \ ((xy)z)."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x, y, z):
-        self.x, self.y, self.z = x, y, z
-
-    def ev(self, G, env):
-        a = self.x.ev(G, env)
-        b = self.y.ev(G, env)
-        c = self.z.ev(G, env)
-        return G.assoc_tensors()[1][a, b, c]
-
-    def __repr__(self):
-        return f"p({self.x!r},{self.y!r},{self.z!r})"
+def PAssoc(x, y, z):
+    return Expr("p", x, y, z)
 
 
-class NInv(Expr):
+def NInv(x):
     r"""x^-1 = x\e, used only where x is guaranteed to lie in the nucleus."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x):
-        self.x = x
-
-    def ev(self, G, env):
-        return G.ldiv[self.x.ev(G, env), np.intp(0)]
-
-    def __repr__(self):
-        return f"{self.x!r}^-1"
+    return LDiv(x, E())
 
 
 def mul(*factors):

@@ -154,11 +154,14 @@ def test_enumeration_is_deterministic():
 
 def test_limit_is_a_prefix():
     full = [G.table.tobytes() for G in census.enumerate_loops(5)]
-    part = [
-        G.table.tobytes()
-        for G in census.enumerate_loops(census.CensusQuery(5, limit=7))
-    ]
-    assert part == full[:7]
+    for limit in (0, 1, 7):
+        part = [
+            G.table.tobytes()
+            for G in census.enumerate_loops(census.CensusQuery(5, limit=limit))
+        ]
+        assert part == full[:limit]
+    with pytest.raises(ValueError):
+        census.CensusQuery(5, limit=-1)
 
 
 # --- witnesses ---------------------------------------------------------------

@@ -304,6 +304,24 @@ def test_exit_1_smash_factor_file_missing(tmp_path, capsys):
     assert report["path"].endswith("q8.loop")
 
 
+@pytest.mark.parametrize("command", ["check", "haar"])
+def test_exit_1_zero_order_loop_file(command, tmp_path, capsys):
+    p = tmp_path / "zero.loop"
+    p.write_text("0\n")
+    code = cli.main([command, str(p)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_PARSE
+    assert (report["error"], report["line"]) == ("ParseError", 1)
+
+
+def test_exit_1_smash_out_path_unwritable(tmp_path, capsys):
+    out = str(tmp_path / "absent" / "s1.loop")
+    code = cli.main(["smash", _corpus("s1-trivial-c2-c4.smash"), "--out", out])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_PARSE
+    assert (report["error"], report["path"]) == ("ParseError", out)
+
+
 # --- check on a valid non-fan loop: expected failures, not inconsistency -----
 
 def test_check_non_fan_loop_is_consistent(tmp_path, capsys):
@@ -415,6 +433,22 @@ def test_census_command(capsys):
         G = cli.parse_loop_text(text)
         assert not G.analysis.is_fan_loop
     _no_floats(out)
+
+
+def test_census_limit_zero_emits_nothing(capsys):
+    code = cli.main(["census", "5", "--limit", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK
+    assert (report["emitted"], report["loops"]) == (0, [])
+
+
+@pytest.mark.parametrize("value", ["-1", "abc"])
+def test_census_refuses_a_negative_limit(value, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["census", "5", "--limit", value])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--limit" in out.err
 
 
 def test_census_reports_are_byte_identical(capsys):

@@ -12,8 +12,9 @@ import weakref
 import numpy as np
 import pytest
 
-from fanloops import catalog, core, products
+from fanloops import catalog, core, products, quotient
 from fanloops.errors import (
+    LoopMismatch,
     NoIdentity,
     NotASubgroup,
     NotLatinSquare,
@@ -225,6 +226,20 @@ def test_dropped_loop_is_freed_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_sets_of_a_freed_loop_raise_loop_mismatch():
+    fan = catalog.octonion16().analysis.fan  # its loop is freed at once
+    # the members outlive the loop
+    assert list(fan) == [0, 1] and 1 in fan and len(fan) == 2
+    assert fan == core.ElementSet(catalog.cyclic(2), {0, 1})
+    assert hash(fan) == hash(core.ElementSet(catalog.cyclic(2), {0, 1}))
+    uses = [fan.labels, fan.mask, lambda: fan.union(fan),
+            lambda: fan.mul(fan), fan.is_subloop,
+            lambda: quotient.is_normal_subloop(catalog.octonion16(), fan)]
+    for use in uses:
+        with pytest.raises(LoopMismatch, match="freed"):
+            use()
 
 
 def test_fan_helper_matches_analysis(oct16):

@@ -1,6 +1,7 @@
 """Kernel correctness: each kernel against a naive per-element oracle."""
 
 from itertools import islice
+from random import Random
 
 import numpy as np
 
@@ -32,6 +33,27 @@ def naive_assoc(table, ldiv, rdiv):
                 t[a, b, c] = rdiv[left, right]
                 p[a, b, c] = ldiv[right, left]
     return t, p
+
+
+def dense_latin_violation(table):
+    """The earlier Latin kernel: n^3 pairwise-equality arrays per axis."""
+    n = table.shape[0]
+    bad = (table < 0) | (table >= n)
+    if bad.any():
+        flat = int(np.argmax(bad))
+        return _kernels.LATIN_VALUE, flat // n, flat % n
+    eq = table[:, :, None] == table[:, None, :]
+    earlier = np.tril(np.ones((n, n), dtype=bool), k=-1)
+    rowdup = (eq & earlier[None, :, :]).any(axis=2)
+    if rowdup.any():
+        flat = int(np.argmax(rowdup))
+        return _kernels.LATIN_ROW, flat // n, flat % n
+    eqc = table[:, :, None] == table.T[None, :, :]
+    coldup = (eqc & earlier[:, None, :]).any(axis=2)
+    if coldup.any():
+        flat = int(np.argmax(coldup.T))
+        return _kernels.LATIN_COL, flat % n, flat // n
+    return _kernels.LATIN_OK, -1, -1
 
 
 def naive_nucleus(table):
@@ -110,6 +132,25 @@ def reduced_loops(n, count=None):
     loops."""
     tables = islice(_kernels.iter_reduced_latin(n), count)
     return [core.verify_loop(t) for t in tables]
+
+
+def test_latin_violation_matches_dense_kernel():
+    # seeded Latin squares of order 1..11 with 0-3 cells overwritten by
+    # values from -1 to n, so range, row and column faults all occur
+    rng = Random(8)
+    seen = set()
+    for n in range(1, 12):
+        for _ in range(300):
+            rows, cols, vals = (rng.sample(range(n), n) for _ in range(3))
+            table = np.array([[vals[(r + c) % n] for c in cols] for r in rows],
+                             dtype=np.int16)
+            for _ in range(rng.randrange(4)):
+                table[rng.randrange(n), rng.randrange(n)] = rng.randint(-1, n)
+            got = _kernels.latin_violation(table)
+            assert got == dense_latin_violation(table), table
+            seen.add(got[0])
+    assert seen == {_kernels.LATIN_OK, _kernels.LATIN_VALUE,
+                    _kernels.LATIN_ROW, _kernels.LATIN_COL}
 
 
 def test_division_tables_match_naive():

@@ -7,6 +7,9 @@ loops; and law checking must be isomorphism-invariant (metamorphic test:
 relabeling a loop cannot change any verdict).
 """
 
+from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 from random import Random
 
 import numpy as np
@@ -144,6 +147,43 @@ def test_law_text_uses_division_notation():
     by_id = {law.id: law for law in laws.REGISTRY}
     assert "t(" in by_id["2.2.1"].text
     assert "p(" in by_id["2.2.1'"].text
+
+
+# --- expression nodes against a scalar interpreter ---------------------------
+
+_SCALAR = {"·": "mul", "\\": "ld", "/": "rd", "t": "t", "p": "p"}
+
+
+def _scalar(G, expr, names):
+    """A function of one tuple (values in the order of names) that
+    evaluates expr through the loop's scalar methods, which never read the
+    t/p tensors."""
+    if expr.op == "var":
+        return itemgetter(names.index(expr.args[0]))
+    if expr.op == "e":
+        return lambda x: 0
+    method = lru_cache(maxsize=None)(getattr(G, _SCALAR[expr.op]))
+    parts = [_scalar(G, a, names) for a in expr.args]
+    return lambda x: method(*[f(x) for f in parts])
+
+
+def test_expression_nodes_match_a_scalar_interpreter(oct16, smash_products):
+    s4 = dict((d.name, P) for d, P in smash_products)["s4-xi-c2-q8"]
+    for G in (oct16, s4, census.find_witness(5, "non-fan")):
+        pools = laws._pools(G)
+        for law in laws.REGISTRY:
+            axes, shape = laws._domains(law, pools)
+            names = [name for name, _ in law.vars]
+            env = dict(zip(names, axes))
+            values = [pools[d].tolist() for _, d in law.vars]
+            terms = [s for clause in law.clauses for s in clause
+                     if s is not None]
+            for k, term in enumerate(terms):
+                grid = np.broadcast_to(term.ev(G, env), shape)
+                f = _scalar(G, term, names)
+                # every tuple of the domain, in the meshgrid's C order
+                scalar = [f(x) for x in product(*values)]
+                assert grid.ravel().tolist() == scalar, (law.id, k)
 
 
 # --- reduced domains against the full-meshgrid evaluator --------------------
