@@ -110,92 +110,77 @@ def smash_instances():
         N-classes, so eta is nontrivial; kappa and xi nontrivial too.
         Order 32.
     """
-    import numpy as np
-
-    from .products import SmashingData
+    from .products import SmashingData, default_table
 
     out = []
 
-    def zeros(*shape):
-        return np.zeros(shape, dtype=np.int16)
-
-    def phi_id(nA, nB):
-        return np.broadcast_to(np.arange(nB, dtype=np.int16),
-                               (nA, nB)).copy()
-
     # --- s1: trivial
     A, B = cyclic(2, "a"), cyclic(4, "g")
-    out.append(SmashingData(A, B, ("e",), [0], [0], phi_id(2, 4),
-                            zeros(2, 2, 4), zeros(2, 4, 4),
-                            zeros(2, 4, 2, 4), name="s1-trivial-c2-c4"))
+    out.append(SmashingData(A, B, ("e",), [0], [0], name="s1-trivial-c2-c4"))
 
     # --- s2: xi on class pairs, N = C2 in both factors
     A, B = cyclic(2, "a"), cyclic(4, "g")
-    xi = zeros(2, 4, 2, 4)
+    xi = default_table("xi", A, B)
     for c in range(4):
         for b in range(4):
             if c % 2 == 1 and b % 2 == 1:  # both outside {e, g2}
                 xi[:, c, :, b] = 1
-    out.append(SmashingData(A, B, ("e", "z"), [0, 1], [0, 2], phi_id(2, 4),
-                            zeros(2, 2, 4), zeros(2, 4, 4), xi,
+    out.append(SmashingData(A, B, ("e", "z"), [0, 1], [0, 2], xi=xi,
                             name="s2-xi-c2-c4"))
 
     # --- s3: phi = inversion, N trivial -> dihedral group D4
     A, B = cyclic(2, "a"), cyclic(4, "g")
-    phi = phi_id(2, 4)
+    phi = default_table("phi", A, B)
     phi[1] = [0, 3, 2, 1]  # b -> b^-1
-    out.append(SmashingData(A, B, ("e",), [0], [0], phi,
-                            zeros(2, 2, 4), zeros(2, 4, 4),
-                            zeros(2, 4, 2, 4), name="s3-phi-d4"))
+    out.append(SmashingData(A, B, ("e",), [0], [0], phi=phi,
+                            name="s3-phi-d4"))
 
     # --- s4: xi = indicator(class(c)=i-bar and class(b)=i-bar) on C2 (x) Q8
     A, B = cyclic(2, "a"), quaternion8()
-    xi = zeros(2, 8, 2, 8)
+    xi = default_table("xi", A, B)
     for c in range(8):
         for b in range(8):
             if c // 2 == 1 and b // 2 == 1:
                 xi[:, c, :, b] = 1
-    out.append(SmashingData(A, B, ("e", "z"), [0, 1], [0, 1], phi_id(2, 8),
-                            zeros(2, 2, 8), zeros(2, 8, 8), xi,
+    out.append(SmashingData(A, B, ("e", "z"), [0, 1], [0, 1], xi=xi,
                             name="s4-xi-c2-q8"))
 
     # --- s5: phi(g) = phi(g3) = swap j/k (sign-preserving); kappa compensates
     A, B = cyclic(4, "g"), quaternion8()
     sigma = np.array([0, 1, 2, 3, 6, 7, 4, 5], dtype=np.int16)
-    phi = phi_id(4, 8)
+    phi = default_table("phi", A, B)
     phi[1] = sigma
     phi[3] = sigma
-    kappa = zeros(4, 8, 8)
+    kappa = default_table("kappa", A, B)
     for u in (1, 3):
         for c in range(8):
             for b in range(8):
                 ci, bi = c // 2, b // 2
                 if ci != 0 and bi != 0 and ci != bi:
                     kappa[u, c, b] = 1
-    out.append(SmashingData(A, B, ("e", "z"), [0, 2], [0, 1], phi,
-                            zeros(4, 4, 8), kappa, zeros(4, 8, 4, 8),
-                            name="s5-kappa-c4-q8"))
+    out.append(SmashingData(A, B, ("e", "z"), [0, 2], [0, 1], phi=phi,
+                            kappa=kappa, name="s5-kappa-c4-q8"))
 
     # --- s6: phi(g) = sigma with sigma^2 = shift-by-h4 on odd classes
     A, B = cyclic(4, "g"), cyclic(8, "h")
     sigma = np.array([0, 3, 6, 5, 4, 7, 2, 1], dtype=np.int16)
-    phi = phi_id(4, 8)
+    phi = default_table("phi", A, B)
     phi[1] = sigma
     phi[3] = sigma
-    eta = zeros(4, 4, 8)
+    eta = default_table("eta", A, B)
     for v in (1, 3):
         for u in (1, 3):
             for b in range(8):
                 if b % 2 == 1:
                     eta[v, u, b] = 1
-    kappa = zeros(4, 8, 8)
+    kappa = default_table("kappa", A, B)
     for u in (1, 3):
         for c in range(8):
             for b in range(8):
                 ci, bi = c % 4, b % 4
                 if ci != 0 and bi != 0 and ci != bi:
                     kappa[u, c, b] = 1
-    xi = zeros(4, 8, 4, 8)
+    xi = default_table("xi", A, B)
     for c in range(8):
         for b in range(8):
             if c % 4 == 3 and b % 4 == 1:

@@ -14,13 +14,22 @@ from ._kernels import count_reduced_latin, iter_reduced_latin
 from .config import CENSUS_ORDER_CAP
 from .errors import OrderCapExceeded, UnknownPredicate
 
-FILTERS = (
-    "all",
-    "fan-only",
-    "non-fan",
-    "central-fan",
-    "nontrivial-two-sided-inverse-split",
-)
+
+def _inverse_split(G):
+    """True when e/a != a\\e for some a but the loop is otherwise
+    unremarkable about it — i.e. the split is witnessed."""
+    return bool((G.ldiv[:, 0] != G.rdiv[0, :]).any())
+
+
+# filter name -> predicate on a verified loop
+_FILTERS = {
+    "all": lambda G: True,
+    "fan-only": lambda G: G.analysis.is_fan_loop,
+    "non-fan": lambda G: not G.analysis.is_fan_loop,
+    "central-fan": lambda G: G.analysis.is_central_fan_loop,
+    "nontrivial-two-sided-inverse-split": _inverse_split,
+}
+FILTERS = tuple(_FILTERS)
 
 
 @dataclass(frozen=True)
@@ -36,27 +45,6 @@ class CensusQuery:
             raise ValueError(f"limit must be at least 0, got {self.limit}")
 
 
-def _inverse_split(G):
-    """True when e/a != a\\e for some a but the loop is otherwise
-    unremarkable about it — i.e. the split is witnessed."""
-    return bool((G.ldiv[:, 0] != G.rdiv[0, :]).any())
-
-
-def _passes(G, name):
-    if name == "all":
-        return True
-    ana = G.analysis
-    if name == "fan-only":
-        return ana.is_fan_loop
-    if name == "non-fan":
-        return not ana.is_fan_loop
-    if name == "central-fan":
-        return ana.is_central_fan_loop
-    if name == "nontrivial-two-sided-inverse-split":
-        return _inverse_split(G)
-    raise UnknownPredicate(name, FILTERS)  # pragma: no cover - query checks
-
-
 def enumerate_loops(query):
     """Stream the reduced Latin squares of query.order as verified loops,
     lexicographic by table rows, filtered; duplicate-free and
@@ -67,10 +55,11 @@ def enumerate_loops(query):
         raise OrderCapExceeded(query.order, CENSUS_ORDER_CAP)
     if query.order < 1 or query.limit == 0:
         return
+    keep = _FILTERS[query.filter]
     emitted = 0
     for table in iter_reduced_latin(query.order):
         G = core.verify_loop(table, identity=0)
-        if not _passes(G, query.filter):
+        if not keep(G):
             continue
         yield G
         emitted += 1
@@ -110,18 +99,9 @@ def find_witness(order, predicate):
 
 
 def summary(order):
-    """Counts per filter at the given order (one enumeration pass each
-    for the classified filters; 'all' reuses the total)."""
-    counts = {name: 0 for name in FILTERS}
+    """Counts per filter at the given order, from one enumeration pass."""
+    counts = dict.fromkeys(FILTERS, 0)
     for G in enumerate_loops(CensusQuery(order=order)):
-        counts["all"] += 1
-        ana = G.analysis
-        if ana.is_fan_loop:
-            counts["fan-only"] += 1
-        else:
-            counts["non-fan"] += 1
-        if ana.is_central_fan_loop:
-            counts["central-fan"] += 1
-        if _inverse_split(G):
-            counts["nontrivial-two-sided-inverse-split"] += 1
+        for name, keep in _FILTERS.items():
+            counts[name] += bool(keep(G))
     return counts

@@ -9,15 +9,15 @@ Formats (all plain text, diffable):
                  decimals are rejected.
   smash file     sectioned: [A] path, [B] path (relative to the smash
                  file), [N] with "labels:", "into-a:", "into-b:" lines,
-                 then [phi]/[eta]/[kappa]/[xi] exception tables by label
+                 then the exception tables of products.TABLES by label
                  ("u b -> b2" etc.); omitted entries default to the
-                 identity action / identity of N.
+                 identity action / identity of N (products.default_table).
 
 Every command prints one JSON report (stable keys, rationals as "p/q"
 strings, never decimals) and returns an exit code from the contract:
-0 ok, 1 parse error, 2 axiom failure, 3 law or smashed-product cross-check
-failure, 4 not a fan loop, 5 reference not in Upsilon, 6 smashing validation
-failure, 7 order cap.
+0 ok, 1 parse error or malformed command line, 2 axiom failure, 3 law or
+smashed-product cross-check failure, 4 not a fan loop, 5 reference not in
+Upsilon, 6 smashing validation failure, 7 order cap.
 """
 
 import argparse
@@ -220,7 +220,7 @@ def serialize_function(f):
 # smash files
 # ---------------------------------------------------------------------------
 
-_SMASH_SECTIONS = ("A", "B", "N", "phi", "eta", "kappa", "xi")
+_SMASH_SECTIONS = ("A", "B", "N", *products.TABLES)
 
 
 def _split_sections(text, path):
@@ -303,50 +303,31 @@ def parse_smash_file(path, cap=None):
     n_index = {lab: i for i, lab in enumerate(n_labels)}
     if len(n_index) != len(n_labels):
         raise ParseError("duplicate N label", path=path)
+    lookup = {"A": A.index, "B": B.index, "N": n_index.__getitem__}
 
-    def resolve(loop, lab, lineno):
+    def resolve(f, lab, lineno):
         try:
-            return loop.index(lab)
+            return lookup[f](lab)
         except (KeyError, ValueError):
-            raise ParseError(f"unknown label {lab!r}", line=lineno, path=path)
+            noun = "N label" if f == "N" else "label"
+            raise ParseError(f"unknown {noun} {lab!r}", line=lineno, path=path)
 
-    into_a = [resolve(A, lab, lineno_a) for lab in into_a_labels]
-    into_b = [resolve(B, lab, lineno_b) for lab in into_b_labels]
+    into_a = [resolve("A", lab, lineno_a) for lab in into_a_labels]
+    into_b = [resolve("B", lab, lineno_b) for lab in into_b_labels]
 
-    nA, nB, nN = A.order, B.order, len(n_labels)
-    phi = np.tile(np.arange(nB, dtype=np.int16), (nA, 1))
-    eta = np.zeros((nA, nA, nB), dtype=np.int16)
-    kappa = np.zeros((nA, nB, nB), dtype=np.int16)
-    xi = np.zeros((nA, nB, nA, nB), dtype=np.int16)
-
-    for lineno, line in sections.get("phi", []):
-        (u, b), out = _parse_arrow(line, lineno, path, 2)
-        phi[resolve(A, u, lineno), resolve(B, b, lineno)] = \
-            resolve(B, out, lineno)
-    def n_resolve(lab, lineno):
-        if lab not in n_index:
-            raise ParseError(f"unknown N label {lab!r}",
-                             line=lineno, path=path)
-        return n_index[lab]
-
-    for lineno, line in sections.get("eta", []):
-        (v, u, b), out = _parse_arrow(line, lineno, path, 3)
-        eta[resolve(A, v, lineno), resolve(A, u, lineno),
-            resolve(B, b, lineno)] = n_resolve(out, lineno)
-    for lineno, line in sections.get("kappa", []):
-        (u, c, b), out = _parse_arrow(line, lineno, path, 3)
-        kappa[resolve(A, u, lineno), resolve(B, c, lineno),
-              resolve(B, b, lineno)] = n_resolve(out, lineno)
-    for lineno, line in sections.get("xi", []):
-        (u, c, v, b), out = _parse_arrow(line, lineno, path, 4)
-        xi[resolve(A, u, lineno), resolve(B, c, lineno),
-           resolve(A, v, lineno), resolve(B, b, lineno)] = \
-            n_resolve(out, lineno)
+    tables = {}
+    for name, (args, values) in products.TABLES.items():
+        table = tables[name] = products.default_table(name, A, B)
+        for lineno, line in sections.get(name, []):
+            labels, out = _parse_arrow(line, lineno, path, len(args))
+            value = resolve(values, out, lineno)
+            table[tuple(resolve(f, lab, lineno)
+                        for f, lab in zip(args, labels))] = value
 
     name = os.path.splitext(os.path.basename(path))[0]
     return products.SmashingData(
         A=A, B=B, n_labels=tuple(n_labels), into_a=into_a, into_b=into_b,
-        phi=phi, eta=eta, kappa=kappa, xi=xi, name=name,
+        name=name, **tables,
     ), (a_ref, b_ref)
 
 
@@ -357,43 +338,14 @@ def serialize_smash(data, a_ref, b_ref):
            "labels: " + " ".join(data.n_labels),
            "into-a: " + " ".join(A.label(int(i)) for i in data.into_a),
            "into-b: " + " ".join(B.label(int(i)) for i in data.into_b)]
-    out.append("[phi]")
-    for u in range(A.order):
-        for b in range(B.order):
-            img = int(data.phi[u, b])
-            if img != b:
-                out.append(f"{A.label(u)} {B.label(b)} -> {B.label(img)}")
-    out.append("[eta]")
-    for v in range(A.order):
-        for u in range(A.order):
-            for b in range(B.order):
-                g = int(data.eta[v, u, b])
-                if g:
-                    out.append(
-                        f"{A.label(v)} {A.label(u)} {B.label(b)}"
-                        f" -> {data.n_labels[g]}"
-                    )
-    out.append("[kappa]")
-    for u in range(A.order):
-        for c in range(B.order):
-            for b in range(B.order):
-                g = int(data.kappa[u, c, b])
-                if g:
-                    out.append(
-                        f"{A.label(u)} {B.label(c)} {B.label(b)}"
-                        f" -> {data.n_labels[g]}"
-                    )
-    out.append("[xi]")
-    for u in range(A.order):
-        for c in range(B.order):
-            for v in range(A.order):
-                for b in range(B.order):
-                    g = int(data.xi[u, c, v, b])
-                    if g:
-                        out.append(
-                            f"{A.label(u)} {B.label(c)} {A.label(v)}"
-                            f" {B.label(b)} -> {data.n_labels[g]}"
-                        )
+    label = {"A": A.label, "B": B.label, "N": data.n_labels.__getitem__}
+    for name, (args, values) in products.TABLES.items():
+        out.append(f"[{name}]")
+        table = getattr(data, name)
+        # np.nonzero lists indices in C order, the canonical line order
+        for ix in zip(*np.nonzero(table != products.default_table(name, A, B))):
+            keys = " ".join(label[f](int(i)) for f, i in zip(args, ix))
+            out.append(f"{keys} -> {label[values](int(table[ix]))}")
     return "\n".join(out) + "\n"
 
 
@@ -646,8 +598,17 @@ def _limit(text):
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a malformed command line: argparse's own code, 2, is the
+    contract's code for an axiom failure.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fanloops",
         description="finite fan-loop workbench",
     )

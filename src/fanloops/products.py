@@ -165,6 +165,22 @@ def cayley_dickson_basis_loop(k, cap=None):
 # smashed products
 # ---------------------------------------------------------------------------
 
+# Argument factors and value domain of each smashing table, in file order;
+# A, B and N name the two factors and the shared group.
+TABLES = {"phi": ("AB", "B"), "eta": ("AAB", "N"), "kappa": ("ABB", "N"),
+          "xi": ("ABAB", "N")}
+
+
+def default_table(name, A, B):
+    """A fresh table of the entries an omitted smash-file line means: the
+    identity action b^u = b for phi, the identity of N for the others."""
+    args, values = TABLES[name]
+    shape = tuple(A.order if f == "A" else B.order for f in args)
+    if values == "B":
+        return np.broadcast_to(np.arange(B.order, dtype=_DT), shape).copy()
+    return np.zeros(shape, dtype=_DT)
+
+
 @dataclass
 class SmashingData:
     """A smashing system (A, B, N, phi, eta, kappa, xi), tables by index.
@@ -174,6 +190,7 @@ class SmashingData:
     phi[u, b] = b^u (action of A on B).
     eta[v, u, b], kappa[u, c, b] and xi[u, c, v, b] take values in N
     (abstract N indices); xi[u, c, v, b] encodes xi((u,c),(v,b)).
+    A table left out is default_table(name, A, B).
     """
 
     A: core.FiniteLoop
@@ -181,20 +198,20 @@ class SmashingData:
     n_labels: tuple
     into_a: np.ndarray
     into_b: np.ndarray
-    phi: np.ndarray
-    eta: np.ndarray
-    kappa: np.ndarray
-    xi: np.ndarray
+    phi: np.ndarray = None
+    eta: np.ndarray = None
+    kappa: np.ndarray = None
+    xi: np.ndarray = None
     name: str = ""
 
     def __post_init__(self):
         self.n_labels = tuple(self.n_labels)
         self.into_a = np.asarray(self.into_a, dtype=np.intp)
         self.into_b = np.asarray(self.into_b, dtype=np.intp)
-        self.phi = np.asarray(self.phi, dtype=_DT)
-        self.eta = np.asarray(self.eta, dtype=_DT)
-        self.kappa = np.asarray(self.kappa, dtype=_DT)
-        self.xi = np.asarray(self.xi, dtype=_DT)
+        for name in TABLES:
+            table = getattr(self, name)
+            setattr(self, name, default_table(name, self.A, self.B)
+                    if table is None else np.asarray(table, dtype=_DT))
 
     @property
     def n_size(self):
@@ -216,6 +233,34 @@ def _fail(condition, witness, checked):
     return ValidationReport(False, condition, tuple(witness), tuple(checked))
 
 
+def _factor(data, f):
+    """(loop, embedding of N) of factor "A" or "B"."""
+    return (data.A, data.into_a) if f == "A" else (data.B, data.into_b)
+
+
+def _shift_witness(data, name, slots):
+    """First (g, 2k+side) such that multiplying argument slots[k] of the
+    table by the image of g in N, on the left (side 0) or on the right
+    (side 1), changes the table; None when no shift does."""
+    table = getattr(data, name)
+    factors = [_factor(data, TABLES[name][0][slot]) for slot in slots]
+    for g in range(data.n_size):
+        for k, (slot, (loop, into)) in enumerate(zip(slots, factors)):
+            x = into[g]
+            for side, perm in enumerate((loop.table[x, :], loop.table[:, x])):
+                if not np.array_equal(np.take(table, perm, axis=slot), table):
+                    return g, 2 * k + side
+    return None
+
+
+def _nonzero_on_n(data, name):
+    """True when the table is not e at some entry with an argument in the
+    image of N in that argument's factor."""
+    table = getattr(data, name)
+    return any(np.take(table, _factor(data, f)[1], axis=axis).any()
+               for axis, f in enumerate(TABLES[name][0]))
+
+
 def validate_smashing(data):
     """Exhaustively verify every defining condition of a smashing system.
 
@@ -225,11 +270,8 @@ def validate_smashing(data):
     A, B = data.A, data.B
     TA, TB = A.table, B.table
     nA, nB, nN = A.order, B.order, data.n_size
+    sizes = {"A": nA, "B": nB, "N": nN}
     checked = []
-
-    def run(cond, fn):
-        checked.append(cond)
-        return fn()
 
     # --- structure: embeddings are injective homomorphisms onto subgroups
     if (
@@ -239,8 +281,11 @@ def validate_smashing(data):
         or len(set(int(x) for x in data.into_b)) != nN
     ):
         return _fail("structure", ("embedding not injective",), checked)
-    if int(data.into_a[0]) != 0 or int(data.into_b[0]) != 0:
+    if nN == 0 or int(data.into_a[0]) != 0 or int(data.into_b[0]) != 0:
         return _fail("structure", ("N identity must embed to e",), checked)
+    for f, into in (("A", data.into_a), ("B", data.into_b)):
+        if into.min() < 0 or into.max() >= sizes[f]:
+            return _fail("structure", (f"embedding outside {f}",), checked)
     img_a = A.subset(int(x) for x in data.into_a)
     img_b = B.subset(int(x) for x in data.into_b)
     checked.append("structure")
@@ -257,17 +302,15 @@ def validate_smashing(data):
                 return _fail("structure", ("embeddings not isomorphic", g1, g2),
                              checked)
 
-    if data.phi.shape != (nA, nB):
-        return _fail("structure", ("phi shape", data.phi.shape), checked)
-    if data.eta.shape != (nA, nA, nB):
-        return _fail("structure", ("eta shape", data.eta.shape), checked)
-    if data.kappa.shape != (nA, nB, nB):
-        return _fail("structure", ("kappa shape", data.kappa.shape), checked)
-    if data.xi.shape != (nA, nB, nA, nB):
-        return _fail("structure", ("xi shape", data.xi.shape), checked)
-    for name, arr in (("eta", data.eta), ("kappa", data.kappa), ("xi", data.xi)):
-        if arr.size and (arr.min() < 0 or arr.max() >= nN):
-            return _fail("structure", (f"{name} value outside N",), checked)
+    for name, (args, _) in TABLES.items():
+        shape = getattr(data, name).shape
+        if shape != tuple(sizes[f] for f in args):
+            return _fail("structure", (f"{name} shape", shape), checked)
+    for name, (_, values) in TABLES.items():
+        table = getattr(data, name)
+        if table.size and (table.min() < 0 or table.max() >= sizes[values]):
+            return _fail("structure", (f"{name} value outside {values}",),
+                         checked)
     # phi rows are permutations of B
     checked.append("phi-bijective")
     for u in range(nA):
@@ -295,7 +338,6 @@ def validate_smashing(data):
 
     phi = data.phi
     ib = data.into_b
-    ia = data.into_a
     eta_b, kappa_b = ib[data.eta], ib[data.kappa]  # eta/kappa as B elems
 
     # --- 4.3.4: (b^u)^v = b^(vu)·eta(v,u,b); gamma^u = gamma; b^gamma = b
@@ -324,15 +366,11 @@ def validate_smashing(data):
 
     # --- 4.3.5: eta invariant under N-shifts of b; e when any argument in N
     checked.append("4.3.5")
-    for g in range(nN):
-        gb = int(ib[g])
-        if not np.array_equal(data.eta[:, :, TB[gb, :]], data.eta) or \
-           not np.array_equal(data.eta[:, :, TB[:, gb]], data.eta):
-            return _fail("4.3.5", ("shift", g), checked)
+    shift = _shift_witness(data, "eta", (2,))
+    if shift:
+        return _fail("4.3.5", ("shift", shift[0]), checked)
     checked.append("4.3.5-degenerate")
-    if (data.eta[data.into_a, :, :] != 0).any() or \
-       (data.eta[:, data.into_a, :] != 0).any() or \
-       (data.eta[:, :, data.into_b] != 0).any():
+    if _nonzero_on_n(data, "eta"):
         return _fail("4.3.5-degenerate", ("eta nonzero on N argument",), checked)
 
     # --- 4.3.6: (cb)^u = (c^u·b^u)·kappa(u,c,b)
@@ -348,37 +386,21 @@ def validate_smashing(data):
 
     # --- 4.3.7: kappa shift invariance and degeneracy
     checked.append("4.3.7")
-    for g in range(nN):
-        gb = int(ib[g])
-        ok = (
-            np.array_equal(data.kappa[:, TB[gb, :], :], data.kappa)
-            and np.array_equal(data.kappa[:, TB[:, gb], :], data.kappa)
-            and np.array_equal(data.kappa[:, :, TB[gb, :]], data.kappa)
-            and np.array_equal(data.kappa[:, :, TB[:, gb]], data.kappa)
-        )
-        if not ok:
-            return _fail("4.3.7", ("shift", g), checked)
+    shift = _shift_witness(data, "kappa", (1, 2))
+    if shift:
+        return _fail("4.3.7", ("shift", shift[0]), checked)
     checked.append("4.3.7-degenerate")
-    if (data.kappa[data.into_a, :, :] != 0).any() or \
-       (data.kappa[:, data.into_b, :] != 0).any() or \
-       (data.kappa[:, :, data.into_b] != 0).any():
+    if _nonzero_on_n(data, "kappa"):
         return _fail("4.3.7-degenerate", ("kappa nonzero on N argument",),
                      checked)
 
     # --- 4.3.8: xi shift invariance in all eight argument positions,
     #            and xi((e,e),·) = xi(·,(e,e)) = e
     checked.append("4.3.8")
-    for g in range(nN):
-        ga, gb = int(ia[g]), int(ib[g])
-        shifted = (
-            data.xi[TA[ga, :], :, :, :], data.xi[TA[:, ga], :, :, :],
-            data.xi[:, TB[gb, :], :, :], data.xi[:, TB[:, gb], :, :],
-            data.xi[:, :, TA[ga, :], :], data.xi[:, :, TA[:, ga], :],
-            data.xi[:, :, :, TB[gb, :]], data.xi[:, :, :, TB[:, gb]],
-        )
-        for pos, arr in enumerate(shifted):
-            if not np.array_equal(arr, data.xi):
-                return _fail("4.3.8", ("shift", g, "position", pos), checked)
+    shift = _shift_witness(data, "xi", (0, 1, 2, 3))
+    if shift:
+        return _fail("4.3.8", ("shift", shift[0], "position", shift[1]),
+                     checked)
     checked.append("4.3.8-identity")
     if (data.xi[0, 0, :, :] != 0).any():
         w = np.nonzero(data.xi[0, 0])
@@ -555,10 +577,8 @@ def verify_smashed_product(data, P):
         errs.append(("fan-containment", (bad,)))
 
     # --- degeneracy: trivial factors collapse to the direct product
-    trivial = (
-        np.array_equal(phi, np.broadcast_to(np.arange(nB), (nA, nB)))
-        and not data.eta.any() and not data.kappa.any() and not data.xi.any()
-    )
+    trivial = all(np.array_equal(getattr(data, name), default_table(name, A, B))
+                  for name in TABLES)
     if trivial:
         D = direct_product([A, B], verify=False)
         if not np.array_equal(D.table, P.table):

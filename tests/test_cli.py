@@ -134,6 +134,28 @@ def test_smash_parse_errors(tmp_path):
         cli.parse_smash_file(str(tmp_path / "bad2.smash"))
 
 
+@pytest.mark.parametrize("section, line, message", [
+    ("phi", "a x -> g", "unknown label 'x'"),
+    ("phi", "a g -> x", "unknown label 'x'"),
+    ("eta", "a a g -> q", "unknown N label 'q'"),
+    ("kappa", "x g g -> z", "unknown label 'x'"),
+    ("xi", "a g a -> z", "expected 4 labels before '->' and one after"),
+    ("xi", "a g a x -> q", "unknown N label 'q'"),  # the value is read first
+])
+def test_smash_table_line_errors(section, line, message, tmp_path):
+    for name in ("c2.loop", "c4.loop"):
+        shutil.copy(_corpus(name), tmp_path)
+    with open(_corpus("s2-xi-c2-c4.smash"), encoding="utf-8") as fh:
+        text = fh.read().replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    path = tmp_path / "bad.smash"
+    path.write_text(text)
+    with pytest.raises(ParseError) as e:
+        cli.parse_smash_file(str(path))
+    lineno = text.splitlines().index(line) + 1
+    assert (str(e.value), e.value.line) == (f"{path}:{lineno}: {message}",
+                                            lineno)
+
+
 # --- exit codes, one by one --------------------------------------------------
 
 def test_exit_0_check_octonions(capsys):
@@ -446,9 +468,26 @@ def test_census_limit_zero_emits_nothing(capsys):
 def test_census_refuses_a_negative_limit(value, capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["census", "5", "--limit", value])
-    assert e.value.code == 2
+    assert e.value.code == cli.EXIT_PARSE
     out = capsys.readouterr()
     assert out.out == "" and "--limit" in out.err
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"]],
+                         ids=["missing", "unknown"])
+def test_exit_1_malformed_subcommand(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: fanloops")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["census", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fanloops census")
 
 
 def test_census_reports_are_byte_identical(capsys):

@@ -6,6 +6,8 @@ plain integer arrays — no shared code with products._cd_mul, which works
 on (sign, index) pairs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,107 @@ def test_validate_rejects_kappa_on_n():
     # changing kappa breaks the functional equation it solves (4.3.6),
     # which is checked before the 4.3.7 invariance conditions
     assert rep.condition in ("4.3.6", "4.3.7", "4.3.7-degenerate")
+
+
+def _instance(prefix):
+    return [d for d in catalog.smash_instances()
+            if d.name.startswith(prefix + "-")][0]
+
+
+def _set(name, index, value):
+    """Change for dataclasses.replace: one cell (or row) of a table."""
+    def change(data):
+        table = getattr(data, name).copy()
+        table[index] = value
+        return {name: table}
+    return change
+
+
+def _flip_xi_orbit(data):
+    # constant in both A slots, so the first shifts that move it are the
+    # B-slot ones: position 2, the left shift of c by the image of z
+    xi = data.xi.copy()
+    xi[:, 2, 1, 2] ^= 1
+    return {"xi": xi}
+
+
+_CHECKED_TO_438 = (
+    "structure", "phi-bijective", "4.3.1", "4.3.1-normal-A",
+    "4.3.1-normal-B", "4.3.4", "4.3.4-gamma-fixed", "4.3.4-action-trivial",
+    "4.3.5", "4.3.5-degenerate", "4.3.6", "4.3.7", "4.3.7-degenerate",
+    "4.3.8",
+)
+
+
+@pytest.mark.parametrize("prefix, change, condition, witness, checked", [
+    ("s4", lambda d: {"phi": d.phi[:, :4]},
+     "structure", ("phi shape", (2, 4)), ("structure",)),
+    ("s4", lambda d: {"eta": d.eta[:, :, :4]},
+     "structure", ("eta shape", (2, 2, 4)), ("structure",)),
+    ("s4", lambda d: {"kappa": d.kappa[:1]},
+     "structure", ("kappa shape", (1, 8, 8)), ("structure",)),
+    ("s4", lambda d: {"xi": d.xi[..., :4]},
+     "structure", ("xi shape", (2, 8, 2, 4)), ("structure",)),
+    ("s1", _set("phi", 1, [0, 1, 2, 9]),
+     "structure", ("phi value outside B",), ("structure",)),
+    ("s1", _set("phi", 1, [0, 1, 2, -1]),
+     "structure", ("phi value outside B",), ("structure",)),
+    ("s4", _set("eta", (1, 1, 3), 2),
+     "structure", ("eta value outside N",), ("structure",)),
+    ("s4", _set("kappa", (1, 2, 3), -1),
+     "structure", ("kappa value outside N",), ("structure",)),
+    ("s4", _set("xi", (1, 2, 1, 3), 5),
+     "structure", ("xi value outside N",), ("structure",)),
+    ("s4", _flip_xi_orbit,
+     "4.3.8", ("shift", 1, "position", 2), _CHECKED_TO_438),
+    ("s2", lambda d: {"into_a": [0, 9]},
+     "structure", ("embedding outside A",), ()),
+    ("s2", lambda d: {"into_a": [0, -1]},
+     "structure", ("embedding outside A",), ()),
+    ("s2", lambda d: {"into_b": [0, 40]},
+     "structure", ("embedding outside B",), ()),
+    ("s1", lambda d: {"into_a": [5]},
+     "structure", ("N identity must embed to e",), ()),
+    ("s1", lambda d: {"n_labels": (), "into_a": [], "into_b": []},
+     "structure", ("N identity must embed to e",), ()),
+], ids=["phi-shape", "eta-shape", "kappa-shape", "xi-shape", "phi-above-B",
+        "phi-negative", "eta-range", "kappa-range", "xi-range",
+        "xi-shift-position-2", "into-a-above-A", "into-a-negative",
+        "into-b-above-B", "identity-not-to-e", "empty-N"])
+def test_validation_witnesses(prefix, change, condition, witness, checked):
+    data = _instance(prefix)
+    rep = products.validate_smashing(dataclasses.replace(data, **change(data)))
+    assert (rep.ok, rep.condition, rep.witness, rep.checked) == (
+        False, condition, witness, checked)
+
+
+@pytest.mark.parametrize("prefix, name, slots, change, witness", [
+    ("s6", "eta", (2,), _set("eta", (1, 1, 1), 0), (1, 0)),
+    ("s5", "kappa", (1, 2), _set("kappa", (1, 2, 4), 0), (1, 0)),
+    # the whole N-orbit {j, -j} of c, so only the shifts of b move it
+    ("s5", "kappa", (1, 2), _set("kappa", (1, slice(4, 6), 2), 0), (1, 2)),
+])
+def test_shift_witness_on_tampered_tables(prefix, name, slots, change,
+                                          witness):
+    data = _instance(prefix)
+    assert products._shift_witness(data, name, slots) is None
+    bad = dataclasses.replace(data, **change(data))
+    assert products._shift_witness(bad, name, slots) == witness
+
+
+@pytest.mark.parametrize("prefix, name, index", [
+    ("s6", "eta", (2, 1, 1)),    # v = g2 in the image of N in A
+    ("s6", "eta", (1, 0, 1)),    # u = e
+    ("s6", "eta", (1, 1, 4)),    # b = h4 in the image of N in B
+    ("s5", "kappa", (2, 2, 4)),  # u = g2 in the image of N in A
+    ("s5", "kappa", (1, 1, 4)),  # c = -1
+    ("s5", "kappa", (1, 2, 0)),  # b = 1
+])
+def test_nonzero_on_n_on_tampered_tables(prefix, name, index):
+    data = _instance(prefix)
+    assert not products._nonzero_on_n(data, name)
+    bad = dataclasses.replace(data, **_set(name, index, 1)(data))
+    assert products._nonzero_on_n(bad, name)
 
 
 def test_smashed_product_raises_on_invalid_data():
