@@ -15,7 +15,6 @@ from .core import (
     LoopAnalysis,
     classify,
     fan,
-    from_rows,
     inv_l,
     inv_r,
     nucleus_parts,

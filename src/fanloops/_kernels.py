@@ -2,7 +2,8 @@
 written in numpy.
 
 Kernels that return a witness scan in a fixed order, stated above each, so
-reports are reproducible.
+reports are reproducible.  Every witness in the package is read with first():
+the first violation in C (row-major) order.
 
 Exact-rational code (lp/haar) deliberately does not go through this module:
 those computations run on arbitrary-precision rationals, which numpy cannot
@@ -22,6 +23,14 @@ LATIN_ROW = 2  # duplicate within a row
 LATIN_COL = 3  # duplicate within a column
 
 
+def first(mask):
+    """Index tuple (Python ints) of the first True entry of mask in C order,
+    or None when there is none."""
+    if not mask.any():
+        return None
+    return tuple(map(int, np.unravel_index(mask.argmax(), mask.shape)))
+
+
 # ---------------------------------------------------------------------------
 # Latin-square check.
 # Scan order (fixed so the witness is reproducible): all cells row-major for
@@ -32,19 +41,17 @@ LATIN_COL = 3  # duplicate within a column
 def latin_violation(table):
     """Return (code, row, col); code 0 means the table is a Latin square."""
     n = table.shape[0]
-    bad = (table < 0) | (table >= n)
-    if bad.any():
-        flat = int(np.argmax(bad))
-        return LATIN_VALUE, flat // n, flat % n
+    w = first((table < 0) | (table >= n))
+    if w is not None:
+        return (LATIN_VALUE, *w)
     # with every entry in 0..n-1, a line is duplicate-free iff it sorts to
     # 0..n-1; only the first bad line is scanned for its first repeat
     for code, lines in ((LATIN_ROW, table), (LATIN_COL, table.T)):
-        broken = (np.sort(lines, axis=1) != np.arange(n)).any(axis=1)
-        if broken.any():
-            i = int(np.argmax(broken))
+        w = first((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
+        if w is not None:
             repeat = np.ones(n, dtype=bool)
-            repeat[np.unique(lines[i], return_index=True)[1]] = False
-            j = int(np.argmax(repeat))
+            repeat[np.unique(lines[w], return_index=True)[1]] = False
+            i, j = *w, *first(repeat)
             return (code, i, j) if code == LATIN_ROW else (code, j, i)
     return LATIN_OK, -1, -1
 
@@ -99,12 +106,10 @@ def nucleus_masks(t):
 # ---------------------------------------------------------------------------
 
 def fan_violation(t, p, member):
-    n = t.shape[0]
-    for a in range(n):
-        bad = ~(member[t[a]] & member[p[a]])
-        if bad.any():
-            flat = int(np.argmax(bad))
-            return True, a, flat // n, flat % n
+    for a in range(t.shape[0]):
+        w = first(~(member[t[a]] & member[p[a]]))
+        if w is not None:
+            return (True, a, *w)
     return False, -1, -1, -1
 
 
@@ -114,7 +119,7 @@ def fan_violation(t, p, member):
 # Candidate values tried in increasing order => lexicographic traversal.
 # ---------------------------------------------------------------------------
 
-def iter_reduced_latin(n, dtype=np.int16):
+def iter_reduced_latin(n):
     """Yield every reduced Latin square of order n in lexicographic order.
 
     Python generator: enumeration has to materialize each table anyway, so
@@ -122,9 +127,9 @@ def iter_reduced_latin(n, dtype=np.int16):
     """
     if n < 1:
         return
-    base = np.empty((n, n), dtype)
-    base[0, :] = np.arange(n, dtype=dtype)
-    base[:, 0] = np.arange(n, dtype=dtype)
+    base = np.empty((n, n), np.int16)
+    base[0, :] = np.arange(n, dtype=np.int16)
+    base[:, 0] = np.arange(n, dtype=np.int16)
     if n == 1:
         yield base.copy()
         return

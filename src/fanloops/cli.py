@@ -476,8 +476,8 @@ def cmd_haar(loop_path, f0_path=None, f_paths=(), seed=None, cap=None):
     except Exception as exc:  # noqa: BLE001
         return _classify_exit(exc), _error_report("haar", exc)
 
-    # without --f0, J is the constant-reference functional the measure uses
-    mu = haar.invariant_measure(G, None if f0_path else J)
+    # μ({x}) = J(δ_x)/J(δ_e) does not depend on J's reference
+    mu = haar.invariant_measure(G, J)
     # independence of the reference (J_g must not depend on f0): rebuild
     # with a second seeded reference and compare J_g for g = fan-average
     # of a random function

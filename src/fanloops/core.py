@@ -36,7 +36,7 @@ class FiniteLoop:
     identity = 0
 
     def __init__(self, labels, table, ldiv, rdiv):
-        # internal constructor -- use verify_loop / from_rows to build
+        # internal constructor -- use verify_loop to build
         self.labels = tuple(labels)
         self.table = table
         self.ldiv = ldiv
@@ -267,10 +267,10 @@ def verify_loop(table, identity=None, labels=None, cap=None):
         is_float = table.dtype.kind == "f"
         if is_float:
             bad |= table != np.floor(table)
-        if bad.any():
-            i, j = divmod(int(np.argmax(bad)), n)
-            v = table[i, j]
-            raise NotLatinSquare("value", i, j, float(v) if is_float else int(v))
+        w = _kernels.first(bad)
+        if w is not None:
+            v = table[w]
+            raise NotLatinSquare("value", *w, float(v) if is_float else int(v))
     table = np.ascontiguousarray(table, dtype=_DTYPE)
 
     code, i, j = _kernels.latin_violation(table)
@@ -284,20 +284,16 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     natural = np.arange(n, dtype=_DTYPE)
     if identity is not None:
         e = int(identity)
-        row_ok = np.array_equal(table[e, :], natural)
-        col_ok = np.array_equal(table[:, e], natural)
-        if not (row_ok and col_ok):
-            bad = table[e, :] != natural if not row_ok else table[:, e] != natural
-            raise NoIdentity(candidate=e, counterexample=int(np.argmax(bad)))
+        for line in (table[e, :], table[:, e]):  # the row first
+            w = _kernels.first(line != natural)
+            if w is not None:
+                raise NoIdentity(candidate=e, counterexample=w[0])
     else:
-        row_hits = np.nonzero((table == natural[None, :]).all(axis=1))[0]
-        e = None
-        for cand in row_hits:
-            if np.array_equal(table[:, cand], natural):
-                e = int(cand)
-                break
-        if e is None:
+        w = _kernels.first((table == natural).all(axis=1)
+                           & (table == natural[:, None]).all(axis=0))
+        if w is None:
             raise NoIdentity()
+        e, = w
 
     if labels is None:
         labels = ["e"] + [f"x{i}" for i in range(1, n)] if e == 0 else [
@@ -321,24 +317,6 @@ def verify_loop(table, identity=None, labels=None, cap=None):
 
     ldiv, rdiv = _kernels.division_tables(table)
     return FiniteLoop(labels, table, ldiv, rdiv)
-
-
-def from_rows(labels, rows, cap=None):
-    """Build a loop from labelled rows (row a lists a·b for b in label order)."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValueError("labels must be distinct")
-    n = len(labels)
-    table = np.empty((n, n), dtype=_DTYPE)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-        for j, lab in enumerate(row):
-            try:
-                table[i, j] = index[lab]
-            except KeyError:
-                raise ValueError(f"unknown label {lab!r} in row {i}") from None
-    return verify_loop(table, identity=None, labels=labels, cap=cap)
 
 
 # -- associators and inverses as module-level operations --------------------
@@ -409,14 +387,11 @@ def _analyze(G):
     z_mask = com_mask & nuc_mask
 
     t_mask, p_mask = _value_mask(t_tensor, n), _value_mask(p_tensor, n)
-    is_group = bool(nl.all())
-
-    non_assoc_witness = None
-    if not is_group:
-        # the first a outside N_l holds the first nonzero t in row-major order
-        a = int(np.argmin(nl))
-        flat = int(np.argmax(t_tensor[a] != 0))
-        non_assoc_witness = (a, flat // n, flat % n)
+    # the first a outside N_l holds the first nonzero t in row-major order
+    a = _kernels.first(~nl)
+    is_group = a is None
+    non_assoc_witness = None if is_group else (
+        *a, *_kernels.first(t_tensor[a] != 0))
 
     # fan: every associator value lies in the nucleus
     is_fan = not ((t_mask | p_mask) & ~nuc_mask).any()
@@ -428,12 +403,8 @@ def _analyze(G):
 
     # central fan condition: (ab)/(ba) in Z for every pair
     t2 = G.rdiv[T, T.T]
-    central_ok = z_mask[t2]
-    is_central = is_fan and bool(central_ok.all())
-    central_witness = None
-    if not central_ok.all():
-        flat = int(np.argmax(~central_ok))
-        central_witness = (flat // n, flat % n)
+    central_witness = _kernels.first(~z_mask[t2])
+    is_central = is_fan and central_witness is None
 
     return LoopAnalysis(
         is_loop=True,

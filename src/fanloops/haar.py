@@ -113,19 +113,18 @@ def char(G, members):
     return LoopFunction(G, vals)
 
 
-def random_function(G, rng=None, zero_chance=0.25, max_num=6, max_den=8):
-    """Seeded random LoopFunction with small nonnegative rationals
-    (denominators ≤ 8), never identically zero."""
+def random_function(G, rng=None):
+    """Seeded random LoopFunction with small nonnegative rationals (a
+    quarter of them zero, numerators ≤ 6, denominators ≤ 8), never
+    identically zero."""
     rng = rng if rng is not None else Random(DEFAULT_SEED)
     while True:
         vals = []
         for _ in range(G.order):
-            if rng.random() < zero_chance:
+            if rng.random() < 0.25:
                 vals.append(_F0)
             else:
-                vals.append(
-                    Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
-                )
+                vals.append(Fraction(rng.randint(1, 6), rng.randint(1, 8)))
         f = LoopFunction(G, vals)
         if not f.is_zero():
             return f

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import _kernels, core
 from .errors import NotApplicable
 
 HOLDS = "holds"
@@ -413,9 +413,8 @@ def _check_full(G, law, pools):
         checked += per_clause
         if bad.ndim < len(shape) or bad.shape != shape:
             bad = np.broadcast_to(bad, shape)
-        if bad.any():
-            flat = int(np.argmax(bad))
-            coords = np.unravel_index(flat, shape)
+        coords = _kernels.first(bad)
+        if coords is not None:
             witness = {
                 name: G.label(int(axes[k].ravel()[coords[k]]))
                 for k, (name, _) in enumerate(law.vars)

@@ -20,6 +20,7 @@ from functools import reduce
 import numpy as np
 
 from . import core, quotient
+from ._kernels import first
 from .config import CAYLEY_DICKSON_CAP, order_cap
 from .errors import FanLoopCheckFailed, SizeCapExceeded, ValidationFailed
 
@@ -77,12 +78,11 @@ def _check_componentwise_assoc(P, A, B):
         for a1 in range(nA):
             # values stay below nA·nB, so int16 cannot overflow
             expect = XA[a1, None, :, None, :, None] * nB + XB5
-            bad = XP6[a1] != expect
-            if bad.any():
-                witness = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            w = first(XP6[a1] != expect)
+            if w is not None:
                 raise FanLoopCheckFailed(
                     "direct-product associators not componentwise",
-                    (name, a1, *(int(i) for i in witness)))
+                    (name, a1, *w))
 
 
 def direct_product(loops, cap=None, verify=True):
@@ -190,7 +190,9 @@ class SmashingData:
     phi[u, b] = b^u (action of A on B).
     eta[v, u, b], kappa[u, c, b] and xi[u, c, v, b] take values in N
     (abstract N indices); xi[u, c, v, b] encodes xi((u,c),(v,b)).
-    A table left out is default_table(name, A, B).
+    A table left out is default_table(name, A, B).  Tables and embeddings
+    must hold integers, kept unwrapped in intp so that validate_smashing sees
+    every out-of-range value; anything else raises ValueError.
     """
 
     A: core.FiniteLoop
@@ -206,12 +208,14 @@ class SmashingData:
 
     def __post_init__(self):
         self.n_labels = tuple(self.n_labels)
-        self.into_a = np.asarray(self.into_a, dtype=np.intp)
-        self.into_b = np.asarray(self.into_b, dtype=np.intp)
-        for name in TABLES:
-            table = getattr(self, name)
-            setattr(self, name, default_table(name, self.A, self.B)
-                    if table is None else np.asarray(table, dtype=_DT))
+        for name in ("into_a", "into_b", *TABLES):
+            value = getattr(self, name)
+            if value is None and name in TABLES:
+                value = default_table(name, self.A, self.B)
+            value = np.asarray(value)
+            if value.size and value.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got {value.dtype}")
+            setattr(self, name, value.astype(np.intp))
 
     @property
     def n_size(self):
@@ -292,15 +296,12 @@ def validate_smashing(data):
     if not img_a.is_subloop() or not img_b.is_subloop():
         return _fail("structure", ("embedded image not closed",), checked)
     # the two embeddings must induce the same group structure on N
-    back_a = {int(a): g for g, a in enumerate(data.into_a)}
-    for g1 in range(nN):
-        for g2 in range(nN):
-            prod_in_a = back_a[int(TA[data.into_a[g1], data.into_a[g2]])]
-            if int(TB[data.into_b[g1], data.into_b[g2]]) != int(
-                data.into_b[prod_in_a]
-            ):
-                return _fail("structure", ("embeddings not isomorphic", g1, g2),
-                             checked)
+    back_a = np.zeros(nA, dtype=np.intp)
+    back_a[data.into_a] = np.arange(nN)
+    w = first(TB[np.ix_(data.into_b, data.into_b)]
+              != data.into_b[back_a[TA[np.ix_(data.into_a, data.into_a)]]])
+    if w is not None:
+        return _fail("structure", ("embeddings not isomorphic", *w), checked)
 
     for name, (args, _) in TABLES.items():
         shape = getattr(data, name).shape
@@ -311,11 +312,12 @@ def validate_smashing(data):
         if table.size and (table.min() < 0 or table.max() >= sizes[values]):
             return _fail("structure", (f"{name} value outside {values}",),
                          checked)
-    # phi rows are permutations of B
+    # phi rows are permutations of B: with values in B, a row is one iff it
+    # sorts to 0..nB-1
     checked.append("phi-bijective")
-    for u in range(nA):
-        if len(set(int(x) for x in data.phi[u])) != nB:
-            return _fail("phi-bijective", (u,), checked)
+    w = first((np.sort(data.phi, axis=1) != np.arange(nB)).any(axis=1))
+    if w is not None:
+        return _fail("phi-bijective", w, checked)
 
     # --- 4.3.1 containment chain: fan(A) ⊆ iota_A(N) ⊆ N(A), same for B
     checked.append("4.3.1")
@@ -347,22 +349,17 @@ def validate_smashing(data):
     b_ix = np.arange(nB)[None, None, :]
     lhs = phi[v_ix, phi[u_ix, b_ix]]
     rhs = TB[phi[TA[v_ix, u_ix], b_ix], eta_b]
-    if not np.array_equal(lhs, rhs):
-        w = np.nonzero(lhs != rhs)
-        return _fail("4.3.4", (int(w[0][0]), int(w[1][0]), int(w[2][0])), checked)
+    w = first(lhs != rhs)
+    if w is not None:
+        return _fail("4.3.4", w, checked)
     checked.append("4.3.4-gamma-fixed")
-    if not np.array_equal(
-        phi[:, data.into_b], np.broadcast_to(data.into_b, (nA, nN))
-    ):
-        w = np.nonzero(phi[:, data.into_b] != data.into_b[None, :])
-        return _fail("4.3.4-gamma-fixed", (int(w[0][0]), int(w[1][0])), checked)
+    w = first(phi[:, data.into_b] != data.into_b)
+    if w is not None:
+        return _fail("4.3.4-gamma-fixed", w, checked)
     checked.append("4.3.4-action-trivial")
-    if not np.array_equal(
-        phi[data.into_a, :], np.broadcast_to(np.arange(nB), (nN, nB))
-    ):
-        w = np.nonzero(phi[data.into_a, :] != np.arange(nB)[None, :])
-        return _fail("4.3.4-action-trivial", (int(w[0][0]), int(w[1][0])),
-                     checked)
+    w = first(phi[data.into_a, :] != np.arange(nB))
+    if w is not None:
+        return _fail("4.3.4-action-trivial", w, checked)
 
     # --- 4.3.5: eta invariant under N-shifts of b; e when any argument in N
     checked.append("4.3.5")
@@ -380,9 +377,9 @@ def validate_smashing(data):
     b_ix = np.arange(nB)[None, None, :]
     lhs = phi[u_ix, TB[c_ix, b_ix]]
     rhs = TB[TB[phi[u_ix, c_ix], phi[u_ix, b_ix]], kappa_b]
-    if not np.array_equal(lhs, rhs):
-        w = np.nonzero(lhs != rhs)
-        return _fail("4.3.6", (int(w[0][0]), int(w[1][0]), int(w[2][0])), checked)
+    w = first(lhs != rhs)
+    if w is not None:
+        return _fail("4.3.6", w, checked)
 
     # --- 4.3.7: kappa shift invariance and degeneracy
     checked.append("4.3.7")
@@ -402,14 +399,11 @@ def validate_smashing(data):
         return _fail("4.3.8", ("shift", shift[0], "position", shift[1]),
                      checked)
     checked.append("4.3.8-identity")
-    if (data.xi[0, 0, :, :] != 0).any():
-        w = np.nonzero(data.xi[0, 0])
-        return _fail("4.3.8-identity", ("left", int(w[0][0]), int(w[1][0])),
-                     checked)
-    if (data.xi[:, :, 0, 0] != 0).any():
-        w = np.nonzero(data.xi[:, :, 0, 0])
-        return _fail("4.3.8-identity", ("right", int(w[0][0]), int(w[1][0])),
-                     checked)
+    for side, values in (("left", data.xi[0, 0]),
+                         ("right", data.xi[:, :, 0, 0])):
+        w = first(values != 0)
+        if w is not None:
+            return _fail("4.3.8-identity", (side, *w), checked)
 
     return ValidationReport(True, None, None, tuple(checked))
 
@@ -486,12 +480,12 @@ def verify_smashed_product(data, P):
     tA3, pA3 = A.assoc_tensors()
     pB3 = B.assoc_tensors()[1]
 
-    # --- 4.4.1 / 4.4.2: associator closed forms, slab-wise over x1
-    x23 = np.arange(n * n)
-    a2 = (x23 // n) // nB
-    b2 = (x23 // n) % nB
-    a3 = (x23 % n) // nB
-    b3 = (x23 % n) % nB
+    # --- 4.4.1 / 4.4.2: associator closed forms, slab-wise over x1, on the
+    #     (x2, x3) = (X, Y) grid
+    X = np.arange(n)[:, None]
+    Y = np.arange(n)[None, :]
+    a2, b2 = X // nB, X % nB
+    a3, b3 = Y // nB, Y % nB
     for x1 in range(n):
         a1, b1 = x1 // nB, x1 % nB
         a12 = TA[a1, a2]
@@ -512,15 +506,13 @@ def verify_smashed_product(data, P):
         ]
         exp_p = pa.astype(np.int32) * nB + TB[inv_b[beta], alpha]
         exp_t = ta.astype(np.int32) * nB + _r_map(B, b, TB[alpha, inv_b[beta]])
-        got_t = tP[x1].ravel()
-        got_p = pP[x1].ravel()
-        if not np.array_equal(got_p, exp_p):
-            w = int(np.argmax(got_p != exp_p))
-            errs.append(("4.4.2", (x1, int(x23[w] // n), int(x23[w] % n))))
+        w = first(pP[x1] != exp_p)
+        if w is not None:
+            errs.append(("4.4.2", (x1, *w)))
             break
-        if not np.array_equal(got_t, exp_t):
-            w = int(np.argmax(got_t != exp_t))
-            errs.append(("4.4.1", (x1, int(x23[w] // n), int(x23[w] % n))))
+        w = first(tP[x1] != exp_t)
+        if w is not None:
+            errs.append(("4.4.1", (x1, *w)))
             break
 
     # --- inverses
@@ -533,10 +525,6 @@ def verify_smashed_product(data, P):
     c_slot = B.rdiv[0, b_ea]
     xiv = ib[data.xi[era, c_slot, a, b]]
     left_expected = era.astype(np.int32) * nB + TB[inv_b[xiv], c_slot]
-    left_table = P.rdiv[0, x]
-    if not np.array_equal(left_table, left_expected):
-        w = int(np.argmax(left_table != left_expected))
-        errs.append(("4.4.4/4.4.5", (int(w),)))
     # right inverse (4.4.7/4.4.8)
     ale = A.ldiv[a, 0]  # a\e
     bea = phi[era, B.ldiv[b, 0]]  # (b\e)^(e/a)
@@ -544,29 +532,26 @@ def verify_smashed_product(data, P):
     eta_v = ib[data.eta[era, a, bea]]
     b2v = TB[phi[era, B.ldiv[b, inv_b[xiv2]]], inv_b[eta_v]]
     right_expected = ale.astype(np.int32) * nB + b2v
-    right_table = P.ldiv[x, 0]
-    if not np.array_equal(right_table, right_expected):
-        w = int(np.argmax(right_table != right_expected))
-        errs.append(("4.4.7/4.4.8", (int(w),)))
 
     # --- divisions via the generic fan-loop reconstructions
     # (4.4.9)  x\\y = ((x\\e)·y)·p(x, x\\e, y)
-    X = np.arange(n)[:, None]
-    Y = np.arange(n)[None, :]
     xinv = P.ldiv[:, 0]
     recon_l = P.table[P.table[xinv[X], Y], pP[X, xinv[X], Y]]
-    if not np.array_equal(recon_l, P.ldiv):
-        w = np.nonzero(recon_l != P.ldiv)
-        errs.append(("4.4.9", (int(w[0][0]), int(w[1][0]))))
     # (4.4.10) y/x = [t(y, e/x, x)]^-1 ·(y·(e/x)) -- nucleus inverse via \e
     xinv_r = P.rdiv[0, :]
     tv = tP[Y, xinv_r[X], X]
     tv_inv = P.ldiv[tv, 0]
     recon_r = P.table[tv_inv, P.table[Y, xinv_r[X]]]
     # recon_r[x, y] should equal y/x = P.rdiv[y, x]
-    if not np.array_equal(recon_r, P.rdiv[Y, X]):
-        w = np.nonzero(recon_r != P.rdiv[Y, X])
-        errs.append(("4.4.10", (int(w[0][0]), int(w[1][0]))))
+    for check, got, expected in (
+        ("4.4.4/4.4.5", P.rdiv[0, x], left_expected),
+        ("4.4.7/4.4.8", P.ldiv[x, 0], right_expected),
+        ("4.4.9", recon_l, P.ldiv),
+        ("4.4.10", recon_r, P.rdiv[Y, X]),
+    ):
+        w = first(got != expected)
+        if w is not None:
+            errs.append((check, w))
 
     # --- Cor 4.7-style containment: fan(P) inside the subgroup generated by
     #     the two embedded copies of N
@@ -580,9 +565,8 @@ def verify_smashed_product(data, P):
     trivial = all(np.array_equal(getattr(data, name), default_table(name, A, B))
                   for name in TABLES)
     if trivial:
-        D = direct_product([A, B], verify=False)
-        if not np.array_equal(D.table, P.table):
-            w = np.nonzero(D.table != P.table)
-            errs.append(("degeneracy", (int(w[0][0]), int(w[1][0]))))
+        w = first(direct_product([A, B], verify=False).table != P.table)
+        if w is not None:
+            errs.append(("degeneracy", w))
 
     return errs

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
+from ._kernels import first
 from .errors import NotASubloop, NotNormal, WellDefinednessFailure
 
 # Coset entries per block of rows in is_normal_subloop (bounds its memory).
@@ -62,31 +63,27 @@ def is_normal_subloop(G, H):
     subloop (closure under ·, \\, / plus e ∈ H).
     """
     H = _as_set(G, H)
+    hs = np.array(sorted(H.members), dtype=np.intp)
     if not H.is_subloop():
-        # recompute a closure witness for the error message
-        idx = sorted(H.members)
-        for a in idx:
-            for b in idx:
-                if int(G.table[a, b]) not in H.members:
-                    raise NotASubloop((G.label(a), G.label(b)), "product escapes")
-                if int(G.ldiv[a, b]) not in H.members:
-                    raise NotASubloop((G.label(a), G.label(b)),
-                                      "left division escapes")
-                if int(G.rdiv[a, b]) not in H.members:
-                    raise NotASubloop((G.label(a), G.label(b)),
-                                      "right division escapes")
-        raise NotASubloop((G.label(0),), "identity missing")
+        # the closure witness: first pair (a, b) of H, then first of ·, \, /
+        grid = np.ix_(hs, hs)
+        ops = np.stack([G.table[grid], G.ldiv[grid], G.rdiv[grid]], axis=2)
+        w = first(~np.isin(ops, hs))
+        if w is None:
+            raise NotASubloop((G.label(0),), "identity missing")
+        i, j, op = w
+        op = ("product", "left division", "right division")[op]
+        raise NotASubloop((G.label(hs[i]), G.label(hs[j])), f"{op} escapes")
 
     T = G.table
-    hs = np.array(sorted(H.members), dtype=np.intp)
     n = G.order
     xs = np.arange(n)
     Th = T[:, hs]    # row z: z·h over h in H
     hT = T[hs].T     # row z: h·z over h in H
     xH = np.sort(Th, axis=1)  # sorted cosets, one row per x
-    bad = (xH != np.sort(hT, axis=1)).any(axis=1)
-    if bad.any():
-        return NormalityReport(False, "2.7.1", (G.label(int(np.argmax(bad))),))
+    w = first((xH != np.sort(hT, axis=1)).any(axis=1))
+    if w is not None:
+        return NormalityReport(False, "2.7.1", (G.label(*w),))
 
     # 2.7.1 holds from here on, so H(xy) is the sorted row xH[xy] as well.
     # Rows of x are taken in blocks of about _BLOCK coset entries; the first
@@ -101,43 +98,40 @@ def is_normal_subloop(G, H):
         b = (np.sort(T[Th[blk, None], y], axis=2)         # (xH)y
              != np.sort(T[x, hT[None]], axis=2)).any(axis=2)  # x(Hy)
         c = (xy_h != np.sort(T[hT[blk, None], y], axis=2)).any(axis=2)  # (Hx)y
-        hit = a | b | c
-        if hit.any():
-            i, j = divmod(int(np.argmax(hit)), n)
-            cond = "2.7.2a" if a[i, j] else "2.7.2b" if b[i, j] else "2.7.2c"
+        w = first(a | b | c)
+        if w is not None:
+            i, j = w
+            cond = "2.7.2a" if a[w] else "2.7.2b" if b[w] else "2.7.2c"
             return NormalityReport(False, cond, (G.label(lo + i), G.label(j)))
     return NormalityReport(True)
+
+
+def _cosets(G, H):
+    """(blocks, block_of) for a normal subloop H: the left cosets as the
+    sorted rows of an (m, |H|) array, in order of their least elements (H
+    first), and each element's block index."""
+    rep = is_normal_subloop(G, H)
+    if not rep.ok:
+        raise NotNormal(rep.condition, rep.witness)
+    if 0 not in H.members:  # x = x·e lies in xH exactly when e ∈ H
+        raise WellDefinednessFailure((G.label(0),))
+    cosets = np.sort(G.table[:, sorted(H.members)], axis=1)  # row x: xH
+    # lexicographic order of disjoint sorted rows is that of their minima
+    blocks, block_of = np.unique(cosets, axis=0, return_inverse=True)
+    block_of = block_of.reshape(-1)
+    # with x in xH, the cosets partition G iff every y in xH has yH = xH
+    w = first(block_of[cosets] != block_of[:, None])
+    if w is not None:
+        raise WellDefinednessFailure((G.label(w[0]), G.label(cosets[w])))
+    return blocks, block_of
 
 
 def coset_decomposition(G, H):
     """Left-coset partition of G by a normal subloop H."""
     H = _as_set(G, H)
-    rep = is_normal_subloop(G, H)
-    if not rep.ok:
-        raise NotNormal(rep.condition, rep.witness)
-    T = G.table
-    hs = np.array(sorted(H.members), dtype=np.intp)
-    n = G.order
-    block_of = np.full(n, -1, dtype=np.intp)
-    blocks = []
-    for x in range(n):
-        if block_of[x] >= 0:
-            continue
-        members = frozenset(int(v) for v in T[x, hs])
-        if x not in members:  # e ∈ H so x = x·e must appear
-            raise WellDefinednessFailure((G.label(x),))
-        bi = len(blocks)
-        for m in members:
-            if block_of[m] >= 0:
-                raise WellDefinednessFailure((G.label(x), G.label(m)))
-            block_of[m] = bi
-        blocks.append(members)
-    # deterministic order: sort blocks by their minimal element, H first
-    order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    relabel = {old: new for new, old in enumerate(order)}
-    blocks = tuple(blocks[i] for i in order)
-    block_of = tuple(relabel[int(b)] for b in block_of)
-    return CosetDecomposition(G, H, blocks, block_of)
+    blocks, block_of = _cosets(G, H)
+    return CosetDecomposition(G, H, tuple(map(frozenset, blocks.tolist())),
+                              tuple(block_of.tolist()))
 
 
 def quotient(G, H):
@@ -147,30 +141,26 @@ def quotient(G, H):
     construction (defense in depth).  When H contains fan(G), the result is
     checked to be associative with two-sided inverses before returning.
     """
-    dec = coset_decomposition(G, H)
-    m = dec.count
-    block = dec.representative_of
+    H = _as_set(G, H)
+    blocks, block = _cosets(G, H)
+    reps = blocks[:, 0]
     T = G.table
-    qtable = np.full((m, m), -1, dtype=np.int16)
-    for bi, ablock in enumerate(dec.blocks):
-        for bj, bblock in enumerate(dec.blocks):
-            targets = {block[int(T[a, b])] for a in ablock for b in bblock}
-            if len(targets) != 1:
-                a = min(ablock)
-                b = min(bblock)
-                raise WellDefinednessFailure((G.label(a), G.label(b)))
-            qtable[bi, bj] = targets.pop()
-    labels = [f"[{G.label(r)}]" for r in dec.representatives()]
+    qtable = block[T[np.ix_(reps, reps)]]
+    # every product of a member of block i and one of block j lies in block
+    # qtable[i, j]; the witness is the first failing block pair's reps
+    prods = block[T[blocks[:, :, None, None], blocks[None, None]]]
+    w = first((prods != qtable[:, None, :, None]).any(axis=(1, 3)))
+    if w is not None:
+        raise WellDefinednessFailure(tuple(G.label(reps[i]) for i in w))
+    labels = [f"[{G.label(r)}]" for r in reps]
     Q = core.verify_loop(qtable, identity=0, labels=labels)
 
-    fan_members = G.analysis.fan.members
-    H_set = dec.subloop.members
-    if fan_members <= H_set:
-        tq, pq = Q.assoc_tensors()
-        if tq.any() or pq.any():
-            w = np.unravel_index(int(np.argmax(tq != 0)), tq.shape)
-            raise WellDefinednessFailure(tuple(Q.label(int(i)) for i in w))
-        for a in range(m):
-            if Q.inv_l(a) != Q.inv_r(a):
-                raise WellDefinednessFailure((Q.label(a),))
+    if G.analysis.fan.members <= H.members:
+        # t(a,b,c) = e exactly when p(a,b,c) = e, so t alone decides
+        w = first(Q.assoc_tensors()[0] != 0)
+        if w is not None:
+            raise WellDefinednessFailure(tuple(Q.label(i) for i in w))
+        w = first(Q.ldiv[:, 0] != Q.rdiv[0])
+        if w is not None:
+            raise WellDefinednessFailure((Q.label(*w),))
     return Q

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fanloops import catalog, core, products, quotient
+from fanloops import _kernels, catalog, core, products, quotient
 from fanloops.errors import (
     LoopMismatch,
     NoIdentity,
@@ -253,3 +253,45 @@ def test_nucleus_parts_helper(oct16):
     nl, nm, nr, nuc, com, z = core.nucleus_parts(oct16)
     assert nl.members == nm.members == nr.members == nuc.members
     assert z.members <= nuc.members
+
+
+@pytest.mark.parametrize("table, expect", [
+    # row 0 first differs from 0..n-1 at column 2, column 0 at row 1: the
+    # row is scanned first
+    ([[0, 1, 3, 2], [2, 3, 0, 1], [1, 0, 2, 3], [3, 2, 1, 0]], (0, 2)),
+    # row 0 is natural, column 0 first differs at row 1
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], (0, 1)),
+], ids=["row", "column"])
+def test_no_identity_names_the_first_counterexample(table, expect):
+    with pytest.raises(NoIdentity) as exc:
+        core.verify_loop(table, identity=0)
+    assert (exc.value.candidate, exc.value.counterexample) == expect
+
+
+def test_identity_search_needs_a_natural_row_and_column():
+    # a natural row (a left identity) alone, and a natural column alone
+    left = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+    for table in (left, np.array(left).T):
+        with pytest.raises(NoIdentity) as exc:
+            core.verify_loop(table)
+        assert (exc.value.candidate, exc.value.counterexample) == (None, None)
+    # the one index that is both, moved to 0
+    G = core.verify_loop([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    assert G.labels == ("e", "x0", "x2")
+
+
+def test_witnesses_match_lexicographic_oracle():
+    # every loop of order 5: the first triple with (ab)c != a(bc), and the
+    # first pair whose (ab)/(ba) leaves the centre, in row-major order
+    seen = set()
+    for table in _kernels.iter_reduced_latin(5):
+        G = core.verify_loop(table)
+        n, a = G.order, G.analysis
+        triples = [(x, y, z) for x in range(n) for y in range(n)
+                   for z in range(n) if G.t(x, y, z) != 0]
+        pairs = [(x, y) for x in range(n) for y in range(n)
+                 if G.rd(G.mul(x, y), G.mul(y, x)) not in a.center]
+        assert a.non_assoc_witness == (triples[0] if triples else None)
+        assert a.central_witness == (pairs[0] if pairs else None)
+        seen.add((bool(triples), bool(pairs)))
+    assert seen == {(False, False), (True, True)}

@@ -252,3 +252,23 @@ def test_iter_reduced_latin_lexicographic_and_complete():
         assert _kernels.latin_violation(t)[0] == _kernels.LATIN_OK
         assert np.array_equal(t[0], np.arange(4))
         assert np.array_equal(t[:, 0], np.arange(4))
+
+
+def test_first_scans_in_c_order():
+    assert _kernels.first(np.zeros(0, dtype=bool)) is None
+    assert _kernels.first(np.zeros((0, 3), dtype=bool)) is None
+    assert _kernels.first(np.zeros((2, 3, 4), dtype=bool)) is None
+    rng = Random(3)
+    for shape in ((7,), (3, 5), (2, 3, 4)):
+        for _ in range(20):
+            mask = np.array([rng.random() < 0.1 for _ in range(np.prod(shape))])
+            mask = mask.reshape(shape)
+            hits = [i for i in np.ndindex(shape) if mask[i]]
+            got = _kernels.first(mask)
+            assert got == (hits[0] if hits else None)
+            assert got is None or all(type(i) is int for i in got)
+    # a broadcast (zero-stride) view is scanned in its broadcast shape
+    row = np.array([False, False, True])
+    assert _kernels.first(np.broadcast_to(row, (4, 3))) == (0, 2)
+    col = np.array([[False], [True]])
+    assert _kernels.first(np.broadcast_to(col, (2, 3))) == (1, 0)

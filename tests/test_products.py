@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fanloops import catalog, core, products
+from fanloops import catalog, census, core, products
 from fanloops.errors import (
     FanLoopCheckFailed,
     SizeCapExceeded,
@@ -237,6 +237,12 @@ _CHECKED_TO_438 = (
 )
 
 
+def _checked(condition):
+    """The checked list of a report that fails at `condition`."""
+    order = _CHECKED_TO_438 + ("4.3.8-identity",)
+    return order[:order.index(condition) + 1]
+
+
 @pytest.mark.parametrize("prefix, change, condition, witness, checked", [
     ("s4", lambda d: {"phi": d.phi[:, :4]},
      "structure", ("phi shape", (2, 4)), ("structure",)),
@@ -268,15 +274,45 @@ _CHECKED_TO_438 = (
      "structure", ("N identity must embed to e",), ()),
     ("s1", lambda d: {"n_labels": (), "into_a": [], "into_b": []},
      "structure", ("N identity must embed to e",), ()),
+    ("s4", _set("phi", (1, 3), 2),
+     "phi-bijective", (1,), _checked("phi-bijective")),
+    # eta(1, 2, 3) alone moves, so 4.3.4 first fails there
+    ("s6", _set("eta", (1, 2, 3), 1), "4.3.4", (1, 2, 3), _checked("4.3.4")),
+    # an involution of C4 is an action, but it moves the image of N
+    ("s1", _set("phi", 1, [1, 0, 3, 2]),
+     "4.3.4-gamma-fixed", (1, 0), _checked("4.3.4-gamma-fixed")),
+    # inversion of C4 fixes the image {e, g2} of N, but a = z must act
+    # trivially
+    ("s2", _set("phi", 1, [0, 3, 2, 1]),
+     "4.3.4-action-trivial", (1, 1), _checked("4.3.4-action-trivial")),
+    ("s5", _set("kappa", (1, 2, 3), 1), "4.3.6", (1, 2, 3), _checked("4.3.6")),
+    # whole N-orbits, so only the identity normalisation sees them
+    ("s4", _set("xi", (slice(None), slice(0, 2), slice(None), slice(0, 2)), 1),
+     "4.3.8-identity", ("left", 0, 0), _checked("4.3.8-identity")),
+    ("s4", _set("xi", (slice(None), slice(2, 4), slice(None), slice(0, 2)), 1),
+     "4.3.8-identity", ("right", 0, 2), _checked("4.3.8-identity")),
 ], ids=["phi-shape", "eta-shape", "kappa-shape", "xi-shape", "phi-above-B",
         "phi-negative", "eta-range", "kappa-range", "xi-range",
         "xi-shift-position-2", "into-a-above-A", "into-a-negative",
-        "into-b-above-B", "identity-not-to-e", "empty-N"])
+        "into-b-above-B", "identity-not-to-e", "empty-N", "phi-bijective",
+        "4.3.4", "4.3.4-gamma-fixed", "4.3.4-action-trivial", "4.3.6",
+        "4.3.8-identity-left", "4.3.8-identity-right"])
 def test_validation_witnesses(prefix, change, condition, witness, checked):
     data = _instance(prefix)
     rep = products.validate_smashing(dataclasses.replace(data, **change(data)))
     assert (rep.ok, rep.condition, rep.witness, rep.checked) == (
         False, condition, witness, checked)
+
+
+def test_validation_witness_embeddings_not_isomorphic():
+    # N = C4 onto all of C4 twice, the second time by 1 -> g2, which is no
+    # isomorphism: 1·1 = 2 goes to g2·g2 = e, not to the image g of 2
+    C4 = catalog.cyclic(4)
+    data = products.SmashingData(C4, C4, ("0", "1", "2", "3"), [0, 1, 2, 3],
+                                 [0, 2, 1, 3])
+    rep = products.validate_smashing(data)
+    assert (rep.condition, rep.witness, rep.checked) == (
+        "structure", ("embeddings not isomorphic", 1, 1), ("structure",))
 
 
 @pytest.mark.parametrize("prefix, name, slots, change, witness", [
@@ -439,3 +475,86 @@ def test_componentwise_assoc_witness_names_the_tensor(tamper, expect):
         products._check_componentwise_assoc(P, A, B)
     assert info.value.check == "direct-product associators not componentwise"
     assert info.value.witness == expect
+
+
+def _product(prefix):
+    return products.smashed_product(_instance(prefix))
+
+
+@pytest.mark.parametrize("prefix, change, errs", [
+    ("s6", _set("xi", (3, 7, 3, 6), 1), [("4.4.2", (1, 30, 30))]),
+    ("s6", _set("phi", (3, 4), 0),
+     [("4.4.4/4.4.5", (12,)), ("4.4.7/4.4.8", (12,))]),
+    ("s6", _set("eta", (3, 1, 1), 0),
+     [("4.4.2", (24, 8, 1)), ("4.4.7/4.4.8", (9,))]),
+    ("s6", _set("xi", (3, 3, 1, 3), 1),
+     [("4.4.2", (1, 26, 11)), ("4.4.4/4.4.5", (11,))]),
+    ("s5", lambda d: {"into_b": [0, 0]},
+     [("4.4.2", (8, 2, 4)), ("fan-containment", (1,))]),
+], ids=["4.4.2", "4.4.4-and-4.4.7", "4.4.2-and-4.4.7", "4.4.2-and-4.4.4",
+        "fan-containment"])
+def test_cross_check_witnesses_on_edited_data(prefix, change, errs,
+                                              smash_products):
+    # the edited data against the product of the unedited data
+    data, P = [x for x in smash_products if x[0].name.startswith(prefix)][0]
+    edited = dataclasses.replace(data, **change(data))
+    assert products.verify_smashed_product(edited, P) == errs
+
+
+def test_cross_check_witnesses_on_other_products(smash_products):
+    P = {d.name[:2]: x for d, x in smash_products}
+    # trivial s1 data against the twisted s2 product on the same factors
+    assert products.verify_smashed_product(_instance("s1"), P["s2"]) == [
+        ("4.4.4/4.4.5", (1,)), ("4.4.7/4.4.8", (1,)), ("degeneracy", (1, 1))]
+    # the first non-fan loop of order 5: nothing past the fan-loop test runs
+    G = next(iter(census.enumerate_loops(census.CensusQuery(5, "non-fan"))))
+    assert products.verify_smashed_product(_instance("s1"), G) == [
+        ("fan-loop", (1, 1, 2))]
+
+
+def test_cross_check_witnesses_on_planted_tables():
+    # checks that no data edit reaches alone: a t entry (p agrees), and a
+    # pair of entries swapped in a row of each division table
+    P = _product("s4")
+    t, p = (X.copy() for X in P.assoc_tensors())
+    t[3, 5, 6] = (t[3, 5, 6] + 1) % 16
+    P._tensors = (t, p)
+    assert products.verify_smashed_product(_instance("s4"), P) == [
+        ("4.4.1", (3, 5, 6))]
+    for name, errs in (("ldiv", [("4.4.9", (3, 2))]),
+                       ("rdiv", [("4.4.10", (2, 3))])):
+        P = _product("s4")
+        table = getattr(P, name).copy()
+        table[3, [2, 5]] = table[3, [5, 2]]
+        setattr(P, name, table)
+        assert products.verify_smashed_product(_instance("s4"), P) == errs
+
+
+def _s4_with(name, value):
+    data = _instance("s4")
+    return dataclasses.replace(data, **{name: value(getattr(data, name))})
+
+
+def _xi_with_cell(xi, dtype, value):
+    xi = xi.astype(dtype)
+    xi[1, 2, 1, 3] = value
+    return xi
+
+
+@pytest.mark.parametrize("value", [
+    # the old value plus 65536, which wraps back to it in int16
+    lambda xi: _xi_with_cell(xi, np.int64, xi[1, 2, 1, 3] + 65536),
+    lambda xi: _xi_with_cell(xi, np.int64, 70000).tolist(),
+], ids=["int64", "list"])
+def test_smashing_data_keeps_wide_integers(value):
+    rep = products.validate_smashing(_s4_with("xi", value))
+    assert (rep.condition, rep.witness) == ("structure", ("xi value outside N",))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("into_a", lambda into: [0, 1.7]),
+    ("xi", lambda xi: _xi_with_cell(xi, float, 0.5)),
+], ids=["into-a", "xi"])
+def test_smashing_data_refuses_non_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must hold integers"):
+        _s4_with(name, value)

@@ -5,11 +5,13 @@ quotient(O16, {1,-1}) is an elementary abelian group of order 8 (every
 nonidentity coset squares to the identity).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fanloops import catalog, census, core, products, quotient
-from fanloops.errors import NotASubloop, NotNormal
+from fanloops.errors import NotASubloop, NotNormal, WellDefinednessFailure
 
 
 def _subgroup(G, members):
@@ -172,3 +174,76 @@ def test_normality_matches_pairwise_oracle(corpus_loops):
             assert rep == _normality_oracle(G, H), (name, sorted(members))
             conditions.add(rep.condition)
     assert {None, "2.7.1", "2.7.2a", "2.7.2b"} <= conditions
+
+
+@pytest.mark.parametrize("loop, members, witness, reason", [
+    ("q8", {"-1"}, ("-1", "-1"), "product escapes"),
+    ("s3", {"r", "r2"}, ("r", "r"), "left division escapes"),
+    ("q8", {"1", "e1"}, ("1", "e1"), "right division escapes"),
+    ("q8", set(), ("1",), "identity missing"),
+])
+def test_not_a_subloop_witnesses(loop, members, witness, reason):
+    # the first pair of H in row-major order, then the first of ·, \, /
+    G = {"q8": catalog.quaternion8, "s3": catalog.symmetric3}[loop]()
+    with pytest.raises(NotASubloop) as exc:
+        quotient.is_normal_subloop(G, G.subset(members))
+    assert (exc.value.witness, exc.value.reason) == (witness, reason)
+
+
+def _normal_by_fiat(monkeypatch):
+    # reach the checks behind normality, which a normal H always passes
+    monkeypatch.setattr(quotient, "is_normal_subloop",
+                        lambda G, H: quotient.NormalityReport(True))
+
+
+def test_coset_witness_without_identity(monkeypatch):
+    _normal_by_fiat(monkeypatch)
+    G = catalog.symmetric3()
+    for build in (quotient.coset_decomposition, quotient.quotient):
+        with pytest.raises(WellDefinednessFailure) as exc:
+            build(G, G.subset({"r"}))
+        assert exc.value.witness == ("e",)
+
+
+def test_overlapping_cosets_are_refused(monkeypatch):
+    # in C4, {e, g}·g = {g, g2} meets {e, g} without being it
+    _normal_by_fiat(monkeypatch)
+    G = catalog.cyclic(4)
+    with pytest.raises(WellDefinednessFailure) as exc:
+        quotient.coset_decomposition(G, G.subset({"e", "g"}))
+    assert exc.value.witness == ("e", "g")
+
+
+def test_quotient_witness_names_the_first_block_pair(monkeypatch):
+    # the cosets of {e, s} partition S3, but (rH)(rH) is not one coset
+    _normal_by_fiat(monkeypatch)
+    G = catalog.symmetric3()
+    H = G.subset({"e", "s"})
+    assert quotient.coset_decomposition(G, H).count == 3
+    with pytest.raises(WellDefinednessFailure) as exc:
+        quotient.quotient(G, H)
+    assert exc.value.witness == ("e", "r")
+
+
+def _with_trivial_fan(G):
+    G._analysis = dataclasses.replace(G.analysis, fan=G.subset({0}))
+    return G
+
+
+def test_quotient_witness_of_a_nonassociative_result():
+    G = _with_trivial_fan(catalog.octonion16())
+    with pytest.raises(WellDefinednessFailure) as exc:
+        quotient.quotient(G, G.subset({0}))
+    assert exc.value.witness == ("[e1]", "[e2]", "[e4]")
+
+
+def test_quotient_witness_of_one_sided_inverses(monkeypatch):
+    # the first loop of order 5 has x2\e = x3 but e/x2 = x4; with every
+    # associator reported trivial, the inverse check is what fires
+    G = _with_trivial_fan(next(iter(census.enumerate_loops(5))))
+    zero = np.zeros((5, 5, 5), dtype=np.int16)
+    monkeypatch.setattr(core.FiniteLoop, "assoc_tensors",
+                        lambda self: (zero, zero))
+    with pytest.raises(WellDefinednessFailure) as exc:
+        quotient.quotient(G, G.subset({0}))
+    assert exc.value.witness == ("[x2]",)
