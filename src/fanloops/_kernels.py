@@ -57,19 +57,34 @@ def latin_violation(table):
 
 
 # ---------------------------------------------------------------------------
+# Stack axes.  division_tables, assoc_tensors, nucleus_masks, value_mask
+# and central_mask take any leading axes, (..., n, n), and treat each n×n
+# slice as its own table; with none they index as for a single table.
+# ---------------------------------------------------------------------------
+
+def _stack(lead, trailing):
+    """Open-grid indices of the leading axes `lead`, each shaped to
+    broadcast against index arrays with `trailing` more axes; () when
+    there are no leading axes."""
+    return tuple(g.reshape(g.shape + (1,) * trailing)
+                 for g in np.ix_(*map(np.arange, lead)))
+
+
+# ---------------------------------------------------------------------------
 # Division tables.  ldiv[a, b] = a \ b  (solution x of a·x = b)
 #                   rdiv[b, a] = b / a  (solution y of y·a = b)
 # Requires a verified Latin square.
 # ---------------------------------------------------------------------------
 
 def division_tables(table):
-    n = table.shape[0]
-    ldiv = np.empty((n, n), table.dtype)
-    rdiv = np.empty((n, n), table.dtype)
+    n = table.shape[-1]
+    k = _stack(table.shape[:-2], 2)
+    ldiv = np.empty(table.shape, table.dtype)
+    rdiv = np.empty(table.shape, table.dtype)
     rows = np.arange(n, dtype=table.dtype)[:, None]
     cols = np.arange(n, dtype=table.dtype)[None, :]
-    ldiv[rows, table] = np.broadcast_to(cols, (n, n))
-    rdiv[table, cols] = np.broadcast_to(rows, (n, n))
+    ldiv[(*k, rows, table)] = np.broadcast_to(cols, table.shape)
+    rdiv[(*k, table, cols)] = np.broadcast_to(rows, table.shape)
     return ldiv, rdiv
 
 
@@ -79,14 +94,21 @@ def division_tables(table):
 # ---------------------------------------------------------------------------
 
 def assoc_tensors(table, ldiv, rdiv):
-    n = table.shape[0]
-    t = np.empty((n, n, n), table.dtype)
-    p = np.empty((n, n, n), table.dtype)
-    for a in range(n):  # slab-wise keeps peak memory at O(n^2)
-        lhs = table[table[a], :]  # (ab)c
-        rhs = table[a][table]  # a(bc)
-        t[a] = rdiv[lhs, rhs]
-        p[a] = ldiv[rhs, lhs]
+    lead, n = table.shape[:-2], table.shape[-1]
+    t = np.empty((*lead, n, n, n), table.dtype)
+    p = np.empty((*lead, n, n, n), table.dtype)
+    # the gathers index the flattened stack: one flat index array is faster
+    # than one index array per axis (about 1.4x at n = 128, 1.7x on a stack
+    # of 256 tables of order 7)
+    start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1)
+    T = table.astype(np.intp)
+    flat_T, flat_l, flat_r = T.ravel(), ldiv.ravel(), rdiv.ravel()
+    cols = np.arange(n)
+    for a in range(n):  # slab-wise keeps peak memory at O(n^2) per table
+        lhs = flat_T[start + T[..., a, :, None] * n + cols]  # (ab)c
+        rhs = flat_T[start + a * n + T]  # a(bc)
+        t[..., a, :, :] = flat_r[start + lhs * n + rhs]
+        p[..., a, :, :] = flat_l[start + rhs * n + lhs]
     return t, p
 
 
@@ -97,7 +119,27 @@ def assoc_tensors(table, ldiv, rdiv):
 # ---------------------------------------------------------------------------
 
 def nucleus_masks(t):
-    return ~t.any(axis=(1, 2)), ~t.any(axis=(0, 2)), ~t.any(axis=(0, 1))
+    return (~t.any(axis=(-2, -1)), ~t.any(axis=(-3, -1)),
+            ~t.any(axis=(-3, -2)))
+
+
+# ---------------------------------------------------------------------------
+# Value sets of the t/p tensors, and the central-fan pair condition.
+# ---------------------------------------------------------------------------
+
+def value_mask(X):
+    """mask[..., v] iff v occurs in the tensor X[...] of shape (n, n, n);
+    unlike np.unique, no sorted copy of X."""
+    lead = X.shape[:-3]
+    mask = np.zeros((*lead, X.shape[-1]), dtype=bool)
+    mask[(*_stack(lead, 3), X)] = True
+    return mask
+
+
+def central_mask(table, rdiv, member):
+    """m[..., a, b] iff (ab)/(ba) lies in the membership mask member[...]."""
+    k = _stack(table.shape[:-2], 2)
+    return member[(*k, rdiv[(*k, table, table.swapaxes(-1, -2))])]
 
 
 # ---------------------------------------------------------------------------

@@ -2,34 +2,74 @@
 
 Reduced form (first row and column in natural order) is the enumeration
 unit; every reduced square of order n is a loop table with identity 0.
-Filters classify each table through core.classify, which makes the census
-a corpus feeder for fan/non-fan examples — including loops where the left
-and right inverses split (e/a != a\\e for some a).
+The squares are classified in fixed batches, stacked as one (k, n, n)
+array through the same kernels as core's per-loop analysis, so each
+filter is one mask over the batch and a FiniteLoop is built only for the
+squares emitted.  The census is a corpus feeder for fan/non-fan examples
+— including loops where the left and right inverses split (e/a != a\\e
+for some a).
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
-from . import core
+import numpy as np
+
+from . import _kernels, core
 from ._kernels import count_reduced_latin, iter_reduced_latin
 from .config import CENSUS_ORDER_CAP
 from .errors import OrderCapExceeded, UnknownPredicate
 
+# Squares classified per batch.  Large enough that the per-call overhead of
+# the kernels is spread thin, small enough that a batch's tensors stay a
+# few hundred kB.
+_BATCH = 256
 
-def _inverse_split(G):
-    """True when e/a != a\\e for some a but the loop is otherwise
-    unremarkable about it — i.e. the split is witnessed."""
-    return bool((G.ldiv[:, 0] != G.rdiv[0, :]).any())
+FILTERS = ("all", "fan-only", "non-fan", "central-fan",
+           "nontrivial-two-sided-inverse-split")
 
 
-# filter name -> predicate on a verified loop
-_FILTERS = {
-    "all": lambda G: True,
-    "fan-only": lambda G: G.analysis.is_fan_loop,
-    "non-fan": lambda G: not G.analysis.is_fan_loop,
-    "central-fan": lambda G: G.analysis.is_central_fan_loop,
-    "nontrivial-two-sided-inverse-split": _inverse_split,
-}
-FILTERS = tuple(_FILTERS)
+def _filter_masks(batch, ldiv, rdiv):
+    """Filter name -> boolean mask over a (k, n, n) stack of loop tables."""
+    m = core.masks(batch, rdiv, *_kernels.assoc_tensors(batch, ldiv, rdiv))
+    return {
+        "all": np.ones(len(batch), dtype=bool),
+        "fan-only": m.is_fan,
+        "non-fan": ~m.is_fan,
+        "central-fan": m.is_fan & m.central_pairs.all(axis=(-2, -1)),
+        # e/a != a\e for some a: the split is witnessed
+        "nontrivial-two-sided-inverse-split":
+            (ldiv[..., 0] != rdiv[..., 0, :]).any(axis=-1),
+    }
+
+
+def _check_reduced(batch):
+    """Re-check the backtracker's guarantee on a batch: every line is a
+    permutation of 0..n-1, and row 0 and column 0 are natural (identity 0).
+    The first square that fails goes to core.verify_loop, which raises the
+    typed error with its witness."""
+    natural = np.arange(batch.shape[-1])
+    ok = ((np.sort(batch, axis=-1) == natural).all(axis=(-2, -1))
+          & (np.sort(batch, axis=-2) == natural[:, None]).all(axis=(-2, -1))
+          & (batch[:, 0, :] == natural).all(axis=-1)
+          & (batch[:, :, 0] == natural).all(axis=-1))
+    bad = _kernels.first(~ok)
+    if bad is not None:
+        core.verify_loop(batch[bad], identity=0)
+        raise AssertionError(f"square {bad} of the batch is not reduced")
+
+
+def _batches(order):
+    """(batch, ldiv, rdiv, masks) for the reduced squares of this order in
+    stream order, _BATCH squares at a time."""
+    if order > CENSUS_ORDER_CAP:
+        raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
+    squares = iter_reduced_latin(order)
+    while chunk := list(islice(squares, _BATCH)):
+        batch = np.stack(chunk)
+        _check_reduced(batch)
+        ldiv, rdiv = _kernels.division_tables(batch)
+        yield batch, ldiv, rdiv, _filter_masks(batch, ldiv, rdiv)
 
 
 @dataclass(frozen=True)
@@ -45,26 +85,43 @@ class CensusQuery:
             raise ValueError(f"limit must be at least 0, got {self.limit}")
 
 
+class Sweep:
+    """One pass of a census query.  Iterating yields the loops that pass
+    the filter; `total` is the number of reduced squares of the order once
+    the pass has classified the last one, and None until then (so also
+    when the limit stopped the pass early)."""
+
+    def __init__(self, query):
+        self.query = (CensusQuery(order=query) if isinstance(query, int)
+                      else query)
+        self.total = None
+
+    def __iter__(self):
+        q = self.query
+        # the cap is refused even when the limit asks for nothing
+        if q.order > CENSUS_ORDER_CAP:
+            raise OrderCapExceeded(q.order, CENSUS_ORDER_CAP)
+        if q.limit == 0:
+            return
+        labels = core.default_labels(q.order)
+        emitted = visited = 0
+        for batch, ldiv, rdiv, masks in _batches(q.order):
+            visited += len(batch)
+            for i in np.flatnonzero(masks[q.filter]):
+                # own copies, so the loop does not keep the batch alive
+                yield core.FiniteLoop(labels, batch[i].copy(),
+                                      ldiv[i].copy(), rdiv[i].copy())
+                emitted += 1
+                if emitted == q.limit:
+                    return
+        self.total = visited
+
+
 def enumerate_loops(query):
     """Stream the reduced Latin squares of query.order as verified loops,
     lexicographic by table rows, filtered; duplicate-free and
     deterministic (same query twice gives the identical stream)."""
-    if isinstance(query, int):
-        query = CensusQuery(order=query)
-    if query.order > CENSUS_ORDER_CAP:
-        raise OrderCapExceeded(query.order, CENSUS_ORDER_CAP)
-    if query.order < 1 or query.limit == 0:
-        return
-    keep = _FILTERS[query.filter]
-    emitted = 0
-    for table in iter_reduced_latin(query.order):
-        G = core.verify_loop(table, identity=0)
-        if not keep(G):
-            continue
-        yield G
-        emitted += 1
-        if query.limit is not None and emitted >= query.limit:
-            return
+    return iter(Sweep(query))
 
 
 # documented alias; enumerate_loops avoids shadowing the builtin internally
@@ -99,9 +156,10 @@ def find_witness(order, predicate):
 
 
 def summary(order):
-    """Counts per filter at the given order, from one enumeration pass."""
+    """Counts per filter at the given order, from one pass over the batch
+    masks; no loop is built."""
     counts = dict.fromkeys(FILTERS, 0)
-    for G in enumerate_loops(CensusQuery(order=order)):
-        for name, keep in _FILTERS.items():
-            counts[name] += bool(keep(G))
+    for *_, masks in _batches(order):
+        for name in FILTERS:
+            counts[name] += int(masks[name].sum())
     return counts

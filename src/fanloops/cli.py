@@ -160,10 +160,7 @@ def parse_loop_file(path, cap=None):
 def serialize_loop(G):
     """Canonical loop-file text: byte-stable, re-parses to the same loop."""
     head = " ".join([str(G.order), *G.labels])
-    rows = [
-        " ".join(G.labels[int(G.table[a, b])] for b in range(G.order))
-        for a in range(G.order)
-    ]
+    rows = [" ".join(G.labels[v] for v in row) for row in G.table.tolist()]
     return "\n".join([head, *rows]) + "\n"
 
 
@@ -566,9 +563,12 @@ def cmd_census(order, filter="all", limit=None, cap=None):
     """Enumerate reduced squares; stream loop files inside the report."""
     try:
         order_cap(cap)  # the census has its own cap; refuse a bad one all the same
-        query = census.CensusQuery(order=order, filter=filter, limit=limit)
-        loops = [serialize_loop(G) for G in census.enumerate_loops(query)]
-        reduced_total = census.count_reduced(order)
+        sweep = census.Sweep(census.CensusQuery(order=order, filter=filter,
+                                                limit=limit))
+        loops = [serialize_loop(G) for G in sweep]
+        # a pass that a limit stopped early has not seen every square
+        reduced_total = (census.count_reduced(order) if sweep.total is None
+                         else sweep.total)
     except Exception as exc:  # noqa: BLE001
         return _classify_exit(exc), _error_report("census", exc)
     return EXIT_OK, {

@@ -11,6 +11,7 @@ construction.  The identity element is always index 0 after ingestion.
 
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,6 +243,12 @@ class LoopAnalysis:
     central_witness: tuple | None
 
 
+def default_labels(n, identity=0):
+    """Labels for an unlabelled table: "e" for the identity, x<i> for
+    every other index i."""
+    return [("e" if i == identity else f"x{i}") for i in range(n)]
+
+
 def verify_loop(table, identity=None, labels=None, cap=None):
     """Check the loop axioms and return a normalized FiniteLoop.
 
@@ -284,6 +291,8 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     natural = np.arange(n, dtype=_DTYPE)
     if identity is not None:
         e = int(identity)
+        if not 0 <= e < n:
+            raise NoIdentity(candidate=e)
         for line in (table[e, :], table[:, e]):  # the row first
             w = _kernels.first(line != natural)
             if w is not None:
@@ -295,13 +304,7 @@ def verify_loop(table, identity=None, labels=None, cap=None):
             raise NoIdentity()
         e, = w
 
-    if labels is None:
-        labels = ["e"] + [f"x{i}" for i in range(1, n)] if e == 0 else [
-            f"x{i}" for i in range(n)
-        ]
-        if e != 0:
-            labels[e] = "e"
-    labels = list(labels)
+    labels = default_labels(n, e) if labels is None else list(labels)
     if len(labels) != n:
         raise ValueError(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
@@ -347,13 +350,6 @@ def _mask_set(G, mask):
     return ElementSet(G, frozenset(int(i) for i in np.nonzero(mask)[0]))
 
 
-def _value_mask(X, n):
-    """mask[v] iff v occurs in X; unlike np.unique, no sorted copy of X."""
-    mask = np.zeros(n, dtype=bool)
-    mask[X.ravel()] = True
-    return mask
-
-
 def subgroup_closure(G, seed):
     """Smallest subset containing `seed` closed under ·, \\, / (worklist).
 
@@ -377,50 +373,73 @@ def subgroup_closure(G, seed):
         mask = new
 
 
-def _analyze(G):
-    T = G.table
-    n = G.order
-    t_tensor, p_tensor = G.assoc_tensors()
-    nl, nm, nr = _kernels.nucleus_masks(t_tensor)
-    nuc_mask = nl & nm & nr
-    com_mask = (T == T.T).all(axis=1)
-    z_mask = com_mask & nuc_mask
+class Masks(NamedTuple):
+    """The element masks an analysis is read from.  Each has the table's
+    leading (stack) axes, then one axis over the elements; is_fan has only
+    the leading axes, central_pairs two element axes."""
 
-    t_mask, p_mask = _value_mask(t_tensor, n), _value_mask(p_tensor, n)
+    nucleus_l: np.ndarray
+    nucleus_m: np.ndarray
+    nucleus_r: np.ndarray
+    nucleus: np.ndarray
+    com: np.ndarray
+    center: np.ndarray
+    t_range: np.ndarray
+    p_range: np.ndarray
+    is_fan: np.ndarray
+    central_pairs: np.ndarray  # [..., a, b]: (ab)/(ba) lies in Z
+
+
+def masks(table, rdiv, t, p):
+    """Masks of a table, or of a stack of tables (..., n, n), given its
+    right divisions and associator tensors."""
+    nl, nm, nr = _kernels.nucleus_masks(t)
+    nuc = nl & nm & nr
+    com = (table == table.swapaxes(-1, -2)).all(axis=-1)
+    z = com & nuc
+    t_range, p_range = _kernels.value_mask(t), _kernels.value_mask(p)
+    # fan: every associator value lies in the nucleus
+    is_fan = ~((t_range | p_range) & ~nuc).any(axis=-1)
+    return Masks(nl, nm, nr, nuc, com, z, t_range, p_range, is_fan,
+                 _kernels.central_mask(table, rdiv, z))
+
+
+def _analyze(G):
+    t_tensor, p_tensor = G.assoc_tensors()
+    m = masks(G.table, G.rdiv, t_tensor, p_tensor)
     # the first a outside N_l holds the first nonzero t in row-major order
-    a = _kernels.first(~nl)
+    a = _kernels.first(~m.nucleus_l)
     is_group = a is None
     non_assoc_witness = None if is_group else (
         *a, *_kernels.first(t_tensor[a] != 0))
 
-    # fan: every associator value lies in the nucleus
-    is_fan = not ((t_mask | p_mask) & ~nuc_mask).any()
+    is_fan = bool(m.is_fan)
     fan_witness = None
     if not is_fan:
-        fan_witness = _kernels.fan_violation(t_tensor, p_tensor, nuc_mask)[1:]
+        fan_witness = _kernels.fan_violation(t_tensor, p_tensor,
+                                             m.nucleus)[1:]
 
-    fan_set = subgroup_closure(G, np.flatnonzero(t_mask | p_mask))
+    fan_set = subgroup_closure(G, np.flatnonzero(m.t_range | m.p_range))
 
     # central fan condition: (ab)/(ba) in Z for every pair
-    t2 = G.rdiv[T, T.T]
-    central_witness = _kernels.first(~z_mask[t2])
+    central_witness = _kernels.first(~m.central_pairs)
     is_central = is_fan and central_witness is None
 
     return LoopAnalysis(
         is_loop=True,
         is_group=is_group,
-        is_commutative=bool(com_mask.all()),
+        is_commutative=bool(m.com.all()),
         is_fan_loop=is_fan,
         is_central_fan_loop=is_central,
-        com=_mask_set(G, com_mask),
-        nucleus_l=_mask_set(G, nl),
-        nucleus_m=_mask_set(G, nm),
-        nucleus_r=_mask_set(G, nr),
-        nucleus=_mask_set(G, nuc_mask),
-        center=_mask_set(G, z_mask),
+        com=_mask_set(G, m.com),
+        nucleus_l=_mask_set(G, m.nucleus_l),
+        nucleus_m=_mask_set(G, m.nucleus_m),
+        nucleus_r=_mask_set(G, m.nucleus_r),
+        nucleus=_mask_set(G, m.nucleus),
+        center=_mask_set(G, m.center),
         fan=fan_set,
-        t_range=_mask_set(G, t_mask),
-        p_range=_mask_set(G, p_mask),
+        t_range=_mask_set(G, m.t_range),
+        p_range=_mask_set(G, m.p_range),
         non_assoc_witness=non_assoc_witness,
         fan_witness=fan_witness,
         central_witness=central_witness,

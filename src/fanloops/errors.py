@@ -50,6 +50,8 @@ class NoIdentity(AxiomError):
         self.counterexample = counterexample
         if candidate is None:
             msg = "no two-sided identity element"
+        elif counterexample is None:
+            msg = f"candidate identity {candidate} is not an element index"
         else:
             msg = (
                 f"candidate identity {candidate} fails at element {counterexample}"

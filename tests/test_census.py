@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from fanloops import census, core
-from fanloops.errors import OrderCapExceeded, UnknownPredicate
+from fanloops.errors import (
+    NoIdentity,
+    NotLatinSquare,
+    OrderCapExceeded,
+    UnknownPredicate,
+)
 
 # --- naive oracle ------------------------------------------------------------
 
@@ -219,3 +224,87 @@ def test_enumerated_loops_are_verified_objects():
         assert int(G.table[0, 1]) == 1  # reduced: identity first
         tbl = np.asarray(G.table)
         assert sorted(tbl[:, 0].tolist()) == list(range(4))
+
+
+# --- batched classification against the per-loop path -----------------------
+
+def _per_loop_verdicts(G):
+    """Each filter's verdict from verify_loop's loop and its analysis."""
+    a = G.analysis
+    return {
+        "all": True,
+        "fan-only": a.is_fan_loop,
+        "non-fan": not a.is_fan_loop,
+        "central-fan": a.is_central_fan_loop,
+        "nontrivial-two-sided-inverse-split":
+            any(G.inv_l(x) != G.inv_r(x) for x in G.elements()),
+    }
+
+
+def _snapshot(G):
+    return (G.labels, G.table.tobytes(), G.ldiv.tobytes(), G.rdiv.tobytes())
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_batch_masks_and_loops_match_verify_loop(order):
+    want = {name: [] for name in census.FILTERS}
+    tables = []
+    for table in census.iter_reduced_latin(order):
+        G = core.verify_loop(table, identity=0)
+        tables.append(_snapshot(G))
+        for name, verdict in _per_loop_verdicts(G).items():
+            want[name].append(verdict)
+    got = {name: [] for name in census.FILTERS}
+    for batch, ldiv, rdiv, masks in census._batches(order):
+        for name in census.FILTERS:
+            got[name].extend(masks[name].tolist())
+    assert got == want
+    emitted = list(census.enumerate_loops(order))
+    assert [_snapshot(G) for G in emitted] == tables
+    for G in emitted[:3] + emitted[-3:]:
+        for arr in (G.table, G.ldiv, G.rdiv):
+            assert arr.dtype == np.int16 and arr.shape == (order, order)
+            assert arr.flags.c_contiguous and arr.flags.owndata
+            assert not arr.flags.writeable
+
+
+def test_summary_order6_frozen():
+    assert census.summary(6) == {
+        "all": 9408,
+        "fan-only": 300,
+        "non-fan": 9108,
+        "central-fan": 240,
+        "nontrivial-two-sided-inverse-split": 7600,
+    }
+
+
+@pytest.mark.parametrize("filter", ["all", "non-fan"])
+def test_limit_prefix_across_batch_edges(filter):
+    full = [G.table.tobytes()
+            for G in census.enumerate_loops(census.CensusQuery(6, filter))]
+    assert len(full) > 2 * census._BATCH
+    for limit in (1, 255, 256, 257):
+        sweep = census.Sweep(census.CensusQuery(6, filter, limit=limit))
+        assert [G.table.tobytes() for G in sweep] == full[:limit]
+        assert sweep.total is None  # stopped early: not every square seen
+
+
+def test_sweep_total_counts_every_square():
+    for order, filter, limit in ((0, "all", None), (5, "fan-only", None),
+                                 (5, "fan-only", 7), (6, "central-fan", None)):
+        sweep = census.Sweep(census.CensusQuery(order, filter, limit=limit))
+        emitted = sum(1 for _ in sweep)
+        assert emitted == census.summary(order)[filter]
+        assert sweep.total == census.count_reduced(order)
+
+
+def test_a_non_latin_batch_is_refused():
+    batch = np.stack([np.asarray(G.table) for G in census.enumerate_loops(4)])
+    census._check_reduced(batch)
+    broken = batch.copy()
+    broken[2, 1, 1], broken[2, 1, 2] = broken[2, 1, 2], broken[2, 1, 1]
+    with pytest.raises(NotLatinSquare):
+        census._check_reduced(broken)
+    moved = batch[:, [1, 0, 2, 3]]  # Latin, but row 0 is no longer natural
+    with pytest.raises(NoIdentity):
+        census._check_reduced(moved)

@@ -268,6 +268,17 @@ def test_no_identity_names_the_first_counterexample(table, expect):
     assert (exc.value.candidate, exc.value.counterexample) == expect
 
 
+@pytest.mark.parametrize("identity", [7, -1], ids=["past-the-end", "negative"])
+def test_out_of_range_identity_is_refused(identity):
+    # the last row and column are natural, so a wrapped -1 would pass the
+    # identity check and fail later
+    table = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
+    with pytest.raises(NoIdentity) as exc:
+        core.verify_loop(table, identity=identity)
+    assert (exc.value.candidate, exc.value.counterexample) == (identity, None)
+    assert core.verify_loop(table, identity=2).labels == ("e", "x0", "x1")
+
+
 def test_identity_search_needs_a_natural_row_and_column():
     # a natural row (a left identity) alone, and a natural column alone
     left = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]

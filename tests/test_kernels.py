@@ -272,3 +272,41 @@ def test_first_scans_in_c_order():
     assert _kernels.first(np.broadcast_to(row, (4, 3))) == (0, 2)
     col = np.array([[False], [True]])
     assert _kernels.first(np.broadcast_to(col, (2, 3))) == (1, 0)
+
+
+def _relabel(table, perm):
+    """The isomorphic table under perm (perm[0] = 0 keeps the identity)."""
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def test_stacked_kernels_match_per_table_kernels():
+    # seeded order-6 loops, relabelled so the stack mixes isomorphic copies;
+    # each kernel on the stack, with one or two leading axes, equals the
+    # kernel on each table alone
+    rng = Random(11)
+    squares = list(_kernels.iter_reduced_latin(6))
+    tables = []
+    for T in rng.sample(squares, 12):
+        perm = np.array([0, *rng.sample(range(1, 6), 5)])
+        tables.append(_relabel(T, perm))
+    single = []
+    for T in tables:
+        ldiv, rdiv = _kernels.division_tables(T)
+        t, p = _kernels.assoc_tensors(T, ldiv, rdiv)
+        single.append((T, ldiv, rdiv, t, p, core.masks(T, rdiv, t, p)))
+    stacked = np.stack(tables)
+    for shape in ((12,), (3, 4)):
+        T = stacked.reshape(*shape, 6, 6)
+        ldiv, rdiv = _kernels.division_tables(T)
+        t, p = _kernels.assoc_tensors(T, ldiv, rdiv)
+        m = core.masks(T, rdiv, t, p)
+        for k, (_, ld1, rd1, t1, p1, m1) in enumerate(single):
+            at = np.unravel_index(k, shape)
+            for got, want in ((ldiv, ld1), (rdiv, rd1), (t, t1), (p, p1)):
+                assert np.array_equal(got[at], want)
+            for got, want in zip(m, m1):
+                assert np.array_equal(got[at], want)
+    # the sample holds fan and non-fan loops
+    assert m.is_fan.any() and not m.is_fan.all()
