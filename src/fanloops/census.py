@@ -11,12 +11,10 @@ for some a).
 """
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import _kernels, core
-from ._kernels import count_reduced_latin, iter_reduced_latin
 from .config import CENSUS_ORDER_CAP
 from .errors import OrderCapExceeded, UnknownPredicate
 
@@ -44,7 +42,7 @@ def _filter_masks(batch, ldiv, rdiv):
 
 
 def _check_reduced(batch):
-    """Re-check the backtracker's guarantee on a batch: every line is a
+    """Re-check the enumerator's guarantee on a batch: every line is a
     permutation of 0..n-1, and row 0 and column 0 are natural (identity 0).
     The first square that fails goes to core.verify_loop, which raises the
     typed error with its witness."""
@@ -64,12 +62,18 @@ def _batches(order):
     stream order, _BATCH squares at a time."""
     if order > CENSUS_ORDER_CAP:
         raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
-    squares = iter_reduced_latin(order)
-    while chunk := list(islice(squares, _BATCH)):
-        batch = np.stack(chunk)
+    for batch in _kernels.reduced_latin_squares(order, _BATCH):
         _check_reduced(batch)
         ldiv, rdiv = _kernels.division_tables(batch)
         yield batch, ldiv, rdiv, _filter_masks(batch, ldiv, rdiv)
+
+
+def iter_reduced_latin(order):
+    """The census's squares of this order one at a time, in stream order."""
+    if order > CENSUS_ORDER_CAP:
+        raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
+    for batch in _kernels.reduced_latin_squares(order, _BATCH):
+        yield from batch
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,11 @@ PREDICATES = {
 
 
 def count_reduced(order):
-    """Total number of reduced Latin squares at this order (no filter)."""
+    """Total number of reduced Latin squares at this order (no filter): one
+    per reduced (n-1)-row Latin rectangle, which completes uniquely."""
     if order > CENSUS_ORDER_CAP:
         raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
-    return count_reduced_latin(order)
+    return sum(map(len, _kernels.latin_rectangles(order)))
 
 
 def find_witness(order, predicate):
@@ -150,9 +155,7 @@ def find_witness(order, predicate):
     if predicate not in PREDICATES:
         raise UnknownPredicate(predicate, tuple(sorted(PREDICATES)))
     query = CensusQuery(order=order, filter=PREDICATES[predicate], limit=1)
-    for G in enumerate_loops(query):
-        return G
-    return None
+    return next(enumerate_loops(query), None)
 
 
 def summary(order):

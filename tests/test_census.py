@@ -6,6 +6,7 @@ membership) -- no shared code with fanloops.census or the kernels.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,8 @@ def test_order_cap():
         list(census.enumerate_loops(8))
     with pytest.raises(OrderCapExceeded):
         census.count_reduced(8)
+    with pytest.raises(OrderCapExceeded):
+        next(census.iter_reduced_latin(8))
 
 
 def test_enumerated_loops_are_verified_objects():
@@ -289,8 +292,42 @@ def test_limit_prefix_across_batch_edges(filter):
         assert sweep.total is None  # stopped early: not every square seen
 
 
+def test_batches_are_full_across_stack_edges():
+    # the enumerator's stacks of (n-1)-row rectangles end every 1,700 or so
+    # squares at order 6 and every 300 or so at order 7; only the last
+    # batch of a sweep may be short
+    full, rest = divmod(9408, census._BATCH)
+    assert ([len(batch) for batch, *_ in census._batches(6)]
+            == [census._BATCH] * full + [rest])
+    prefix = itertools.islice(census._batches(7), 100)
+    assert {len(batch) for batch, *_ in prefix} == {census._BATCH}
+
+
+def _traced_peak_mb(run):
+    """Peak memory traced while run() runs, in MB, above what was traced
+    when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_memory_is_bounded():
+    # Measured 1.5 MB for summary(6) and 3.3 MB for 2e5 squares of order 7;
+    # the bounds allow two thirds more.  Without the enumerator's bound on
+    # the pairs tested per step, summary(6) peaks at 3.5 MB, and order 7
+    # asks for 3 GB in one step, so the order-6 check comes first.
+    assert _traced_peak_mb(lambda: census.summary(6)) < 2.5
+    squares = itertools.islice(census.iter_reduced_latin(7), 2 * 10**5)
+    assert _traced_peak_mb(lambda: sum(1 for _ in squares)) < 5.5
+
+
 def test_sweep_total_counts_every_square():
-    for order, filter, limit in ((0, "all", None), (5, "fan-only", None),
+    for order, filter, limit in ((-1, "all", None), (0, "all", None),
+                                 (5, "fan-only", None),
                                  (5, "fan-only", 7), (6, "central-fan", None)):
         sweep = census.Sweep(census.CensusQuery(order, filter, limit=limit))
         emitted = sum(1 for _ in sweep)

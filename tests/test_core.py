@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fanloops import _kernels, catalog, core, products, quotient
+from fanloops import catalog, census, core, products, quotient
 from fanloops.errors import (
     LoopMismatch,
     NoIdentity,
@@ -295,7 +295,7 @@ def test_witnesses_match_lexicographic_oracle():
     # every loop of order 5: the first triple with (ab)c != a(bc), and the
     # first pair whose (ab)/(ba) leaves the centre, in row-major order
     seen = set()
-    for table in _kernels.iter_reduced_latin(5):
+    for table in census.iter_reduced_latin(5):
         G = core.verify_loop(table)
         n, a = G.order, G.analysis
         triples = [(x, y, z) for x in range(n) for y in range(n)

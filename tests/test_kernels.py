@@ -4,8 +4,9 @@ from itertools import islice
 from random import Random
 
 import numpy as np
+import pytest
 
-from fanloops import _kernels, catalog, core
+from fanloops import _kernels, catalog, census, core
 
 # --- naive oracles ---------------------------------------------------------
 
@@ -119,6 +120,57 @@ def naive_count_reduced(n):
     return extend(rows0)
 
 
+def iter_reduced_latin(n):
+    """Yield every reduced Latin square of order n in lexicographic order.
+
+    The census's former per-square backtracker, kept as the oracle of the
+    stacked enumerator: row-major backtracking with bitmask forward checking
+    on rows and columns, candidate values tried in increasing order.
+    """
+    if n < 1:
+        return
+    base = np.empty((n, n), np.int16)
+    base[0, :] = np.arange(n, dtype=np.int16)
+    base[:, 0] = np.arange(n, dtype=np.int16)
+    if n == 1:
+        yield base.copy()
+        return
+    m = (n - 1) * (n - 1)
+    full = (1 << n) - 1
+    rowmask = [(1 << i) for i in range(n)]
+    colmask = [(1 << i) for i in range(n)]
+    rowmask[0] = full
+    colmask[0] = full
+    choice = [-1] * m
+    pos = 0
+    while pos >= 0:
+        i = 1 + pos // (n - 1)
+        j = 1 + pos % (n - 1)
+        v = choice[pos] + 1
+        if choice[pos] >= 0:
+            bit = 1 << choice[pos]
+            rowmask[i] &= ~bit
+            colmask[j] &= ~bit
+            choice[pos] = -1
+        while v < n:
+            bit = 1 << v
+            if not (rowmask[i] & bit) and not (colmask[j] & bit):
+                break
+            v += 1
+        if v >= n:
+            pos -= 1
+            continue
+        choice[pos] = v
+        bit = 1 << v
+        rowmask[i] |= bit
+        colmask[j] |= bit
+        base[i, j] = v
+        if pos == m - 1:
+            yield base.copy()
+        else:
+            pos += 1
+
+
 # --- tests ----------------------------------------------------------------
 
 SAMPLE = [
@@ -130,7 +182,7 @@ SAMPLE = [
 def reduced_loops(n, count=None):
     """The first `count` (default all) reduced Latin squares of order n as
     loops."""
-    tables = islice(_kernels.iter_reduced_latin(n), count)
+    tables = islice(census.iter_reduced_latin(n), count)
     return [core.verify_loop(t) for t in tables]
 
 
@@ -234,17 +286,17 @@ def test_fan_violation_octonion():
 
 def test_count_reduced_latin_vs_naive_oracle():
     for n in range(1, 6):
-        assert _kernels.count_reduced_latin(n) == naive_count_reduced(n)
+        assert census.count_reduced(n) == naive_count_reduced(n)
 
 
 def test_count_reduced_latin_order6_frozen():
     # value derived once from the unpruned oracle (minutes at order 6),
     # frozen here; the counter must keep agreeing
-    assert _kernels.count_reduced_latin(6) == 9408
+    assert census.count_reduced(6) == 9408
 
 
 def test_iter_reduced_latin_lexicographic_and_complete():
-    tables = [t.copy() for t in _kernels.iter_reduced_latin(4)]
+    tables = [t.copy() for t in census.iter_reduced_latin(4)]
     assert len(tables) == 4
     keys = [t.tobytes() for t in tables]
     assert keys == sorted(keys)
@@ -252,6 +304,37 @@ def test_iter_reduced_latin_lexicographic_and_complete():
         assert _kernels.latin_violation(t)[0] == _kernels.LATIN_OK
         assert np.array_equal(t[0], np.arange(4))
         assert np.array_equal(t[:, 0], np.arange(4))
+
+
+@pytest.fixture(scope="module")
+def order7_prefix():
+    """The backtracker's first 10^5 squares of order 7 (about 5 s)."""
+    return np.stack(list(islice(iter_reduced_latin(7), 10**5)))
+
+
+def test_stacked_enumerator_matches_backtracker():
+    # stacks of 1 and 7 squares end inside almost every stack of (n-1)-row
+    # rectangles; 256 is the census batch
+    for n in range(1, 7):
+        want = np.stack(list(iter_reduced_latin(n)))
+        for size in (1, 7, 256):
+            stacks = list(_kernels.reduced_latin_squares(n, size))
+            assert [len(s) for s in stacks[:-1]] == [size] * (len(stacks) - 1)
+            assert all(s.dtype == np.int16 for s in stacks)
+            assert np.array_equal(np.concatenate(stacks), want)
+
+
+def test_stacked_enumerator_matches_backtracker_on_order7_prefix(
+        order7_prefix):
+    stacks = islice(_kernels.reduced_latin_squares(7, 256), 10**5 // 256 + 1)
+    got = np.concatenate(list(stacks))[:10**5]
+    assert got.dtype == np.int16 and np.array_equal(got, order7_prefix)
+
+
+def test_census_stream_at_order7_starts_as_the_backtracker(order7_prefix):
+    query = census.CensusQuery(7, filter="all", limit=1000)
+    tables = [G.table for G in census.enumerate_loops(query)]
+    assert np.array_equal(np.stack(tables), order7_prefix[:1000])
 
 
 def test_first_scans_in_c_order():
@@ -286,7 +369,7 @@ def test_stacked_kernels_match_per_table_kernels():
     # each kernel on the stack, with one or two leading axes, equals the
     # kernel on each table alone
     rng = Random(11)
-    squares = list(_kernels.iter_reduced_latin(6))
+    squares = list(census.iter_reduced_latin(6))
     tables = []
     for T in rng.sample(squares, 12):
         perm = np.array([0, *rng.sample(range(1, 6), 5)])
