@@ -27,18 +27,23 @@ FILTERS = ("all", "fan-only", "non-fan", "central-fan",
            "nontrivial-two-sided-inverse-split")
 
 
-def _filter_masks(batch, ldiv, rdiv):
-    """Filter name -> boolean mask over a (k, n, n) stack of loop tables."""
-    m = core.masks(batch, rdiv, *_kernels.assoc_tensors(batch, ldiv, rdiv))
-    return {
+def _filter_masks(batch, ldiv, rdiv, names):
+    """Filter name -> boolean mask over a (k, n, n) stack of loop tables,
+    for at least ``names``: no tensor is built when none of them reads one."""
+    masks = {
         "all": np.ones(len(batch), dtype=bool),
-        "fan-only": m.is_fan,
-        "non-fan": ~m.is_fan,
-        "central-fan": m.is_fan & m.central_pairs.all(axis=(-2, -1)),
         # e/a != a\e for some a: the split is witnessed
         "nontrivial-two-sided-inverse-split":
             (ldiv[..., 0] != rdiv[..., 0, :]).any(axis=-1),
     }
+    if not masks.keys() >= set(names):
+        m = core.masks(batch, rdiv, *_kernels.assoc_tensors(batch, ldiv, rdiv))
+        masks.update({
+            "fan-only": m.is_fan,
+            "non-fan": ~m.is_fan,
+            "central-fan": m.is_fan & m.central_pairs.all(axis=(-2, -1)),
+        })
+    return masks
 
 
 def _check_reduced(batch):
@@ -57,21 +62,27 @@ def _check_reduced(batch):
         raise AssertionError(f"square {bad} of the batch is not reduced")
 
 
-def _batches(order):
-    """(batch, ldiv, rdiv, masks) for the reduced squares of this order in
-    stream order, _BATCH squares at a time."""
+def _check_order(order):
+    """Refuse an order below 1 or above the census cap."""
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     if order > CENSUS_ORDER_CAP:
         raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
+
+
+def _batches(order, names=FILTERS):
+    """(batch, ldiv, rdiv, masks of ``names``) for the reduced squares of
+    this order in stream order, _BATCH squares at a time."""
+    _check_order(order)
     for batch in _kernels.reduced_latin_squares(order, _BATCH):
         _check_reduced(batch)
         ldiv, rdiv = _kernels.division_tables(batch)
-        yield batch, ldiv, rdiv, _filter_masks(batch, ldiv, rdiv)
+        yield batch, ldiv, rdiv, _filter_masks(batch, ldiv, rdiv, names)
 
 
 def iter_reduced_latin(order):
     """The census's squares of this order one at a time, in stream order."""
-    if order > CENSUS_ORDER_CAP:
-        raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
+    _check_order(order)
     for batch in _kernels.reduced_latin_squares(order, _BATCH):
         yield from batch
 
@@ -85,6 +96,8 @@ class CensusQuery:
     def __post_init__(self):
         if self.filter not in FILTERS:
             raise UnknownPredicate(self.filter, FILTERS)
+        if self.order < 1:
+            raise ValueError(f"order must be at least 1, got {self.order}")
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"limit must be at least 0, got {self.limit}")
 
@@ -103,13 +116,12 @@ class Sweep:
     def __iter__(self):
         q = self.query
         # the cap is refused even when the limit asks for nothing
-        if q.order > CENSUS_ORDER_CAP:
-            raise OrderCapExceeded(q.order, CENSUS_ORDER_CAP)
+        _check_order(q.order)
         if q.limit == 0:
             return
         labels = core.default_labels(q.order)
         emitted = visited = 0
-        for batch, ldiv, rdiv, masks in _batches(q.order):
+        for batch, ldiv, rdiv, masks in _batches(q.order, (q.filter,)):
             visited += len(batch)
             for i in np.flatnonzero(masks[q.filter]):
                 # own copies, so the loop does not keep the batch alive
@@ -144,8 +156,7 @@ PREDICATES = {
 def count_reduced(order):
     """Total number of reduced Latin squares at this order (no filter): one
     per reduced (n-1)-row Latin rectangle, which completes uniquely."""
-    if order > CENSUS_ORDER_CAP:
-        raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
+    _check_order(order)
     return sum(map(len, _kernels.latin_rectangles(order)))
 
 

@@ -586,16 +586,19 @@ def cmd_census(order, filter="all", limit=None, cap=None):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _limit(text):
-    """The census --limit: an integer of at least 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer of at least 0, got {text!r}")
-    return n
+def _at_least(low):
+    """An argparse type: an integer of at least ``low`` (the census order,
+    at least 1, and --limit, at least 0)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {low}, got {text!r}")
+        return n
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -637,9 +640,9 @@ def _build_parser():
                    help="write the product loop file here")
 
     p = sub.add_parser("census", help="enumerate small loops")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_at_least(1))
     p.add_argument("--filter", default="all", choices=census.FILTERS)
-    p.add_argument("--limit", type=_limit, default=None)
+    p.add_argument("--limit", type=_at_least(0), default=None)
     return ap
 
 

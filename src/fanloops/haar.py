@@ -1,10 +1,11 @@
 r"""Left-invariant measure machinery on finite fan loops, exact throughout.
 
-The chain: covering numbers (f:φ) realized as rational LPs, the ratio
-functional J_{φ,f₀}(f) = (f:φ)/(f₀:φ), its directed limit as supports of φ
-shrink to {e} (on a discrete loop the tail is constant, so the limit is the
-point-mass value), the induced invariant functional/measure, and the
-uniqueness constant between two references.
+The chain: covering numbers (f:φ), each solved and certified as one exact
+LP, the dual of the covering LP; the ratio functional J_{φ,f₀}(f) =
+(f:φ)/(f₀:φ); its directed limit as supports of φ shrink to {e} (on a
+discrete loop the tail is constant, so the limit is the point-mass value);
+the induced invariant functional/measure; and the uniqueness constant
+between two references.
 
 Point-mass covering numbers have a closed form with a hand-checkable LP
 certificate: the constraint at x is served only by the variable at b = e/x,
@@ -148,14 +149,14 @@ def covering_problem(f, phi):
 
 
 def covering_number(f, phi):
-    """(f:φ), exact, via the full LP over all n translates.
+    """(f:φ), exact, via the LP dual of the covering LP over all n translates.
 
-    The LP is solved through its dual, max f·y s.t. Σ_x φ(bx)·y_x ≤ 1 and
-    y ≥ 0, given to lp.solve as min −f·y s.t. −Φᵀy ≥ −1: every right-hand
-    side is negative, so the surplus basis is feasible from the start and
-    phase 1 does nothing.  That solution's dual is the primal witness c, and
-    the swapped pair is certified by lp.verify_certificate against the
-    primal covering_problem(f, φ).
+    That dual, max f·y s.t. Σ_x φ(bx)·y_x ≤ 1 and y ≥ 0, is given to
+    lp.solve as D: min −f·y s.t. −Φᵀy ≥ −1, where every right-hand side is
+    negative, so the surplus basis is feasible from the start and phase 1
+    does nothing.  The LP dual of D is covering_problem(f, φ) with its
+    objective negated, so lp.verify_certificate(D, solution) proves
+    (f:φ) = −optimum, with the covering witness c as D's dual.
 
     Asserts the analog of the classical covering bound: with q a point of
     maximal φ and m = |S_f|, the optimum is at most 2m·‖f‖/φ(q).
@@ -163,27 +164,25 @@ def covering_number(f, phi):
     _same_loop(f, phi)
     if phi.is_zero():
         raise ZeroComparisonFunction()
-    problem = covering_problem(f, phi)
     neg = [-v for v in phi.values]
-    dual = lp.LPProblem(
+    problem = lp.LPProblem(
         tuple(-v for v in f.values),
         tuple(tuple(neg[bx] for bx in row) for row in f.loop.table.tolist()),
         (-_F1,) * f.loop.order,
     )
-    dsol = lp.solve(dual)
-    if dsol.status != lp.OPTIMAL:  # pragma: no cover - impossible on loops
-        raise FanLoopCheckFailed("covering-lp-" + dsol.status, (f.values,))
-    sol = lp.LPSolution(lp.OPTIMAL, -dsol.optimum, dsol.dual, dsol.witness,
-                        dsol.iterations)
+    sol = lp.solve(problem)
+    if sol.status != lp.OPTIMAL:  # pragma: no cover - impossible on loops
+        raise FanLoopCheckFailed("covering-lp-" + sol.status, (f.values,))
     cert = lp.verify_certificate(problem, sol)
     if not cert.ok:
         raise FanLoopCheckFailed("covering-lp-certificate", (cert.reason,))
+    value = -sol.optimum
     q = max(range(f.loop.order), key=lambda i: phi.values[i])
     m = len(f.support())
     bound = Fraction(2 * m) * f.sup_norm() / phi.values[q]
-    if sol.optimum > bound:  # pragma: no cover - theorem-backed
-        raise FanLoopCheckFailed("covering-bound", (sol.optimum, bound))
-    return sol.optimum
+    if value > bound:  # pragma: no cover - theorem-backed
+        raise FanLoopCheckFailed("covering-bound", (value, bound))
+    return value
 
 
 def translate(f, b, mode="left"):

@@ -406,13 +406,10 @@ def _check_full(G, law, pools):
         if rhs is None:
             if nuc_mask is None:
                 nuc_mask = G.analysis.nucleus.mask()
-            bad = ~nuc_mask[lv]
+            bad = np.broadcast_to(~nuc_mask[lv], shape)
         else:
-            rv = rhs.ev(G, env)
-            bad = np.broadcast_to(lv, shape) != np.broadcast_to(rv, shape)
+            bad = np.broadcast_to(lv != rhs.ev(G, env), shape)
         checked += per_clause
-        if bad.ndim < len(shape) or bad.shape != shape:
-            bad = np.broadcast_to(bad, shape)
         coords = _kernels.first(bad)
         if coords is not None:
             witness = {

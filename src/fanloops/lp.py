@@ -18,9 +18,9 @@ an entry a/d has more than LP_BIT_ALARM bits in a and d together, rather
 than failing.
 
 ``verify_certificate`` checks an optimum from the problem and the solution
-alone, in Python ints too: the data are scaled by one common denominator,
-the witness and the dual each by their own, and each row and column sum
-runs over the nonzero coordinates of the witness or the dual only.
+alone, in Python ints too: it reads the data as LPProblem scaled them once
+for the tableau, scales the witness and the dual by their own denominators,
+and sums each row and column over their nonzero coordinates only.
 
 Input is exact: ints, Fractions and rational strings such as "5/2".  Floats
 are refused, since a binary float such as 0.1 is not the rational it reads
@@ -30,7 +30,7 @@ as.
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import LP_BIT_ALARM
@@ -48,8 +48,8 @@ class BitGrowthWarning(UserWarning):
 
 
 def rational(x):
-    """x as a Fraction: ints (numpy's too), Fractions and rational strings
-    are exact; a float (numpy's too) is refused with a ValueError."""
+    """x as a Fraction of Python ints, from an int (numpy's too), a Fraction or
+    a rational string; a float (numpy's too) is refused with a ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
@@ -57,17 +57,21 @@ def rational(x):
             f"float {x!r} is not exact: give an int, a Fraction or a "
             "rational string"
         )
-    return Fraction(x.numerator, x.denominator) if hasattr(x, "numerator") \
-        else Fraction(x)
+    return Fraction(int(x.numerator), int(x.denominator)) \
+        if hasattr(x, "numerator") else Fraction(x)
 
 
 @dataclass(frozen=True)
 class LPProblem:
-    """minimize objective·x  s.t.  A x >= b,  x >= 0."""
+    """minimize objective·x  s.t.  A x >= b,  x >= 0.
+
+    ``integer_form`` holds the data as ints, scaled once: ((s, s·objective),
+    ((s_i, s_i·(A[i] + (b[i],))) for each row i)), each s the least scale."""
 
     objective: tuple
     A: tuple
     b: tuple
+    integer_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         obj = tuple(rational(v) for v in self.objective)
@@ -81,6 +85,8 @@ class LPProblem:
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "A", rows)
         object.__setattr__(self, "b", rhs)
+        object.__setattr__(self, "integer_form", (_scaled(obj), tuple(
+            _scaled(row + (v,)) for row, v in zip(rows, rhs))))
 
     @property
     def n_vars(self):
@@ -110,12 +116,12 @@ class CertificateReport:
         return self.ok
 
 
-def _scaled(values, sign=1):
+def _scaled(values):
     """(scale, ints): the least positive integer scale clearing every
-    denominator, and sign·scale·v for each value."""
+    denominator of the Fractions ``values``, and scale·v for each value."""
     scale = math.lcm(*(v.denominator for v in values))
-    return scale, [sign * v.numerator * (scale // v.denominator)
-                   for v in values]
+    return scale, tuple([v.numerator * (scale // v.denominator)
+                         for v in values])
 
 
 class _Tableau:
@@ -136,22 +142,20 @@ class _Tableau:
         n, m = problem.n_vars, problem.n_constraints
         self.n, self.m = n, m
         self.n_total = n + m
-        self.c_scale, self.c = _scaled(problem.objective)
-        signs = [-1 if v < 0 else 1 for v in problem.b]
-        open_rows = [i for i in range(m) if signs[i] == 1]
-        # the surplus of row i has coefficient -signs[i]; it is basic
-        # (coefficient +1) in the negated rows and a column in the others
+        (self.c_scale, self.c), scaled = problem.integer_form
+        self.row_scale = [scale for scale, _ in scaled]
+        open_rows = [i for i, (_, row) in enumerate(scaled) if row[-1] >= 0]
+        # the surplus of row i has coefficient -1 in the open rows, where it
+        # is a column, and +1 in the negated ones, where it is basic
         self.cols = list(range(n)) + [n + i for i in open_rows]
         self.rows = []
-        self.row_scale = []
         self.basis = []
         self.n_art = 0
-        for i in range(m):
-            scale, row = _scaled(problem.A[i] + (problem.b[i],), signs[i])
-            self.row_scale.append(scale)
+        for i, (_, ints) in enumerate(scaled):
+            row = list(ints) if ints[-1] >= 0 else [-v for v in ints]
             row[n:n] = [-1 if k == i else 0 for k in open_rows]
             self.rows.append(row)
-            if signs[i] == 1:
+            if ints[-1] >= 0:
                 self.basis.append(self.n_total + self.n_art)
                 self.n_art += 1
             else:
@@ -318,16 +322,16 @@ def verify_certificate(problem, solution):
     Independent of the solver path: it reads only the problem and the
     solution, never a tableau.
 
-    The check runs in Python ints.  A, b and c are scaled by one common
-    denominator L, the witness x by its own dx and the dual y by its own dy;
-    every row and column sum runs over the nonzero coordinates of x or y
-    alone, and signs and cross-multiplied totals are compared as ints.  The
-    primal objective is rebuilt as a Fraction only for the comparison with
-    ``solution.optimum``.  The checks run in this order, and the first that
-    fails gives the report's reason and index: status, lengths, witness
-    sign, primal rows, dual columns, dual sign, objective, duality gap, then
-    row and column complementary slackness.  A float in the witness or the
-    dual raises ValueError, as in LPProblem."""
+    The check runs in Python ints on the problem's integer_form, with the
+    witness x scaled by its own dx and the dual of the scaled problem by its
+    own dy; every row and column sum runs over the nonzero coordinates of x
+    or y alone, and signs and cross-multiplied totals are compared as ints.
+    The primal objective is rebuilt as a Fraction only for the comparison
+    with ``solution.optimum``.  The checks run in this order, and the first
+    that fails gives the report's reason and index: status, lengths,
+    witness sign, primal rows, dual columns, dual sign, objective, duality
+    gap, then row and column complementary slackness.  A float in the
+    witness or the dual raises ValueError, as in LPProblem."""
     if solution.status != OPTIMAL:
         return CertificateReport(False, "status not optimal")
     x = solution.witness
@@ -341,37 +345,33 @@ def verify_certificate(problem, solution):
     for j, v in enumerate(x):
         if v < 0:
             return CertificateReport(False, "negative witness coordinate", j)
-    A, b, c = problem.A, problem.b, problem.objective
-    dens = {v.denominator for row in A for v in row}
-    dens.update(v.denominator for v in b + c)
-    L = math.lcm(*dens)
-    unit = {d: L // d for d in dens}
-
-    def z(v):  # L·v as an int
-        return v.numerator * unit[v.denominator]
-
+    (sc, c), scaled = problem.integer_form
+    A = [row for _, row in scaled]
     dx, X = _scaled(x)
-    dy, Y = _scaled(y)
+    # row i of A is s_i times the problem's and c is sc times its objective,
+    # so the dual of the scaled problem is y_i·sc/s_i
+    dy, Y = _scaled([Fraction(v.numerator * sc, v.denominator * si)
+                     for v, (si, _) in zip(y, scaled)])
     nzx = [(j, v) for j, v in enumerate(X) if v]
     nzy = [(i, v) for i, v in enumerate(Y) if v]
-    slacks = []  # L·dx·(A x - b), row by row
+    slacks = []  # s_i·dx·(A x - b), row by row
     for i, row in enumerate(A):
-        s = sum(z(row[j]) * v for j, v in nzx) - z(b[i]) * dx
+        s = sum(row[j] * v for j, v in nzx) - row[-1] * dx
         if s < 0:
             return CertificateReport(False, "primal constraint violated", i)
         slacks.append(s)
-    reduced = []  # L·dy·(c - Aᵀy), column by column
+    reduced = []  # sc·dy·(c - Aᵀy), column by column
     for j, cj in enumerate(c):
-        r = z(cj) * dy - sum(z(A[i][j]) * v for i, v in nzy)
+        r = cj * dy - sum(A[i][j] * v for i, v in nzy)
         if r < 0:
             return CertificateReport(False, "dual constraint violated", j)
         reduced.append(r)
     for i, v in enumerate(Y):
         if v < 0:
             return CertificateReport(False, "negative dual coordinate", i)
-    primal = sum(z(c[j]) * v for j, v in nzx)  # L·dx·(c·x)
-    dual = sum(z(b[i]) * v for i, v in nzy)    # L·dy·(b·y)
-    if Fraction(primal, L * dx) != solution.optimum:
+    primal = sum(c[j] * v for j, v in nzx)    # sc·dx·(c·x)
+    dual = sum(A[i][-1] * v for i, v in nzy)  # sc·dy·(b·y)
+    if Fraction(primal, sc * dx) != solution.optimum:
         return CertificateReport(False, "objective mismatch with witness")
     if dual * dx != primal * dy:
         return CertificateReport(False, "duality gap nonzero")

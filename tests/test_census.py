@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fanloops import census, core
+from fanloops import _kernels, census, core
 from fanloops.errors import (
     NoIdentity,
     NotLatinSquare,
@@ -221,6 +221,17 @@ def test_order_cap():
         next(census.iter_reduced_latin(8))
 
 
+@pytest.mark.parametrize("order", [0, -1, -2])
+def test_an_order_below_1_is_refused(order):
+    for call in (lambda: census.CensusQuery(order),
+                 lambda: census.CensusQuery(order, limit=0),
+                 lambda: census.summary(order),
+                 lambda: census.count_reduced(order),
+                 lambda: next(census.iter_reduced_latin(order))):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            call()
+
+
 def test_enumerated_loops_are_verified_objects():
     for G in census.enumerate_loops(4):
         assert isinstance(G, core.FiniteLoop)
@@ -292,6 +303,20 @@ def test_limit_prefix_across_batch_edges(filter):
         assert sweep.total is None  # stopped early: not every square seen
 
 
+@pytest.mark.parametrize("filter, tensors", [
+    ("all", False), ("nontrivial-two-sided-inverse-split", False),
+    ("non-fan", True), ("central-fan", True)])
+def test_only_the_tensor_filters_build_tensors(filter, tensors, monkeypatch):
+    calls = []
+    build = _kernels.assoc_tensors
+    monkeypatch.setattr(_kernels, "assoc_tensors",
+                        lambda *args: calls.append(1) or build(*args))
+    emitted = sum(1 for _ in census.enumerate_loops(
+        census.CensusQuery(5, filter)))
+    assert bool(calls) == tensors
+    assert emitted == census.summary(5)[filter]
+
+
 def test_batches_are_full_across_stack_edges():
     # the enumerator's stacks of (n-1)-row rectangles end every 1,700 or so
     # squares at order 6 and every 300 or so at order 7; only the last
@@ -326,8 +351,7 @@ def test_enumeration_memory_is_bounded():
 
 
 def test_sweep_total_counts_every_square():
-    for order, filter, limit in ((-1, "all", None), (0, "all", None),
-                                 (5, "fan-only", None),
+    for order, filter, limit in ((1, "all", None), (5, "fan-only", None),
                                  (5, "fan-only", 7), (6, "central-fan", None)):
         sweep = census.Sweep(census.CensusQuery(order, filter, limit=limit))
         emitted = sum(1 for _ in sweep)

@@ -490,6 +490,16 @@ def test_census_refuses_a_negative_limit(value, capsys):
     assert out.out == "" and "--limit" in out.err
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_census_refuses_an_order_below_1(value, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["census", value])
+    assert e.value.code == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and "argument order: must be an integer of at " \
+        f"least 1, got {value!r}" in out.err
+
+
 @pytest.mark.parametrize("argv", [[], ["frobnicate"]],
                          ids=["missing", "unknown"])
 def test_exit_1_malformed_subcommand(argv, capsys):

@@ -7,6 +7,7 @@ octonion basis loop and one smashed product so both the associative and the
 genuinely nonassociative regimes are exercised.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -533,21 +534,56 @@ def test_covering_rejects_mismatched_loops():
 
 
 def test_covering_number_refuses_a_failed_certificate(q8, monkeypatch):
-    # a solver whose dual-LP dual, the covering witness, is off by one
+    # a solver whose answer is off by one in a coordinate of D's dual (the
+    # covering witness) or of D's witness y, with the optimum left as it was
     solve = lp.solve
 
-    def perturbed(problem):
-        sol = solve(problem)
-        dual = (sol.dual[0] + 1,) + sol.dual[1:]
-        return lp.LPSolution(sol.status, sol.optimum, sol.witness, dual,
-                             sol.iterations)
+    def perturbed(field):
+        def solve_off_by_one(problem):
+            sol = solve(problem)
+            values = getattr(sol, field)
+            return dataclasses.replace(
+                sol, **{field: (values[0] + 1,) + values[1:]})
+        return solve_off_by_one
 
-    monkeypatch.setattr(lp, "solve", perturbed)
-    with pytest.raises(FanLoopCheckFailed, match="covering-lp-certificate") \
-            as exc:
-        haar.covering_number(haar.constant(q8), haar.delta(q8))
-    assert exc.value.check == "covering-lp-certificate"
-    assert exc.value.witness == ("objective mismatch with witness",)
+    for field, reason in (("dual", "duality gap nonzero"),
+                          ("witness", "primal constraint violated")):
+        monkeypatch.setattr(lp, "solve", perturbed(field))
+        with pytest.raises(FanLoopCheckFailed,
+                           match="covering-lp-certificate") as exc:
+            haar.covering_number(haar.constant(q8), haar.delta(q8))
+        assert exc.value.check == "covering-lp-certificate"
+        assert exc.value.witness == (reason,)
+
+
+def test_covering_number_certifies_the_one_lp_it_solves(q8, monkeypatch):
+    problem_cls, solve, verify = lp.LPProblem, lp.solve, lp.verify_certificate
+    built, solved, certified = [], [], []
+
+    def build(*args):
+        built.append(problem_cls(*args))
+        return built[-1]
+
+    def solve_logged(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    def verify_logged(problem, solution):
+        certified.append(problem)
+        return verify(problem, solution)
+
+    monkeypatch.setattr(lp, "LPProblem", build)
+    monkeypatch.setattr(lp, "solve", solve_logged)
+    monkeypatch.setattr(lp, "verify_certificate", verify_logged)
+    rng = random.Random(SEED)
+    for _ in range(3):
+        f, phi = haar.random_function(q8, rng), haar.random_function(q8, rng)
+        value = haar.covering_number(f, phi)
+        assert len(built) == len(solved) == len(certified) == 1
+        assert solved[0] is built[0] and certified[0] is built[0]
+        assert value == -solve(built[0]).optimum
+        for log in (built, solved, certified):
+            log.clear()
 
 
 def test_sedenion_spot_check():

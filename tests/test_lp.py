@@ -175,6 +175,35 @@ def test_problem_validation():
     assert all(type(v) is F for v in prob.objective + prob.A[0] + prob.b)
 
 
+def test_numpy_ints_are_taken_as_python_ints():
+    # an np.int64 numerator would overflow in the tableau: 2**40·2**40 wraps
+    big = np.int64(2**40)
+    prob = lp.LPProblem((big,), ((big,),), (big,))
+    assert all(type(v.numerator) is int
+               for v in prob.objective + prob.A[0] + prob.b)
+    sol = lp.solve(prob)
+    assert sol.optimum == 2**40 and lp.verify_certificate(prob, sol)
+
+
+def test_integer_form_is_the_data_at_least_scales():
+    rng = random.Random(60610)
+    problems = [random_problem(rng) for _ in range(40)] + [
+        _manual(),
+        lp.LPProblem(("1/3", 2), ((1, "5/2"),), ("-2",)),
+        lp.LPProblem((F(1, 3), np.int64(2)), ((1, F(5, 2)),), (-2,)),
+    ]
+    for prob in problems:
+        objective, rows = prob.integer_form
+        assert len(rows) == prob.n_constraints
+        for (scale, ints), values in [(objective, prob.objective)] + [
+                (row, a + (b,)) for row, a, b in zip(rows, prob.A, prob.b)]:
+            assert all(type(v) is int for v in ints)
+            assert [F(v, scale) for v in ints] == list(values)
+            # no smaller positive scale clears every denominator
+            assert all(any((k * v).denominator != 1 for v in values)
+                       for k in range(1, scale)), (values, scale)
+
+
 @pytest.mark.parametrize("value", [0.5, float("nan"), np.float64(0.1),
                                    np.float32(2.0)])
 def test_problem_refuses_floats(value):
@@ -358,13 +387,14 @@ def test_integer_certificate_matches_the_fraction_checker():
 
 
 def test_integer_certificate_matches_on_covering_pairs(monkeypatch):
-    # the swapped (primal problem, dual-LP solution) pairs covering_number
-    # certifies, on criterion 4's loop family
+    # the (dual LP D, solution) pairs covering_number certifies, and the
+    # swapped (covering problem, solution) pairs they stand for, on
+    # criterion 4's loop family
     family = [catalog.cyclic(k) for k in range(1, 7)]
     family += [catalog.klein4(), catalog.symmetric3()]
     family += [census.find_witness(5, "non-fan"),
                census.find_witness(6, "non-fan")]
-    pairs = []
+    pairs, swapped = [], []
     verify = lp.verify_certificate
 
     def recorded(problem, solution):
@@ -375,11 +405,19 @@ def test_integer_certificate_matches_on_covering_pairs(monkeypatch):
     rng = random.Random(60612)
     for G in family:
         for _ in range(3):
-            haar.covering_number(haar.random_function(G, rng),
-                                 haar.random_function(G, rng))
+            f, phi = haar.random_function(G, rng), haar.random_function(G, rng)
+            haar.covering_number(f, phi)
+            sol = pairs[-1][1]
+            swapped.append((haar.covering_problem(f, phi), lp.LPSolution(
+                lp.OPTIMAL, -sol.optimum, sol.dual, sol.witness,
+                sol.iterations)))
     monkeypatch.undo()
     assert len(pairs) == 3 * len(family)
-    assert _compare_checkers(pairs, rng) == _REACHABLE
+    on_d = _compare_checkers(pairs, rng)
+    # a sign flipped in D's dual, the covering witness, breaks a dual
+    # constraint first, since D's objective and matrix are nonpositive
+    assert on_d == _REACHABLE - {"negative dual coordinate"}
+    assert on_d | _compare_checkers(swapped, rng) == _REACHABLE
 
 
 # --- bit-growth alarm --------------------------------------------------------
