@@ -603,7 +603,12 @@ def _at_least(low):
 
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a malformed command line: argparse's own code, 2, is the
-    contract's code for an axiom failure.  Subparsers inherit the class."""
+    contract's code for an axiom failure.  Subparsers inherit the class.
+    Long options are never abbreviated: `--f` would otherwise expand to
+    `--f0` and read a function file as the reference."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

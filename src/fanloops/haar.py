@@ -12,8 +12,15 @@ certificate: the constraint at x is served only by the variable at b = e/x,
 forcing c_{e/x} = f(x); the all-ones dual matches.  HaarFunctional uses
 this certified path per evaluation and cross-checks it against the simplex
 once at construction.
+
+Every LoopFunction carries its values' integer form, (least common
+denominator, integer numerators), computed once when it is built.  The
+covering LP is built from the two functions' integer forms without a
+Fraction, and the closed form sums integer numerators over one scale.
+Element indices outside 0..n-1 are refused, never wrapped.
 """
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -37,19 +44,25 @@ _F1 = Fraction(1)
 
 @dataclass(frozen=True)
 class LoopFunction:
-    """A nonnegative rational-valued function on a finite loop."""
+    """A nonnegative rational-valued function on a finite loop.
+
+    ``integer_form`` is (s, nums): s the least common denominator of the
+    values and nums the Python ints s·f(x), so f(x) = nums[x]/s."""
 
     loop: core.FiniteLoop = field(compare=False)
     values: tuple = ()
+    integer_form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(lp.rational(v) for v in self.values)
         if len(vals) != self.loop.order:
             raise ValueError("value vector length != loop order")
-        for i, v in enumerate(vals):
-            if v < 0:
-                raise ValueError(f"negative value at {self.loop.label(i)}")
+        form = lp.scaled(vals)
+        if min(form[1]) < 0:
+            i = next(i for i, v in enumerate(form[1]) if v < 0)
+            raise ValueError(f"negative value at {self.loop.label(i)}")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "integer_form", form)
 
     def __call__(self, x):
         return self.values[x]
@@ -65,16 +78,18 @@ class LoopFunction:
         return hash(self.values)
 
     def support(self):
-        return frozenset(i for i, v in enumerate(self.values) if v != 0)
+        return frozenset(i for i, v in enumerate(self.integer_form[1]) if v)
 
     def is_zero(self):
-        return all(v == 0 for v in self.values)
+        return not any(self.integer_form[1])
 
     def total(self):
-        return sum(self.values, _F0)
+        scale, nums = self.integer_form
+        return Fraction(sum(nums), scale)
 
     def sup_norm(self):
-        return max(self.values, default=_F0)
+        scale, nums = self.integer_form
+        return Fraction(max(nums, default=0), scale)
 
     def scale(self, alpha):
         alpha = lp.rational(alpha)
@@ -97,12 +112,26 @@ def constant(G, value=1):
     return LoopFunction(G, (lp.rational(value),) * G.order)
 
 
+def _element(G, x):
+    """The index of element x, given as an index or a label; an index
+    outside 0..n-1, or one that is not an integer, is refused with
+    ValueError rather than wrapped or truncated."""
+    if isinstance(x, str):
+        return G.index(x)
+    try:
+        i = operator.index(x)
+    except TypeError:
+        raise ValueError(f"element {x!r} is neither an index nor a label") \
+            from None
+    if not 0 <= i < G.order:
+        raise ValueError(f"element index {i} outside 0..{G.order - 1}")
+    return i
+
+
 def delta(G, x=0):
     """Point mass at element index (or label) x."""
-    if isinstance(x, str):
-        x = G.index(x)
     vals = [_F0] * G.order
-    vals[x] = _F1
+    vals[_element(G, x)] = _F1
     return LoopFunction(G, vals)
 
 
@@ -110,7 +139,7 @@ def char(G, members):
     """Indicator function of a set of indices/labels."""
     vals = [_F0] * G.order
     for x in members:
-        vals[G.index(x) if isinstance(x, str) else int(x)] = _F1
+        vals[_element(G, x)] = _F1
     return LoopFunction(G, vals)
 
 
@@ -158,17 +187,26 @@ def covering_number(f, phi):
     objective negated, so lp.verify_certificate(D, solution) proves
     (f:φ) = −optimum, with the covering witness c as D's dual.
 
+    D is built in integer form straight from the functions' integer forms:
+    the objective is (s_f, −nums_f) and row b is (s_φ, −nums_φ[bx] for each
+    x, then −s_φ).  The table is Latin, so each row of Φ is a permutation of
+    φ's values and s_φ is its least scale: the form is the one LPProblem
+    would compute from D's Fractions.
+
     Asserts the analog of the classical covering bound: with q a point of
     maximal φ and m = |S_f|, the optimum is at most 2m·‖f‖/φ(q).
     """
     _same_loop(f, phi)
-    if phi.is_zero():
+    s_f, f_nums = f.integer_form
+    s_phi, phi_nums = phi.integer_form
+    if not any(phi_nums):
         raise ZeroComparisonFunction()
-    neg = [-v for v in phi.values]
-    problem = lp.LPProblem(
-        tuple(-v for v in f.values),
-        tuple(tuple(neg[bx] for bx in row) for row in f.loop.table.tolist()),
-        (-_F1,) * f.loop.order,
+    neg = [-v for v in phi_nums]
+    rhs = (-s_phi,)
+    problem = lp.LPProblem.from_integer_form(
+        (s_f, tuple([-v for v in f_nums])),
+        [(s_phi, tuple([neg[bx] for bx in row]) + rhs)
+         for row in f.loop.table.tolist()],
     )
     sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:  # pragma: no cover - impossible on loops
@@ -177,11 +215,12 @@ def covering_number(f, phi):
     if not cert.ok:
         raise FanLoopCheckFailed("covering-lp-certificate", (cert.reason,))
     value = -sol.optimum
-    q = max(range(f.loop.order), key=lambda i: phi.values[i])
-    m = len(f.support())
-    bound = Fraction(2 * m) * f.sup_norm() / phi.values[q]
-    if value > bound:  # pragma: no cover - theorem-backed
-        raise FanLoopCheckFailed("covering-bound", (value, bound))
+    # the bound 2m·‖f‖/φ(q) is top/low, compared cross-multiplied in ints;
+    # theorem-backed, so never exceeded
+    top = 2 * (len(f_nums) - f_nums.count(0)) * max(f_nums) * s_phi
+    low = s_f * max(phi_nums)
+    if value.numerator * low > top * value.denominator:  # pragma: no cover
+        raise FanLoopCheckFailed("covering-bound", (value, Fraction(top, low)))
     return value
 
 
@@ -189,8 +228,7 @@ def translate(f, b, mode="left"):
     r"""Translate a function: left _bf(x)=f(bx); right f_b(x)=f(xb);
     left-div f^b(x)=f(b\x)."""
     G = f.loop
-    if isinstance(b, str):
-        b = G.index(b)
+    b = _element(G, b)
     n = G.order
     if mode == "left":
         idx = G.table[b, :]
@@ -287,18 +325,20 @@ class HaarFunctional:
 
     def _covering_delta(self, f):
         """(f:δ_e) = Σf with a structural certificate: c_b = f(b\\e) is
-        feasible and tight, the all-ones dual is feasible, objectives agree."""
-        total = _F0
+        feasible and tight, the all-ones dual is feasible, objectives agree.
+        The sum runs over f's integer numerators, over one scale."""
+        scale, nums = f.integer_form
+        total = 0
         seen = bytearray(self.loop.order)
         for b, x in enumerate(self._inv_l):
-            v = f.values[x]
+            v = nums[x]
             if v < 0:  # pragma: no cover - LoopFunction forbids this
                 raise FanLoopCheckFailed("negative covering weight", (b,))
             seen[x] = 1
             total += v
         if not all(seen):  # pragma: no cover - loop axioms forbid this
             raise FanLoopCheckFailed("inv_l not a bijection", ())
-        return total
+        return Fraction(total, scale)
 
     def _cross_check(self):
         """Run the real simplex on (p : h·δ_e) once per probe p in (f₀, δ_e)
@@ -360,9 +400,7 @@ class InvariantMeasure:
     def mass(self, members):
         out = _F0
         for x in members:
-            out += self.weights[
-                self.loop.index(x) if isinstance(x, str) else int(x)
-            ]
+            out += self.weights[_element(self.loop, x)]
         return out
 
 

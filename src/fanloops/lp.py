@@ -3,9 +3,16 @@ rule with Bland's rule on zero-length steps, with a dual certificate
 extracted from the final tableau.
 
 Problems are minimize c·x subject to A x >= b, x >= 0, all data rational.
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): each constraint
-row and the objective are scaled to integers, and every entry is a Python
-int over one common denominator d, the determinant of the current basis.  A
+An LPProblem stores its data only in integer form: each constraint row
+(with its right-hand side) and the objective scaled to Python ints by its
+least positive scale.  LPProblem(objective, A, b) computes that form from
+rationals; LPProblem.from_integer_form takes it as given, for callers whose
+data is already in ints, and checks that it is one.  The Fractions of
+objective, A and b are rebuilt from it only when read.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): it starts from
+the integer form, and every entry is a Python int over one common
+denominator d, the determinant of the current basis.  A
 pivot on p replaces each entry a of another row by (p·a - f·g)/d, where f is
 the row's entry in the pivot column and g the pivot row's entry in a's
 column; the division is exact, and d becomes p.  The optimum, the witness
@@ -18,8 +25,8 @@ an entry a/d has more than LP_BIT_ALARM bits in a and d together, rather
 than failing.
 
 ``verify_certificate`` checks an optimum from the problem and the solution
-alone, in Python ints too: it reads the data as LPProblem scaled them once
-for the tableau, scales the witness and the dual by their own denominators,
+alone, in Python ints too: it reads the same integer form as the tableau,
+scales the witness and the dual by their own denominators,
 and sums each row and column over their nonzero coordinates only.
 
 Input is exact: ints, Fractions and rational strings such as "5/2".  Floats
@@ -30,7 +37,7 @@ as.
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import LP_BIT_ALARM
@@ -61,40 +68,74 @@ def rational(x):
         if hasattr(x, "numerator") else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LPProblem:
     """minimize objective·x  s.t.  A x >= b,  x >= 0.
 
-    ``integer_form`` holds the data as ints, scaled once: ((s, s·objective),
-    ((s_i, s_i·(A[i] + (b[i],))) for each row i)), each s the least scale."""
+    The data is stored only as ``integer_form``, scaled to ints once:
+    ((s, s·objective), ((s_i, s_i·(A[i] + (b[i],))) for each row i)), each s
+    the least positive scale.  ``objective``, ``A`` and ``b`` are rebuilt
+    from it as Fractions; equality compares the integer form."""
 
-    objective: tuple
-    A: tuple
-    b: tuple
-    integer_form: tuple = field(init=False, repr=False, compare=False)
+    integer_form: tuple
 
-    def __post_init__(self):
-        obj = tuple(rational(v) for v in self.objective)
-        rows = tuple(tuple(rational(v) for v in row) for row in self.A)
-        rhs = tuple(rational(v) for v in self.b)
+    def __init__(self, objective, A, b):
+        obj = tuple(rational(v) for v in objective)
+        rows = tuple(tuple(rational(v) for v in row) for row in A)
+        rhs = tuple(rational(v) for v in b)
         if len(rows) != len(rhs):
             raise ValueError("constraint/rhs count mismatch")
         for row in rows:
             if len(row) != len(obj):
                 raise ValueError("constraint width does not match objective")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "A", rows)
-        object.__setattr__(self, "b", rhs)
-        object.__setattr__(self, "integer_form", (_scaled(obj), tuple(
-            _scaled(row + (v,)) for row, v in zip(rows, rhs))))
+        object.__setattr__(self, "integer_form", (scaled(obj), tuple(
+            scaled(row + (v,)) for row, v in zip(rows, rhs))))
+
+    @classmethod
+    def from_integer_form(cls, objective, rows):
+        """The problem whose integer_form is (objective, rows), taken as
+        given: objective is (s, ints) and each row (s_i, ints + (rhs,)).  A
+        width that does not match, a scale below 1, an entry that is not a
+        Python int, or a scale that is not the least one (gcd(s, *ints)
+        != 1) is refused with ValueError."""
+        objective = (objective[0], tuple(objective[1]))
+        rows = tuple((scale, tuple(ints)) for scale, ints in rows)
+        width = len(objective[1])
+        for k, (scale, ints) in enumerate((objective,) + rows):
+            if k and len(ints) != width + 1:
+                raise ValueError("constraint width does not match objective")
+            if not set(map(type, ints)) <= {int} or type(scale) is not int:
+                raise ValueError("integer form entries must be Python ints")
+            if scale < 1:
+                raise ValueError(f"integer form scale {scale} is not positive")
+            if math.gcd(scale, *ints) != 1:
+                raise ValueError(f"integer form scale {scale} is not the least")
+        problem = cls.__new__(cls)
+        object.__setattr__(problem, "integer_form", (objective, rows))
+        return problem
+
+    @property
+    def objective(self):
+        scale, ints = self.integer_form[0]
+        return tuple(Fraction(v, scale) for v in ints)
+
+    @property
+    def A(self):
+        return tuple(tuple(Fraction(v, scale) for v in ints[:-1])
+                     for scale, ints in self.integer_form[1])
+
+    @property
+    def b(self):
+        return tuple(Fraction(ints[-1], scale)
+                     for scale, ints in self.integer_form[1])
 
     @property
     def n_vars(self):
-        return len(self.objective)
+        return len(self.integer_form[0][1])
 
     @property
     def n_constraints(self):
-        return len(self.A)
+        return len(self.integer_form[1])
 
 
 @dataclass(frozen=True)
@@ -116,9 +157,10 @@ class CertificateReport:
         return self.ok
 
 
-def _scaled(values):
+def scaled(values):
     """(scale, ints): the least positive integer scale clearing every
-    denominator of the Fractions ``values``, and scale·v for each value."""
+    denominator of the Fractions ``values``, and scale·v for each value as a
+    Python int."""
     scale = math.lcm(*(v.denominator for v in values))
     return scale, tuple([v.numerator * (scale // v.denominator)
                          for v in values])
@@ -142,16 +184,16 @@ class _Tableau:
         n, m = problem.n_vars, problem.n_constraints
         self.n, self.m = n, m
         self.n_total = n + m
-        (self.c_scale, self.c), scaled = problem.integer_form
-        self.row_scale = [scale for scale, _ in scaled]
-        open_rows = [i for i, (_, row) in enumerate(scaled) if row[-1] >= 0]
+        (self.c_scale, self.c), form = problem.integer_form
+        self.row_scale = [scale for scale, _ in form]
+        open_rows = [i for i, (_, row) in enumerate(form) if row[-1] >= 0]
         # the surplus of row i has coefficient -1 in the open rows, where it
         # is a column, and +1 in the negated ones, where it is basic
         self.cols = list(range(n)) + [n + i for i in open_rows]
         self.rows = []
         self.basis = []
         self.n_art = 0
-        for i, (_, ints) in enumerate(scaled):
+        for i, (_, ints) in enumerate(form):
             row = list(ints) if ints[-1] >= 0 else [-v for v in ints]
             row[n:n] = [-1 if k == i else 0 for k in open_rows]
             self.rows.append(row)
@@ -345,13 +387,13 @@ def verify_certificate(problem, solution):
     for j, v in enumerate(x):
         if v < 0:
             return CertificateReport(False, "negative witness coordinate", j)
-    (sc, c), scaled = problem.integer_form
-    A = [row for _, row in scaled]
-    dx, X = _scaled(x)
+    (sc, c), form = problem.integer_form
+    A = [row for _, row in form]
+    dx, X = scaled(x)
     # row i of A is s_i times the problem's and c is sc times its objective,
     # so the dual of the scaled problem is y_i·sc/s_i
-    dy, Y = _scaled([Fraction(v.numerator * sc, v.denominator * si)
-                     for v, (si, _) in zip(y, scaled)])
+    dy, Y = scaled([Fraction(v.numerator * sc, v.denominator * si)
+                    for v, (si, _) in zip(y, form)])
     nzx = [(j, v) for j, v in enumerate(X) if v]
     nzy = [(i, v) for i, v in enumerate(Y) if v]
     slacks = []  # s_i·dx·(A x - b), row by row

@@ -510,6 +510,19 @@ def test_exit_1_malformed_subcommand(argv, capsys):
     assert out.out == "" and out.err.startswith("usage: fanloops")
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["haar", _corpus("oct16.loop"), "--f", _corpus("chi_e1.fn")], "--f"),
+    (["census", "4", "--lim", "1"], "--lim"),
+], ids=["f-for-f0", "lim-for-limit"])
+def test_long_options_are_never_abbreviated(argv, option, capsys):
+    # --f would expand to --f0 and read the function file as the reference
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and f"unrecognized arguments: {option} " in out.err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["census", "--help"])

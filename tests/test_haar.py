@@ -8,6 +8,7 @@ genuinely nonassociative regimes are exercised.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -112,6 +113,64 @@ def test_translate_modes(oct16):
         assert df(x) == f(int(oct16.ldiv[b, x]))
     with pytest.raises(ValueError):
         haar.translate(f, b, "up")
+
+
+def _assert_least_integer_form(f):
+    scale, nums = f.integer_form
+    assert type(scale) is int and scale >= 1
+    assert all(type(v) is int for v in nums)
+    assert [F(v, scale) for v in nums] == list(f.values)
+    assert math.gcd(scale, *nums) == 1   # no smaller scale clears them all
+
+
+def test_loop_function_integer_form_is_the_values_at_least_scale(oct16, q8):
+    big = 2**100 + 1
+    cases = [
+        haar.LoopFunction(q8, [0] * 8),
+        haar.LoopFunction(q8, [F(big, 3), F(5, 2**70), big, 0, 1,
+                               F(1, 6), F(3, 4), F(2**64, 2**64 + 1)]),
+        haar.constant(oct16, "7/3"),
+        haar.delta(oct16, 5),
+    ]
+    assert cases[0].integer_form == (1, (0,) * 8)
+    assert haar.LoopFunction(q8, [F(1, 6), F(3, 4), 2] + [0] * 5
+                             ).integer_form == (12, (2, 9, 24) + (0,) * 5)
+    rng = random.Random(SEED)
+    for G in (q8, oct16):
+        for _ in range(4):
+            f = haar.random_function(G, rng)
+            cases += [f, f.scale(F(6, 35)), f.scale(0),
+                      haar.translate(f, rng.randrange(G.order), "left"),
+                      haar.translate(f, rng.randrange(G.order), "left-div"),
+                      haar.fan_average(f, G.analysis.fan)]
+    cases.append(cases[1].scale(F(3, big)))
+    for f in cases:
+        _assert_least_integer_form(f)
+
+
+@pytest.mark.parametrize("build", [
+    lambda G: haar.delta(G, -1),
+    lambda G: haar.delta(G, G.order),
+    lambda G: haar.char(G, [0, -2]),
+    lambda G: haar.char(G, [G.order]),
+    lambda G: haar.translate(haar.delta(G), -1),
+    lambda G: haar.translate(haar.delta(G), G.order, "right"),
+    lambda G: haar.invariant_measure(G).mass([-1]),
+], ids=["delta-neg", "delta-n", "char-neg", "char-n", "translate-neg",
+        "translate-n", "mass-neg"])
+def test_element_indices_outside_the_loop_are_refused(q8, build):
+    # Python would read -1 as the last element and raise IndexError at n
+    with pytest.raises(ValueError, match=r"element index -?\d+ outside 0\.\.7"):
+        build(q8)
+
+
+def test_element_indices_that_are_not_integers_are_refused(q8):
+    # int() would truncate 1.5 to element 1
+    for build in (lambda: haar.delta(q8, 1.5), lambda: haar.char(q8, [F(3, 2)]),
+                  lambda: haar.translate(haar.delta(q8), 1.0)):
+        with pytest.raises(ValueError, match="neither an index nor a label"):
+            build()
+    assert haar.delta(q8, np.int64(2)) == haar.delta(q8, 2)
 
 
 # --- covering numbers: closed values and the 3.4.x calculus ------------------
@@ -557,12 +616,19 @@ def test_covering_number_refuses_a_failed_certificate(q8, monkeypatch):
 
 
 def test_covering_number_certifies_the_one_lp_it_solves(q8, monkeypatch):
-    problem_cls, solve, verify = lp.LPProblem, lp.solve, lp.verify_certificate
+    from_form = lp.LPProblem.from_integer_form
+    solve, verify = lp.solve, lp.verify_certificate
     built, solved, certified = [], [], []
 
     def build(*args):
-        built.append(problem_cls(*args))
+        built.append(from_form(*args))
         return built[-1]
+
+    init = lp.LPProblem.__init__
+
+    def init_logged(self, *args):  # a problem built from Fractions counts too
+        init(self, *args)
+        built.append(self)
 
     def solve_logged(problem):
         solved.append(problem)
@@ -572,7 +638,8 @@ def test_covering_number_certifies_the_one_lp_it_solves(q8, monkeypatch):
         certified.append(problem)
         return verify(problem, solution)
 
-    monkeypatch.setattr(lp, "LPProblem", build)
+    monkeypatch.setattr(lp.LPProblem, "from_integer_form", build)
+    monkeypatch.setattr(lp.LPProblem, "__init__", init_logged)
     monkeypatch.setattr(lp, "solve", solve_logged)
     monkeypatch.setattr(lp, "verify_certificate", verify_logged)
     rng = random.Random(SEED)
@@ -584,6 +651,52 @@ def test_covering_number_certifies_the_one_lp_it_solves(q8, monkeypatch):
         assert value == -solve(built[0]).optimum
         for log in (built, solved, certified):
             log.clear()
+
+
+def _rational_dual(f, phi):
+    """D as the Fractions it stands for: min -f·y s.t. -Φᵀy >= -1."""
+    tbl = f.loop.table.tolist()
+    return lp.LPProblem(
+        tuple(-v for v in f.values),
+        tuple(tuple(-phi.values[bx] for bx in row) for row in tbl),
+        (-1,) * f.loop.order,
+    )
+
+
+def test_covering_number_builds_the_rational_dual(corpus_loops, monkeypatch):
+    # criterion 4's loop family and the corpus loops, with small random
+    # values and wide ones (big numerators over big denominators)
+    family = [(f"C{k}", catalog.cyclic(k)) for k in range(1, 7)]
+    family += [("V4", catalog.klein4()), ("S3", catalog.symmetric3())]
+    family += [(f"nonfan{k}", census.find_witness(k, "non-fan"))
+               for k in (5, 6)]
+    family += [(name, G) for name, G in corpus_loops if G.order <= 16]
+    built = []
+    from_form = lp.LPProblem.from_integer_form
+
+    def build(*args):
+        built.append(from_form(*args))
+        return built[-1]
+
+    monkeypatch.setattr(lp.LPProblem, "from_integer_form", build)
+    rng = random.Random(SEED)
+
+    def wide(G):
+        return haar.LoopFunction(G, [
+            F(rng.randrange(2**40), rng.randint(1, 2**20))
+            for _ in range(G.order)])
+
+    for name, G in family:
+        pairs = _samples(G, rng, 2)
+        if G.order <= 8:  # wider still would set off the bit-growth alarm
+            pairs.append((wide(G), wide(G)))
+        for f, phi in pairs:
+            value = haar.covering_number(f, phi)
+            want = _rational_dual(f, phi)
+            assert built[-1] == want, name
+            assert built[-1].integer_form == want.integer_form, name
+            assert value == -lp.solve(want).optimum, name
+    assert len(built) == sum(2 + (G.order <= 8) for _, G in family)
 
 
 def test_sedenion_spot_check():

@@ -204,6 +204,39 @@ def test_integer_form_is_the_data_at_least_scales():
                        for k in range(1, scale)), (values, scale)
 
 
+def test_from_integer_form_rebuilds_the_problem():
+    rng = random.Random(60613)
+    for prob in [random_problem(rng) for _ in range(20)] + [_manual()]:
+        again = lp.LPProblem.from_integer_form(*prob.integer_form)
+        assert again == prob and again.integer_form == prob.integer_form
+        assert (again.objective, again.A, again.b) == (
+            prob.objective, prob.A, prob.b)
+        assert lp.solve(again) == lp.solve(prob)
+    # rows given as lists are kept as tuples, so the form still compares
+    again = lp.LPProblem.from_integer_form([3, [1, 6]], [[2, [1, -2, -3]]])
+    assert again == lp.LPProblem(("1/3", 2), ((F(1, 2), -1),), ("-3/2",))
+
+
+@pytest.mark.parametrize("objective,rows,match", [
+    ((1, (1, 2)), [(1, (1, 2))], "width"),              # row too short
+    ((1, (1, 2)), [(1, (1, 2, 3, 4))], "width"),        # row too long
+    ((0, (1, 2)), [(1, (1, 2, 3))], "not positive"),    # objective scale 0
+    ((1, (1, 2)), [(-1, (1, 2, 3))], "not positive"),   # row scale < 0
+    ((1, (1, F(2))), [(1, (1, 2, 3))], "Python ints"),  # a Fraction entry
+    ((1, (1, 2)), [(1, (1, 2.0, 3))], "Python ints"),   # a float entry
+    ((1, (1, 2)), [(1, (np.int64(1), 2, 3))], "Python ints"),
+    ((1, (1, True)), [(1, (1, 2, 3))], "Python ints"),  # a bool entry
+    ((F(1), (1, 2)), [(1, (1, 2, 3))], "Python ints"),  # a Fraction scale
+    ((2, (2, 4)), [(1, (1, 2, 3))], "not the least"),   # objective: 1, 2
+    ((1, (1, 2)), [(3, (3, 0, -6))], "not the least"),  # row: 1, 0, -2
+], ids=["short-row", "long-row", "zero-scale", "negative-scale",
+        "fraction-entry", "float-entry", "numpy-entry", "bool-entry",
+        "fraction-scale", "objective-not-least", "row-not-least"])
+def test_from_integer_form_refuses_a_malformed_form(objective, rows, match):
+    with pytest.raises(ValueError, match=match):
+        lp.LPProblem.from_integer_form(objective, rows)
+
+
 @pytest.mark.parametrize("value", [0.5, float("nan"), np.float64(0.1),
                                    np.float32(2.0)])
 def test_problem_refuses_floats(value):
