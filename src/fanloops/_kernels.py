@@ -33,6 +33,20 @@ def first(mask):
     return tuple(map(int, np.unravel_index(mask.argmax(), mask.shape)))
 
 
+# Elements per step of every n^3 sweep that runs in slabs of its first axis:
+# the law plans, the reduced law checks, the smashed-product cross-check and
+# assoc_tensors.  A slab holds at least one row, so witnesses found slab by
+# slab, first to last, are still the first in C order.
+SLAB = 1 << 14
+
+
+def slabs(rows, row_size):
+    """Consecutive slices covering range(rows), each of at least one row and,
+    while a row holds fewer than SLAB elements, of at most SLAB elements."""
+    step = max(1, SLAB // row_size)
+    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+
 # ---------------------------------------------------------------------------
 # Latin-square check.
 # Scan order (fixed so the witness is reproducible): all cells row-major for
@@ -102,13 +116,16 @@ def assoc_tensors(table, ldiv, rdiv):
     # the gathers index the flattened stack: one flat index array is faster
     # than one index array per axis (about 1.4x at n = 128, 1.7x on a stack
     # of 256 tables of order 7)
-    start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1)
+    start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1, 1)
     T = table.astype(np.intp)
     flat_T, flat_l, flat_r = T.ravel(), ldiv.ravel(), rdiv.ravel()
     cols = np.arange(n)
-    for a in range(n):  # slab-wise keeps peak memory at O(n^2) per table
+    an = (np.arange(n) * n)[:, None, None]
+    # a slab of a values at a time keeps peak memory at O(SLAB + n^2) per
+    # table; a census stack fills a slab with one a
+    for a in slabs(n, table.size):
         lhs = flat_T[start + T[..., a, :, None] * n + cols]  # (ab)c
-        rhs = flat_T[start + a * n + T]  # a(bc)
+        rhs = flat_T[start + an[a] + T[..., None, :, :]]  # a(bc)
         t[..., a, :, :] = flat_r[start + lhs * n + rhs]
         p[..., a, :, :] = flat_l[start + rhs * n + lhs]
     return t, p

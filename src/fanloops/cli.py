@@ -129,13 +129,14 @@ def parse_loop_text(text, path=None, cap=None):
                 f"row {a} has {len(cells)} entries, expected {n}",
                 line=lno, path=path,
             )
-        for b, lab in enumerate(cells):
-            if lab not in index:
-                raise ParseError(
-                    f"unknown label {lab!r}",
-                    line=lno, column=b + 1, path=path,
-                )
-            table[a, b] = index[lab]
+        try:
+            table[a] = [index[lab] for lab in cells]
+        except KeyError as exc:
+            lab = exc.args[0]
+            raise ParseError(
+                f"unknown label {lab!r}",
+                line=lno, column=cells.index(lab) + 1, path=path,
+            ) from None
     # first header label is the identity by contract
     return core.verify_loop(table, identity=0, labels=labels, cap=cap)
 

@@ -10,15 +10,24 @@ consecutive outside pair is itself the intended unit, so nucleus factors
 slide across the grouping.
 
 check_law decides each law on the smallest domain that is provably
-equivalent.  The invariance laws quantified over Z(G) or N(G) (2.3.1, 2.3.3,
-2.3.4 and their primed forms) hold iff each generator of the pool leaves the
-t or p tensor invariant slot by slot, since these translations compose
-inside the nucleus.  Every other law, and any reduced check that fails, is
-evaluated on a full meshgrid of index arrays, so the first counterexample
-in C order is the lexicographically smallest one.
+equivalent.  The membership laws 2.1.9-t/2.1.9-p hold iff the value set of
+the t or p tensor lies in N(G), which the analysis' value masks already
+give.  The invariance laws quantified over Z(G) or N(G) (2.3.1, 2.3.3,
+2.3.4 and their primed forms) hold iff each generator of the pool leaves
+the t or p tensor invariant slot by slot, since these translations compose
+inside the nucleus.
+
+Every other law, and any reduced check that fails, is evaluated on its full
+domain by a straight-line plan compiled once per law: equal subterms share
+one register, and each operation is one take from the raveled table, ldiv,
+rdiv or t/p array at the flat index (x·n + y)·n + z.  The plan runs in slabs
+of the first variable, first to last, a fixed number of tuples at a time
+(_kernels.SLAB), so memory stays bounded and the first failing slab holds
+the first counterexample in C order, the lexicographically smallest one.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,13 +62,6 @@ class Expr:
 
     def __init__(self, op, *args):
         self.op, self.args = op, args
-
-    def ev(self, G, env):
-        if self.op == "var":
-            return env[self.args[0]]
-        if self.op == "e":
-            return np.intp(0)
-        return _ARRAYS[self.op](G)[tuple(a.ev(G, env) for a in self.args)]
 
 
 def Var(name):
@@ -292,18 +294,6 @@ def _pools(G):
     }
 
 
-def _domains(law, pools):
-    axes = []
-    m = len(law.vars)
-    for k, (_, dom) in enumerate(law.vars):
-        vals = pools[dom]
-        shape = [1] * m
-        shape[k] = len(vals)
-        axes.append(vals.reshape(shape))
-    full_shape = tuple(int(ax.shape[k]) for k, ax in enumerate(axes))
-    return axes, full_shape
-
-
 # Invariance laws X(.., b·a_k or a_k·b, ..) = φ_b(X(a1,a2,a3)) with X the t
 # or p tensor and b in the law's Z or N pool:
 #     law id -> (tensor 0=t / 1=p, translated slots, side, twist φ_b)
@@ -344,42 +334,53 @@ def _generators(G, pool):
     return gens
 
 
-def _reduced_holds(G, law, pools):
-    """Decide an invariance law slot-wise on the t/p tensor.
+# Membership laws: X(a,b,c) lies in N(G) for all a, b, c exactly when the
+# value set of the t or p tensor does, so the analysis' value masks decide
+# them.
+_MEMBERSHIP = {"2.1.9-t": "t_range", "2.1.9-p": "p_range"}
 
-    Returns None for a law without a reduction, else whether it holds.  The
-    cost is n^3 lookups per generator and slot, 3·|gens|·n^3 for 2.3.1
-    against |Z|^3·n^3 on its full meshgrid.
+
+def _reduced_holds(G, law, pools):
+    """Decide a membership or invariance law without its full domain.
+
+    Returns None for a law without a reduction, else whether it holds.  An
+    invariance law costs n^3 lookups per generator and slot, 3·|gens|·n^3
+    for 2.3.1 against |Z|^3·n^3 on its full domain, compared slab by slab.
     """
+    ana = G.analysis
+    if law.id in _MEMBERSHIP:
+        return getattr(ana, _MEMBERSHIP[law.id]).members <= ana.nucleus.members
     spec = _INVARIANCE.get(law.id)
     if spec is None:
         return None
     which, slots, side, twist = spec
     X = G.assoc_tensors()[which]
-    T = G.table
+    T, n = G.table, G.order
     (dom,) = {d for _, d in law.vars if d != "G"}
     for b in _generators(G, pools[dom]):
         move = T[b] if side == "left" else T[:, b]
-        want = X
         if twist is not None:
             inv = G.ldiv[b, 0]
             phi = T[T[b], inv] if twist == "conj" else T[T[inv], b]
-            want = phi[X]
-        for k in slots:
-            if not np.array_equal(np.take(X, move, axis=k), want):
-                return False
+        for a in _kernels.slabs(n, n * n):
+            want = X[a] if twist is None else phi[X[a]]
+            for k in slots:
+                got = X[move[a]] if k == 0 else np.take(X[a], move, axis=k)
+                if (got != want).any():
+                    return False
     return True
 
 
 def check_law(G, law):
     """Verify one registry law on G, on the smallest equivalent domain.
 
-    The invariance laws 2.3.1, 2.3.3, 2.3.4 and their primed forms are
-    decided by generator checks on the t/p tensors; every other law, and
-    any invariance law whose reduced check fails, is evaluated on the full
-    meshgrid, so a witness is always the lexicographically first one.  On
-    HOLDS, tuples_checked is the size of the quantified domain the verdict
-    covers (times the clause count), however it was decided.
+    The membership laws 2.1.9-t/2.1.9-p are read off the analysis' value
+    masks, and the invariance laws 2.3.1, 2.3.3, 2.3.4 and their primed
+    forms are decided by generator checks on the t/p tensors; every other
+    law, and any of these that fails, is evaluated on its full domain, so a
+    witness is always the lexicographically first one.  On HOLDS,
+    tuples_checked is the size of the quantified domain the verdict covers
+    (times the clause count), however it was decided.
 
     Raises NotApplicable when a fan-only law is asked of a non-fan loop.
     """
@@ -394,30 +395,95 @@ def check_law(G, law):
     return _check_full(G, law, pools)
 
 
+@cache
+def _plan(law):
+    """Straight-line program of a law: (fixed, sliced, clauses).
+
+    Registers 0..m-1 hold the law's m variables and register m the identity
+    e.  A step (out, op, args) fills register out with one lookup of the
+    array op names at the argument registers; equal subterms share one
+    register.  The fixed steps do not read the first variable and run once,
+    the sliced ones run in every slab.  A clause is a (lhs, rhs) pair of
+    registers, rhs None for membership in N(G).
+    """
+    names = [name for name, _ in law.vars]
+    m = len(names)
+    keys, steps, sliced = {}, [], {0}
+
+    def reg(expr):
+        if expr.op == "var":
+            return names.index(expr.args[0])
+        if expr.op == "e":
+            return m
+        args = tuple(map(reg, expr.args))
+        if (expr.op, args) not in keys:
+            out = keys[expr.op, args] = m + 1 + len(steps)
+            steps.append((out, expr.op, args))
+            if sliced.intersection(args):
+                sliced.add(out)
+        return keys[expr.op, args]
+
+    clauses = tuple((reg(lhs), None if rhs is None else reg(rhs))
+                    for lhs, rhs in law.clauses)
+    return (tuple(s for s in steps if s[0] not in sliced),
+            tuple(s for s in steps if s[0] in sliced), clauses)
+
+
+def _lookups(regs, steps, flat, n):
+    """Run plan steps: each lookup is one take from a raveled array at the
+    flat index (x·n + y)·n + z of its argument registers."""
+    for out, op, (x, *rest) in steps:
+        idx = regs[x]
+        for r in rest:
+            idx = np.multiply(idx, n, dtype=np.intp) + regs[r]
+        regs[out] = flat[op].take(idx)
+
+
 def _check_full(G, law, pools):
-    """Evaluate both sides of every clause on the full meshgrid."""
-    axes, shape = _domains(law, pools)
-    env = {name: ax for (name, _), ax in zip(law.vars, axes)}
-    per_clause = int(np.prod(shape)) if shape else 1
-    nuc_mask = None
-    checked = 0
-    for ci, (lhs, rhs) in enumerate(law.clauses):
-        lv = lhs.ev(G, env)
-        if rhs is None:
-            if nuc_mask is None:
-                nuc_mask = G.analysis.nucleus.mask()
-            bad = np.broadcast_to(~nuc_mask[lv], shape)
-        else:
-            bad = np.broadcast_to(lv != rhs.ev(G, env), shape)
-        checked += per_clause
-        coords = _kernels.first(bad)
-        if coords is not None:
-            witness = {
-                name: G.label(int(axes[k].ravel()[coords[k]]))
-                for k, (name, _) in enumerate(law.vars)
-            }
-            return LawReport(law.id, FAILS, witness, checked, ci)
-    return LawReport(law.id, HOLDS, None, checked, None)
+    """Evaluate every clause on the full domain, in slabs of the first
+    variable, first to last.
+
+    Registers broadcast over the variables their subterm reads.  A clause
+    is evaluated in a slab only while neither it nor an earlier clause has
+    failed, so its first failure is its first in C order; the report names
+    the lowest failing clause and its first witness, as a clause-by-clause
+    scan of the whole domain would.
+    """
+    fixed, sliced, clauses = _plan(law)
+    n = G.order
+    flat = {op: _ARRAYS[op](G).ravel() for _, op, _ in fixed + sliced}
+    values = [pools[d] for _, d in law.vars]
+    m = len(values)
+    shape = tuple(map(len, values))
+    per_clause = int(np.prod(shape))
+    regs = [v.reshape([-1 if j == k else 1 for j in range(m)])
+            for k, v in enumerate(values)]
+    regs += [np.intp(0)] + [None] * (len(fixed) + len(sliced))
+    _lookups(regs, fixed, flat, n)
+    nuc_mask = (G.analysis.nucleus.mask()
+                if any(rhs is None for _, rhs in clauses) else None)
+    live, witness = len(clauses), None
+    for rows in _kernels.slabs(shape[0], per_clause // shape[0]):
+        slab = regs[:]
+        slab[0] = regs[0][rows]
+        _lookups(slab, sliced, flat, n)
+        for ci, (lhs, rhs) in enumerate(clauses[:live]):
+            bad = (~nuc_mask[slab[lhs]] if rhs is None
+                   else slab[lhs] != slab[rhs])
+            coords = _kernels.first(
+                np.broadcast_to(bad, (rows.stop - rows.start, *shape[1:])))
+            if coords is not None:
+                live, witness = ci, (coords[0] + rows.start, *coords[1:])
+                break
+        if live == 0:
+            break
+    if witness is None:
+        return LawReport(law.id, HOLDS, None, per_clause * len(clauses), None)
+    labels = {
+        name: G.label(int(values[k][witness[k]]))
+        for k, (name, _) in enumerate(law.vars)
+    }
+    return LawReport(law.id, FAILS, labels, per_clause * (live + 1), live)
 
 
 def check_all(G):

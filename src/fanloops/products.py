@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from . import core, quotient
-from ._kernels import first
+from ._kernels import first, slabs
 from .config import CAYLEY_DICKSON_CAP, order_cap
 from .errors import FanLoopCheckFailed, SizeCapExceeded, ValidationFailed
 
@@ -480,18 +480,20 @@ def verify_smashed_product(data, P):
     tA3, pA3 = A.assoc_tensors()
     pB3 = B.assoc_tensors()[1]
 
-    # --- 4.4.1 / 4.4.2: associator closed forms, slab-wise over x1, on the
-    #     (x2, x3) = (X, Y) grid
+    # --- 4.4.1 / 4.4.2: associator closed forms on the (x1, x2, x3) grid,
+    #     a block of x1 rows at a time; the first row where either form
+    #     fails is reported, 4.4.2 before 4.4.1 on that row
     X = np.arange(n)[:, None]
     Y = np.arange(n)[None, :]
     a2, b2 = X // nB, X % nB
     a3, b3 = Y // nB, Y % nB
-    for x1 in range(n):
+    b3a2 = phi[a2, b3]
+    for rows in slabs(n, n * n):
+        x1 = np.arange(rows.start, rows.stop)[:, None, None]
         a1, b1 = x1 // nB, x1 % nB
         a12 = TA[a1, a2]
         b2a1 = phi[a1, b2]
         b3a12 = phi[a12, b3]
-        b3a2 = phi[a2, b3]
         b = TB[b1, TB[b2a1, b3a12]]
         pa = pA3[a1, a2, a3]
         ta = tA3[a1, a2, a3]
@@ -506,13 +508,12 @@ def verify_smashed_product(data, P):
         ]
         exp_p = pa.astype(np.int32) * nB + TB[inv_b[beta], alpha]
         exp_t = ta.astype(np.int32) * nB + _r_map(B, b, TB[alpha, inv_b[beta]])
-        w = first(pP[x1] != exp_p)
-        if w is not None:
-            errs.append(("4.4.2", (x1, *w)))
-            break
-        w = first(tP[x1] != exp_t)
-        if w is not None:
-            errs.append(("4.4.1", (x1, *w)))
+        bad_p, bad_t = pP[rows] != exp_p, tP[rows] != exp_t
+        r = first(bad_p.any(axis=(1, 2)) | bad_t.any(axis=(1, 2)))
+        if r is not None:
+            check, bad = (("4.4.2", bad_p) if bad_p[r].any()
+                          else ("4.4.1", bad_t))
+            errs.append((check, (rows.start + r[0], *first(bad[r]))))
             break
 
     # --- inverses

@@ -112,6 +112,16 @@ def test_loop_parse_errors(tmp_path):
         cli.parse_loop_text("# only a comment\n")
 
 
+@pytest.mark.parametrize("row, column", [
+    ("b zz e", 2), ("b e zz", 3), ("b zz zz", 2),
+])
+def test_unknown_label_in_a_later_row_keeps_line_and_column(row, column):
+    text = f"# C3\n3 e a b\ne a b\na b e\n\n{row}\n"
+    with pytest.raises(ParseError, match="unknown label 'zz'") as e:
+        cli.parse_loop_text(text)
+    assert (e.value.line, e.value.column) == (6, column)
+
+
 def test_function_parse_errors(oct16):
     with pytest.raises(ParseError):
         cli.parse_function_text("e1\n", oct16)           # missing value

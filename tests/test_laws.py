@@ -15,7 +15,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from fanloops import catalog, census, core, laws, products
+from fanloops import _kernels, catalog, census, core, laws, products
 from fanloops.errors import NotApplicable
 
 ALL_IDS = laws.law_ids()
@@ -149,6 +149,46 @@ def test_law_text_uses_division_notation():
     assert "p(" in by_id["2.2.1'"].text
 
 
+# --- an independent evaluator: recursive lookups on the whole meshgrid -----
+
+def _ev(G, expr, env):
+    """A term's values on the open grid env: each operation indexes the
+    array it names with the tuple of its arguments' values."""
+    if expr.op == "var":
+        return env[expr.args[0]]
+    if expr.op == "e":
+        return np.intp(0)
+    return laws._ARRAYS[expr.op](G)[tuple(_ev(G, a, env) for a in expr.args)]
+
+
+def _domains(law, pools):
+    """One open-grid axis per variable, and the shape of the whole grid."""
+    m = len(law.vars)
+    axes = [pools[d].reshape([-1 if j == k else 1 for j in range(m)])
+            for k, (_, d) in enumerate(law.vars)]
+    return axes, tuple(len(pools[d]) for _, d in law.vars)
+
+
+def _oracle(G, law):
+    """The law's report from whole-grid evaluation, clause by clause."""
+    pools = laws._pools(G)
+    axes, shape = _domains(law, pools)
+    env = {name: ax for (name, _), ax in zip(law.vars, axes)}
+    per_clause = int(np.prod(shape))
+    nuc_mask = G.analysis.nucleus.mask()
+    for ci, (lhs, rhs) in enumerate(law.clauses):
+        lv = _ev(G, lhs, env)
+        bad = ~nuc_mask[lv] if rhs is None else lv != _ev(G, rhs, env)
+        coords = _kernels.first(np.broadcast_to(bad, shape))
+        if coords is not None:
+            witness = {name: G.label(int(axes[k].ravel()[coords[k]]))
+                       for k, (name, _) in enumerate(law.vars)}
+            return laws.LawReport(law.id, laws.FAILS, witness,
+                                  per_clause * (ci + 1), ci)
+    return laws.LawReport(law.id, laws.HOLDS, None,
+                          per_clause * len(law.clauses), None)
+
+
 # --- expression nodes against a scalar interpreter ---------------------------
 
 _SCALAR = {"·": "mul", "\\": "ld", "/": "rd", "t": "t", "p": "p"}
@@ -172,28 +212,25 @@ def test_expression_nodes_match_a_scalar_interpreter(oct16, smash_products):
     for G in (oct16, s4, census.find_witness(5, "non-fan")):
         pools = laws._pools(G)
         for law in laws.REGISTRY:
-            axes, shape = laws._domains(law, pools)
+            axes, shape = _domains(law, pools)
             names = [name for name, _ in law.vars]
             env = dict(zip(names, axes))
             values = [pools[d].tolist() for _, d in law.vars]
             terms = [s for clause in law.clauses for s in clause
                      if s is not None]
             for k, term in enumerate(terms):
-                grid = np.broadcast_to(term.ev(G, env), shape)
+                grid = np.broadcast_to(_ev(G, term, env), shape)
                 f = _scalar(G, term, names)
                 # every tuple of the domain, in the meshgrid's C order
                 scalar = [f(x) for x in product(*values)]
                 assert grid.ravel().tolist() == scalar, (law.id, k)
 
 
-# --- reduced domains against the full-meshgrid evaluator --------------------
+# --- plans and reduced domains against the whole-grid oracle -----------------
 
-def _oracle(G, law):
-    return laws._check_full(G, law, laws._pools(G))
-
-
-def test_check_law_matches_full_meshgrid_oracle(corpus_loops, oct16,
-                                                smash_products):
+def _oracle_loops(corpus_loops, oct16, smash_products):
+    """Every corpus loop, two direct products, and every non-fan loop of
+    order 5."""
     c2 = catalog.cyclic(2)
     s4 = dict((d.name, P) for d, P in smash_products)["s4-xi-c2-q8"]
     loops = list(corpus_loops)
@@ -201,18 +238,70 @@ def test_check_law_matches_full_meshgrid_oracle(corpus_loops, oct16,
               ("s4xC2", products.direct_product([s4, c2]))]
     loops += [(f"non-fan-5-{i}", W) for i, W in enumerate(
         census.enumerate_loops(census.CensusQuery(5, filter="non-fan")))]
+    return loops
+
+
+def test_check_law_matches_full_meshgrid_oracle(corpus_loops, oct16,
+                                                smash_products):
+    loops = _oracle_loops(corpus_loops, oct16, smash_products)
     reduced = 0
     for name, G in loops:
+        pools = laws._pools(G)
         for law in laws.REGISTRY:
+            want = _oracle(G, law)
+            # the plan on the full domain, whatever check_law decides on
+            assert laws._check_full(G, law, pools) == want, (name, law.id)
             try:
                 rep = laws.check_law(G, law)
             except NotApplicable:
                 continue
-            assert rep == _oracle(G, law), (name, law.id)
-            if laws._reduced_holds(G, law, laws._pools(G)):
+            assert rep == want, (name, law.id)
+            if laws._reduced_holds(G, law, pools):
                 reduced += 1
-    # the six invariance laws on every fan loop took the reduced path
-    assert reduced == 6 * sum(G.analysis.is_fan_loop for _, G in loops)
+    # the six invariance laws and the two membership laws on every fan
+    # loop took the reduced path
+    assert reduced == 8 * sum(G.analysis.is_fan_loop for _, G in loops)
+
+
+@pytest.mark.parametrize("slab", ["1", "n"])
+def test_plans_match_the_oracle_across_slab_edges(slab, corpus_loops, oct16,
+                                                  smash_products,
+                                                  monkeypatch):
+    # one first-variable row per slab at SLAB = 1, and at SLAB = n for a
+    # binary law: every witness falls on a slab edge
+    for name, G in _oracle_loops(corpus_loops, oct16, smash_products):
+        monkeypatch.setattr(_kernels, "SLAB", 1 if slab == "1" else G.order)
+        pools = laws._pools(G)
+        for law in laws.REGISTRY:
+            want = _oracle(G, law)
+            assert laws._check_full(G, law, pools) == want, (name, law.id)
+            assert laws._reduced_holds(G, law, pools) in (
+                None, want.status == laws.HOLDS), (name, law.id)
+
+
+def test_plans_share_equal_subterms():
+    # (bc)\a, and with it bc, occurs twice in 2.2.2': one register each
+    fixed, sliced, _ = laws._plan(laws.get_law("2.2.2'"))
+    steps = [(op, args) for _, op, args in fixed + sliced]
+    assert len(steps) == len(set(steps)) == 7
+    # bc reads neither a nor its slab: it is looked up once, not per slab
+    assert [op for _, op, _ in fixed] == ["·"]
+
+
+def test_membership_reduction_fails_on_non_fan_loops():
+    # negative control: on a non-fan loop a t or p value leaves the
+    # nucleus, so the value-mask check refuses both membership laws, and
+    # the full evaluation names the oracle's witness and clause
+    loops = list(census.enumerate_loops(
+        census.CensusQuery(5, filter="non-fan")))
+    assert len(loops) == 50
+    for W in loops:
+        for law_id in ("2.1.9-t", "2.1.9-p"):
+            law = laws.get_law(law_id)
+            assert laws._reduced_holds(W, law, laws._pools(W)) is False
+            rep = laws.check_law(W, law)
+            assert rep.status == laws.FAILS and rep.clause == 0
+            assert rep == _oracle(W, law), law_id
 
 
 def test_reduced_check_catches_a_non_central_pool_element(oct16,

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fanloops import catalog, census, core, products
+from fanloops import _kernels, catalog, census, core, products
 from fanloops.errors import (
     FanLoopCheckFailed,
     SizeCapExceeded,
@@ -528,6 +528,50 @@ def test_cross_check_witnesses_on_planted_tables():
         table[3, [2, 5]] = table[3, [5, 2]]
         setattr(P, name, table)
         assert products.verify_smashed_product(_instance("s4"), P) == errs
+
+
+def _first_changed_row(P, t, p):
+    """Row-at-a-time reference for 4.4.1/4.4.2: the first x1 row where the
+    planted tensors differ from P's own, which match the closed forms,
+    with 4.4.2 (p) before 4.4.1 (t) on that row."""
+    t0, p0 = P.assoc_tensors()
+    for x1 in range(P.order):
+        for check, X, X0 in (("4.4.2", p, p0), ("4.4.1", t, t0)):
+            w = _kernels.first(X[x1] != X0[x1])
+            if w is not None:
+                return [(check, (x1, *w))]
+    return []
+
+
+@pytest.mark.parametrize("prefix", ["s5", "s6"])
+@pytest.mark.parametrize("slab", ["default", "row"])
+def test_blocked_associator_check_matches_a_row_loop(prefix, slab,
+                                                     monkeypatch):
+    P = _product(prefix)
+    n = P.order
+    k = _kernels.slabs(n, n * n)[0].stop  # rows per block at the default
+    assert 1 < k < n
+    if slab == "row":
+        monkeypatch.setattr(_kernels, "SLAB", 1)
+    plants = [
+        [("p", (0, 5, 7))],
+        [("t", (0, n - 1, 0))],
+        [("t", (k - 1, n - 1, n - 1))],          # last row of a block
+        [("p", (k, 0, 0))],                      # first row of the next
+        [("t", (k, 0, 1)), ("p", (k, 9, 9))],    # both on one row: p first
+        [("t", (k - 1, 3, 3)), ("p", (k, 0, 0))],
+    ]
+    for plant in plants:
+        t, p = (X.copy() for X in P.assoc_tensors())
+        for name, idx in plant:
+            X = t if name == "t" else p
+            X[idx] = (X[idx] + 1) % n
+        Q = _product(prefix)
+        Q.analysis  # decided on the product's own tensors
+        Q._tensors = (t, p)
+        errs = products.verify_smashed_product(_instance(prefix), Q)
+        got = [e for e in errs if e[0] in ("4.4.1", "4.4.2")]
+        assert got == _first_changed_row(P, t, p) != [], plant
 
 
 def _s4_with(name, value):
