@@ -15,13 +15,9 @@ from .core import (
     LoopAnalysis,
     classify,
     fan,
-    inv_l,
-    inv_r,
     nucleus_parts,
-    p_assoc,
     p_hull,
     subgroup_closure,
-    t_assoc,
     verify_loop,
 )
 from .errors import (

@@ -140,9 +140,6 @@ def enumerate_loops(query):
     return iter(Sweep(query))
 
 
-# documented alias; enumerate_loops avoids shadowing the builtin internally
-enumerate = enumerate_loops
-
 PREDICATES = {
     "non-fan": "non-fan",
     "fan-only": "fan-only",

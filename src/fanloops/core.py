@@ -322,28 +322,6 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     return FiniteLoop(labels, table, ldiv, rdiv)
 
 
-# -- associators and inverses as module-level operations --------------------
-
-def t_assoc(G, a, b, c):
-    """((ab)c)/(a(bc))"""
-    return G.t(a, b, c)
-
-
-def p_assoc(G, a, b, c):
-    """(a(bc))\\((ab)c)"""
-    return G.p(a, b, c)
-
-
-def inv_l(G, a):
-    """a \\ e"""
-    return G.inv_l(a)
-
-
-def inv_r(G, a):
-    """e / a"""
-    return G.inv_r(a)
-
-
 # -- analysis ----------------------------------------------------------------
 
 def _mask_set(G, mask):

@@ -13,13 +13,17 @@ forcing c_{e/x} = f(x); the all-ones dual matches.  HaarFunctional uses
 this certified path per evaluation and cross-checks it against the simplex
 once at construction.
 
-Every LoopFunction carries its values' integer form, (least common
-denominator, integer numerators), computed once when it is built.  The
-covering LP is built from the two functions' integer forms without a
-Fraction, and the closed form sums integer numerators over one scale.
-Element indices outside 0..n-1 are refused, never wrapped.
+A LoopFunction stores only its values' integer form (least common
+denominator, integer numerators) and rebuilds the values as Fractions on
+request.  Input values are made exact and scaled once, by the constructor;
+every other operation works on the numerators and reduces by one gcd.  The
+covering LP is built from the two integer forms without a Fraction, and the
+closed form sums numerators over one scale.  Unknown labels and element
+indices outside 0..n-1 are refused, never wrapped.
 """
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,40 +46,58 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LoopFunction:
     """A nonnegative rational-valued function on a finite loop.
 
-    ``integer_form`` is (s, nums): s the least common denominator of the
-    values and nums the Python ints s·f(x), so f(x) = nums[x]/s."""
+    The data is stored only as ``integer_form`` (s, nums): s the least
+    positive scale and nums the Python ints s·f(x), so f(x) = nums[x]/s.
+    ``values`` and f(x) are rebuilt from it as Fractions; equality and the
+    hash compare the least form, which equal values share."""
 
-    loop: core.FiniteLoop = field(compare=False)
-    values: tuple = ()
-    integer_form: tuple = field(init=False, repr=False, compare=False)
+    loop: core.FiniteLoop
+    integer_form: tuple
 
-    def __post_init__(self):
-        vals = tuple(lp.rational(v) for v in self.values)
-        if len(vals) != self.loop.order:
+    def __init__(self, loop, values):
+        vals = tuple(lp.rational(v) for v in values)
+        if len(vals) != loop.order:
             raise ValueError("value vector length != loop order")
         form = lp.scaled(vals)
         if min(form[1]) < 0:
             i = next(i for i, v in enumerate(form[1]) if v < 0)
-            raise ValueError(f"negative value at {self.loop.label(i)}")
-        object.__setattr__(self, "values", vals)
+            raise ValueError(f"negative value at {loop.label(i)}")
+        object.__setattr__(self, "loop", loop)
         object.__setattr__(self, "integer_form", form)
 
+    @classmethod
+    def _reduced(cls, loop, scale, nums):
+        """The function nums/scale, nums nonnegative ints by construction,
+        brought to its least form by one gcd."""
+        g = math.gcd(scale, *nums)
+        f = cls.__new__(cls)
+        object.__setattr__(f, "loop", loop)
+        object.__setattr__(f, "integer_form",
+                           (scale // g, tuple([v // g for v in nums])))
+        return f
+
+    @property
+    def values(self):
+        scale, nums = self.integer_form
+        return tuple([Fraction(v, scale) for v in nums])
+
     def __call__(self, x):
-        return self.values[x]
+        scale, nums = self.integer_form
+        return Fraction(nums[x], scale)
 
     def __eq__(self, other):
         return (
             isinstance(other, LoopFunction)
             and (self.loop is other.loop or self.loop.equals(other.loop))
-            and self.values == other.values
+            and self.integer_form == other.integer_form
         )
 
     def __hash__(self):
-        return hash(self.values)
+        return hash(self.integer_form)
 
     def support(self):
         return frozenset(i for i, v in enumerate(self.integer_form[1]) if v)
@@ -92,15 +114,25 @@ class LoopFunction:
         return Fraction(max(nums, default=0), scale)
 
     def scale(self, alpha):
-        alpha = lp.rational(alpha)
-        return LoopFunction(self.loop, tuple(alpha * v for v in self.values))
+        """α·f; an int or Fraction α is read as its ratio, any other α (a
+        rational string) goes through lp.rational, which refuses floats."""
+        if not isinstance(alpha, numbers.Rational):
+            alpha = lp.rational(alpha)
+        p, q = int(alpha.numerator), int(alpha.denominator)
+        scale, nums = self.integer_form
+        if p < 0 and any(nums):
+            i = next(i for i, v in enumerate(nums) if v)
+            raise ValueError(f"negative value at {self.loop.label(i)}")
+        return LoopFunction._reduced(self.loop, scale * q,
+                                     [v * p for v in nums])
 
     def __add__(self, other):
         _same_loop(self, other)
-        return LoopFunction(
-            self.loop,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-        )
+        (s, a), (t, b) = self.integer_form, other.integer_form
+        m = math.lcm(s, t)
+        u, w = m // s, m // t
+        return LoopFunction._reduced(
+            self.loop, m, [x * u + y * w for x, y in zip(a, b)])
 
 
 def _same_loop(f, g):
@@ -109,15 +141,21 @@ def _same_loop(f, g):
 
 
 def constant(G, value=1):
-    return LoopFunction(G, (lp.rational(value),) * G.order)
+    c = lp.rational(value)
+    if c < 0:
+        raise ValueError(f"negative value at {G.label(0)}")
+    return LoopFunction._reduced(G, c.denominator, (c.numerator,) * G.order)
 
 
 def _element(G, x):
-    """The index of element x, given as an index or a label; an index
-    outside 0..n-1, or one that is not an integer, is refused with
-    ValueError rather than wrapped or truncated."""
+    """The index of element x, given as an index or a label; an unknown
+    label, an index outside 0..n-1, or one that is not an integer, is
+    refused with ValueError rather than wrapped or truncated."""
     if isinstance(x, str):
-        return G.index(x)
+        try:
+            return G.index(x)
+        except KeyError:
+            raise ValueError(f"unknown element label {x!r}") from None
     try:
         i = operator.index(x)
     except TypeError:
@@ -130,17 +168,15 @@ def _element(G, x):
 
 def delta(G, x=0):
     """Point mass at element index (or label) x."""
-    vals = [_F0] * G.order
-    vals[_element(G, x)] = _F1
-    return LoopFunction(G, vals)
+    return char(G, (x,))
 
 
 def char(G, members):
     """Indicator function of a set of indices/labels."""
-    vals = [_F0] * G.order
+    nums = [0] * G.order
     for x in members:
-        vals[_element(G, x)] = _F1
-    return LoopFunction(G, vals)
+        nums[_element(G, x)] = 1
+    return LoopFunction._reduced(G, 1, nums)
 
 
 def random_function(G, rng=None):
@@ -149,13 +185,10 @@ def random_function(G, rng=None):
     identically zero."""
     rng = rng if rng is not None else Random(DEFAULT_SEED)
     while True:
-        vals = []
-        for _ in range(G.order):
-            if rng.random() < 0.25:
-                vals.append(_F0)
-            else:
-                vals.append(Fraction(rng.randint(1, 6), rng.randint(1, 8)))
-        f = LoopFunction(G, vals)
+        f = LoopFunction(G, [
+            0 if rng.random() < 0.25
+            else Fraction(rng.randint(1, 6), rng.randint(1, 8))
+            for _ in range(G.order)])
         if not f.is_zero():
             return f
 
@@ -171,8 +204,9 @@ def covering_problem(f, phi):
     G = f.loop
     n = G.order
     tbl = G.table.tolist()
+    vals = phi.values
     A = tuple(
-        tuple(phi.values[tbl[b][x]] for b in range(n)) for x in range(n)
+        tuple(vals[tbl[b][x]] for b in range(n)) for x in range(n)
     )
     return lp.LPProblem((_F1,) * n, A, f.values)
 
@@ -229,7 +263,6 @@ def translate(f, b, mode="left"):
     left-div f^b(x)=f(b\x)."""
     G = f.loop
     b = _element(G, b)
-    n = G.order
     if mode == "left":
         idx = G.table[b, :]
     elif mode == "right":
@@ -238,21 +271,18 @@ def translate(f, b, mode="left"):
         idx = G.ldiv[b, :]
     else:
         raise ValueError(f"unknown translate mode {mode!r}")
-    return LoopFunction(G, tuple(f.values[int(idx[x])] for x in range(n)))
+    scale, nums = f.integer_form
+    return LoopFunction._reduced(G, scale, [nums[i] for i in idx.tolist()])
 
 
 def fan_average(f, n0):
     """f^[λ](x) = (1/|N₀|)·Σ_{γ∈N₀} f(γx), λ the uniform weight on N₀."""
     G = f.loop
     core.require_subgroup(G, n0)
-    gammas = sorted(n0.members)
-    w = Fraction(1, len(gammas))
-    tbl = G.table
-    vals = [
-        w * sum((f.values[int(tbl[g, x])] for g in gammas), _F0)
-        for x in range(G.order)
-    ]
-    return LoopFunction(G, vals)
+    scale, nums = f.integer_form
+    rows = G.table[sorted(n0.members)].T.tolist()
+    return LoopFunction._reduced(G, scale * len(n0.members),
+                                 [sum([nums[i] for i in row]) for row in rows])
 
 
 def upsilon_member(f, n0):
@@ -267,16 +297,14 @@ def upsilon_member(f, n0):
     core.require_subgroup(G, n0)
     if f.is_zero():
         return False
-    tbl = G.table
+    nums = list(f.integer_form[1])
+    members = sorted(n0.members)
     left = all(
-        f.values[int(tbl[g, x])] == f.values[x]
-        for g in n0.members
-        for x in range(G.order)
+        [nums[i] for i in row] == nums for row in G.table[members].tolist()
     )
     right = all(
-        f.values[int(tbl[x, g])] == f.values[x]
-        for g in n0.members
-        for x in range(G.order)
+        [nums[i] for i in col] == nums
+        for col in G.table[:, members].T.tolist()
     )
     if left != right:
         raise FanLoopCheckFailed(
@@ -398,10 +426,10 @@ class InvariantMeasure:
     notes: tuple = ()
 
     def mass(self, members):
-        out = _F0
-        for x in members:
-            out += self.weights[_element(self.loop, x)]
-        return out
+        """μ of the set of the given indices/labels; each element counts
+        once, however often it is listed."""
+        return sum((self.weights[i] for i in
+                    {_element(self.loop, x) for x in members}), _F0)
 
 
 def invariant_measure(G, J=None):

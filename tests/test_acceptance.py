@@ -24,7 +24,6 @@ from fanloops import (
     catalog,
     census,
     cli,
-    core,
     haar,
     laws,
     lp,
@@ -303,8 +302,7 @@ def test_criterion_09_census(capsys):
         assert w is not None and not w.analysis.is_fan_loop
         a, b, c = w.analysis.fan_witness
         nuc = w.analysis.nucleus.members
-        assert (core.t_assoc(w, a, b, c) not in nuc
-                or core.p_assoc(w, a, b, c) not in nuc)
+        assert w.t(a, b, c) not in nuc or w.p(a, b, c) not in nuc
         w2 = census.find_witness(5, "inverse-split")
         assert w2 is not None
         assert any(

@@ -181,8 +181,8 @@ def test_non_fan_witness_at_order_5():
     a = G.analysis
     assert not a.is_fan_loop
     x, y, z = a.fan_witness[:3]
-    tv = core.t_assoc(G, x, y, z)
-    pv = core.p_assoc(G, x, y, z)
+    tv = G.t(x, y, z)
+    pv = G.p(x, y, z)
     assert tv not in a.nucleus.members or pv not in a.nucleus.members
 
 

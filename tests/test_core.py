@@ -100,8 +100,8 @@ def test_division_identities_on_sample():
 def test_left_right_inverses():
     G = catalog.quaternion8()
     for x in range(8):
-        il = int(core.inv_l(G, x))
-        ir = int(core.inv_r(G, x))
+        il = int(G.inv_l(x))
+        ir = int(G.inv_r(x))
         assert int(G.table[il, x]) == 0
         assert int(G.table[x, ir]) == 0
         assert il == ir  # Q8 is a group
@@ -152,9 +152,9 @@ def test_classify_octonion16(oct16):
 def test_octonion_associator_value(oct16):
     # t(e1, e2, e4) = -1: ((e1 e2) e4) = e7 but e1 (e2 e4) = -e7
     e1, e2, e4 = oct16.index("e1"), oct16.index("e2"), oct16.index("e4")
-    t = core.t_assoc(oct16, e1, e2, e4)
+    t = oct16.t(e1, e2, e4)
     assert oct16.label(int(t)) == "-1"
-    p_val = core.p_assoc(oct16, e1, e2, e4)
+    p_val = oct16.p(e1, e2, e4)
     assert oct16.label(int(p_val)) == "-1"
 
 

@@ -173,6 +173,56 @@ def test_element_indices_that_are_not_integers_are_refused(q8):
     assert haar.delta(q8, np.int64(2)) == haar.delta(q8, 2)
 
 
+def test_unknown_element_labels_are_refused(q8):
+    for build in (lambda: haar.delta(q8, "zz"),
+                  lambda: haar.char(q8, ["e1", "zz"]),
+                  lambda: haar.translate(haar.delta(q8), "zz"),
+                  lambda: haar.invariant_measure(q8).mass(["zz"])):
+        with pytest.raises(ValueError, match="unknown element label 'zz'"):
+            build()
+
+
+def test_operations_on_a_built_function_stay_in_integer_form(q8, monkeypatch):
+    # the values are made exact and scaled once, when f is built; nothing
+    # after that goes back through a Fraction vector
+    n = q8.order
+    f = haar.LoopFunction(q8, [F(1, 2), F(1, 3), 0, 2, F(5, 6), 0, 1, F(1, 4)])
+    g = haar.LoopFunction(q8, [F(1, 6), F(2, 3), 1, 0, F(1, 6), 0, 0, F(3, 4)])
+    n0 = core.ElementSet(q8, frozenset({0, 1}))      # {1, -1}
+    even = haar.LoopFunction(q8, [F(1, 3)] * n)
+
+    def refuse(*args):
+        raise AssertionError("a built function went back through Fractions")
+
+    monkeypatch.setattr(lp, "scaled", refuse)
+    monkeypatch.setattr(lp, "rational", refuse)
+    tbl, ldiv = q8.table, q8.ldiv
+    for mode, idx in (("left", tbl[3, :]), ("right", tbl[:, 3]),
+                      ("left-div", ldiv[3, :])):
+        h = haar.translate(f, 3, mode)
+        assert [h(x) for x in range(n)] == [f(int(i)) for i in idx]
+        _assert_least_integer_form(h)
+    assert f.scale(F(6, 5)).values == tuple(F(6, 5) * v for v in f.values)
+    assert f.scale(3)(0) == F(3, 2) and f.scale(0).integer_form == (1, (0,) * n)
+    total = f + g
+    assert total.values == tuple(a + b for a, b in zip(f.values, g.values))
+    assert total.integer_form == (3, (2, 3, 3, 6, 3, 0, 3, 3))
+    _assert_least_integer_form(total)
+    avg = haar.fan_average(f, n0)
+    assert avg.values == tuple(
+        sum(f(int(tbl[c, x])) for c in n0.members) / len(n0.members)
+        for x in range(n))
+    _assert_least_integer_form(avg)
+    assert haar.delta(q8, "e2").integer_form == (1, (0, 0, 0, 0, 1, 0, 0, 0))
+    assert haar.char(q8, [0, 1]).total() == 2
+    assert haar.upsilon_member(avg, n0) and haar.upsilon_member(even, n0)
+    assert not haar.upsilon_member(f, n0)
+    monkeypatch.undo()
+    half = haar.constant(q8, "1/2")
+    assert half == haar.LoopFunction(q8, [F(2, 4)] * n)
+    assert hash(half) == hash(haar.LoopFunction(q8, [F(2, 4)] * n))
+
+
 # --- covering numbers: closed values and the 3.4.x calculus ------------------
 
 def test_covering_basic_values(suite_loops):
@@ -531,6 +581,14 @@ def test_invariant_measure_translation_on_subsets(oct16, rng):
         bB = [int(oct16.table[b, x]) for x in B]
         assert mu.mass(bB) == mu.mass(B)
     assert mu.mass(("1", "e1")) == 2
+
+
+def test_invariant_measure_counts_each_member_once(q8):
+    mu = haar.invariant_measure(q8)
+    assert mu.mass(["1", "1"]) == 1
+    assert mu.mass(["1", 0, "1"]) == 1
+    assert mu.mass(list(range(8)) * 2) == 8
+    assert mu.mass([]) == 0
 
 
 def test_invariant_measure_takes_the_callers_functional(oct16, q8,

@@ -66,8 +66,7 @@ def test_membership_laws_fail_on_non_fan_loop():
     rep = reports[failing[0]]
     assert rep.witness is not None
     a, b, c = (W.index(rep.witness[v]) for v in ("a", "b", "c"))
-    val = (core.t_assoc(W, a, b, c) if failing[0].endswith("t")
-           else core.p_assoc(W, a, b, c))
+    val = W.t(a, b, c) if failing[0].endswith("t") else W.p(a, b, c)
     assert int(val) not in W.analysis.nucleus.members
 
 
