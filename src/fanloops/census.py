@@ -10,6 +10,7 @@ squares emitted.  The census is a corpus feeder for fan/non-fan examples
 for some a).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,16 @@ def _check_reduced(batch):
         raise AssertionError(f"square {bad} of the batch is not reduced")
 
 
+def _check_integer(name, value):
+    """Refuse a value that is not an integer; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_order(order):
-    """Refuse an order below 1 or above the census cap."""
+    """Refuse an order that is not an integer, below 1 or above the census
+    cap."""
+    _check_integer("order", order)
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     if order > CENSUS_ORDER_CAP:
@@ -96,10 +105,11 @@ class CensusQuery:
     def __post_init__(self):
         if self.filter not in FILTERS:
             raise UnknownPredicate(self.filter, FILTERS)
-        if self.order < 1:
-            raise ValueError(f"order must be at least 1, got {self.order}")
-        if self.limit is not None and self.limit < 0:
-            raise ValueError(f"limit must be at least 0, got {self.limit}")
+        _check_order(self.order)
+        if self.limit is not None:
+            _check_integer("limit", self.limit)
+            if self.limit < 0:
+                raise ValueError(f"limit must be at least 0, got {self.limit}")
 
 
 class Sweep:
@@ -109,14 +119,12 @@ class Sweep:
     when the limit stopped the pass early)."""
 
     def __init__(self, query):
-        self.query = (CensusQuery(order=query) if isinstance(query, int)
-                      else query)
+        self.query = (query if isinstance(query, CensusQuery)
+                      else CensusQuery(order=query))
         self.total = None
 
     def __iter__(self):
         q = self.query
-        # the cap is refused even when the limit asks for nothing
-        _check_order(q.order)
         if q.limit == 0:
             return
         labels = core.default_labels(q.order)

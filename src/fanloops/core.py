@@ -9,6 +9,7 @@ so that (ab)c = t(a,b,c)·(a(bc)) and (ab)c = (a(bc))·p(a,b,c) hold by
 construction.  The identity element is always index 0 after ingestion.
 """
 
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -249,6 +250,14 @@ def default_labels(n, identity=0):
     return [("e" if i == identity else f"x{i}") for i in range(n)]
 
 
+def _is_index(v, n):
+    """Whether a table cell is an integer in 0..n-1: an int other than a
+    bool, or a float with no fraction."""
+    whole = (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+             or isinstance(v, (float, np.floating)) and float(v).is_integer())
+    return whole and 0 <= v < n
+
+
 def verify_loop(table, identity=None, labels=None, cap=None):
     """Check the loop axioms and return a normalized FiniteLoop.
 
@@ -267,17 +276,24 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     cap = order_cap(cap)
     if n > cap:
         raise OrderCapExceeded(n, cap)
-    if table.dtype != _DTYPE and table.dtype.kind in "iuOf":
-        # check before the cast: a wider integer would wrap to int16 and a
-        # float would lose its fraction (NaN != floor(NaN) catches NaN)
-        bad = (table < 0) | (table >= n)
-        is_float = table.dtype.kind == "f"
-        if is_float:
-            bad |= table != np.floor(table)
+    if table.dtype != _DTYPE:
+        # check before the cast: it would wrap a wider integer to int16,
+        # drop a float's fraction and coerce a bool, complex, string or
+        # bytes table.  The witness is the first cell in C order that is
+        # not an integer in 0..n-1 (NaN != floor(NaN) catches NaN).
+        kind = table.dtype.kind
+        if kind in "iuf":
+            bad = (table < 0) | (table >= n)
+            if kind == "f":
+                bad |= table != np.floor(table)
+        else:
+            index = np.frompyfunc(lambda v: _is_index(v, n), 1, 1)
+            bad = ~index(table).astype(bool)
         w = _kernels.first(bad)
         if w is not None:
             v = table[w]
-            raise NotLatinSquare("value", *w, float(v) if is_float else int(v))
+            raise NotLatinSquare(
+                "value", *w, v.item() if isinstance(v, np.generic) else v)
     table = np.ascontiguousarray(table, dtype=_DTYPE)
 
     code, i, j = _kernels.latin_violation(table)

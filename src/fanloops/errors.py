@@ -40,7 +40,7 @@ class NotLatinSquare(AxiomError):
         self.col = col
         self.value = value
         super().__init__(
-            f"not a Latin square: {kind} violation at cell ({row},{col}), value {value}"
+            f"not a Latin square: {kind} violation at cell ({row},{col}), value {value!r}"
         )
 
 

@@ -3,8 +3,9 @@ r"""Registry of fan-loop identities with exhaustive vectorized verification.
 Every law is a pair of expression trees over the loop signature
 (·, \, /, e, t, p, nucleus-inverse) plus a list of quantified variables,
 each ranging over G, over N(G), or over Z(G).  Multi-part identities are
-stored as clause lists under one stable id.  Products written without
-brackets in a law text associate to the left; this is sound for every
+stored as clause lists under one stable id.  Each law is stated once, as
+its paper-notation text, and _term reads the trees from it: products
+without brackets associate to the left.  That reading is sound for every
 registry entry because at most one factor lies outside the nucleus or any
 consecutive outside pair is itself the intended unit, so nucleus factors
 slide across the grouping.
@@ -26,6 +27,7 @@ of the first variable, first to last, a fixed number of tuples at a time
 the first counterexample in C order, the lexicographically smallest one.
 """
 
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -64,44 +66,68 @@ class Expr:
         self.op, self.args = op, args
 
 
-def Var(name):
-    return Expr("var", name)
+def _term(text):
+    r"""Read one side of a law text into its Expr tree.
 
+    Products, written as juxtaposition or ·, bind loosest and associate to
+    the left; \ and / bind tighter and associate to the left; the suffix
+    ^-1 (x^-1 = x\e, used only where x lies in the nucleus) binds tightest.
+    [ ] are brackets like ( ), t(…) and p(…) take three arguments, e is
+    the identity and a letter with optional digits is a variable.  Raises
+    ValueError on any other text.
+    """
+    tokens = re.findall(r"\^-1|[a-z]\d*|[()\[\],·\\/]", text)
+    if "".join(tokens) != "".join(text.split()):
+        raise ValueError(f"unknown character in law text {text!r}")
+    tokens.append(None)
+    pos = 0
 
-def E():
-    return Expr("e")
+    def take(*want):
+        nonlocal pos
+        tok = tokens[pos]
+        if tok is None or (want and tok not in want):
+            raise ValueError(f"expected {' or '.join(want) or 'a term'} at "
+                             f"{tok or 'the end'!r} in law text {text!r}")
+        pos += 1
+        return tok
 
+    def product():
+        out = quotient()
+        while tokens[pos] and (tokens[pos] in ("·", "(", "[")
+                               or tokens[pos][0].isalpha()):
+            if tokens[pos] == "·":
+                take()
+            out = Expr("·", out, quotient())
+        return out
 
-def Mul(x, y):
-    return Expr("·", x, y)
+    def quotient():
+        out = power()
+        while tokens[pos] in ("\\", "/"):
+            out = Expr(take(), out, power())
+        return out
 
+    def power():
+        tok = take()
+        if tok in ("(", "["):
+            out = product()
+            take(")" if tok == "(" else "]")
+        elif tok in ("t", "p"):
+            take("(")
+            args = [product(), take(",") and product(), take(",") and product()]
+            take(")")
+            out = Expr(tok, *args)
+        elif tok[0].isalpha():
+            out = Expr("e") if tok == "e" else Expr("var", tok)
+        else:
+            raise ValueError(f"unexpected {tok!r} in law text {text!r}")
+        while tokens[pos] == "^-1":
+            take()
+            out = Expr("\\", out, Expr("e"))
+        return out
 
-def LDiv(x, y):
-    return Expr("\\", x, y)
-
-
-def RDiv(x, y):
-    return Expr("/", x, y)
-
-
-def TAssoc(x, y, z):
-    return Expr("t", x, y, z)
-
-
-def PAssoc(x, y, z):
-    return Expr("p", x, y, z)
-
-
-def NInv(x):
-    r"""x^-1 = x\e, used only where x is guaranteed to lie in the nucleus."""
-    return LDiv(x, E())
-
-
-def mul(*factors):
-    """Left-associated product of two or more expressions."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = Mul(out, f)
+    out = product()
+    if tokens[pos] is not None:
+        raise ValueError(f"trailing {tokens[pos]!r} in law text {text!r}")
     return out
 
 
@@ -142,130 +168,64 @@ class LawReport:
         return self.status == HOLDS
 
 
-def _v(*names):
-    return tuple(Var(n) for n in names)
+def _law(id_, text, names, scope="fan"):
+    """Read a law text into its clauses: they are separated by "; " or
+    " and ", a chain x = y = z gives one clause per "=", and "X in N(G)" is
+    a membership clause.  A trailing "for a,b in N" (or "in Z") sets those
+    variables' domain, G otherwise; names gives the quantifier order, which
+    a witness follows and the text cannot give."""
+    body, domain = text, {}
+    if m := re.fullmatch(r"(.*) for (\S+) in ([NZ])", text):
+        body, domain = m[1], dict.fromkeys(m[2].split(","), m[3])
+    clauses = []
+    for part in re.split(r"; | and ", body):
+        if part.endswith(" in N(G)"):
+            clauses.append((_term(part.removesuffix(" in N(G)")), None))
+        else:
+            sides = [_term(side) for side in part.split("=")]
+            clauses += zip(sides, sides[1:])
+    return Law(id_, text, tuple((v, domain.get(v, "G")) for v in names.split()),
+               tuple(clauses), scope)
 
 
-def _build_registry():
-    a, b, c, x, q = _v("a", "b", "c", "x", "q")
-    a1, a2, a3 = _v("a1", "a2", "a3")
-    z1, z2, z3 = _v("z1", "z2", "z3")
-    e = E()
-    ile = lambda w: LDiv(w, e)   # w \ e
-    ire = lambda w: RDiv(e, w)   # e / w
-
-    laws = []
-
-    def law(id_, text, vars_, clauses, scope="fan"):
-        laws.append(Law(id_, text, tuple(vars_), tuple(clauses), scope))
-
+REGISTRY = tuple(_law(*row) for row in (
     # ---- 2.2 family (fan loops) ----
-    law("2.2.1", r"b\e = t(e/b,b,b\e)(e/b)", [("b", "G")],
-        [(ile(b), Mul(TAssoc(ire(b), b, ile(b)), ire(b)))])
-    law("2.2.1'", r"b\e = (e/b)p(e/b,b,b\e)", [("b", "G")],
-        [(ile(b), Mul(ire(b), PAssoc(ire(b), b, ile(b))))])
-    law("2.2.2", r"(a\e)b = t(e/a,a,a\e)[t(e/a,a,a\b)]^-1(a\b)",
-        [("a", "G"), ("b", "G")],
-        [(Mul(ile(a), b),
-          mul(TAssoc(ire(a), a, ile(a)),
-              NInv(TAssoc(ire(a), a, LDiv(a, b))),
-              LDiv(a, b)))])
-    law("2.2.2b", r"a\b = (a\e)b·p(a,a\e,b)", [("a", "G"), ("b", "G")],
-        [(LDiv(a, b), mul(ile(a), b, PAssoc(a, ile(a), b)))])
-    law("2.2.2'", r"(bc)\a = (c\(b\a))[p(b,c,(bc)\a)]^-1",
-        [("a", "G"), ("b", "G"), ("c", "G")],
-        [(LDiv(Mul(b, c), a),
-          Mul(LDiv(c, LDiv(b, a)), NInv(PAssoc(b, c, LDiv(Mul(b, c), a)))))])
-    law("2.2.2''", r"(a\b)c = (a\(bc))[p(a,a\b,c)]^-1",
-        [("a", "G"), ("b", "G"), ("c", "G")],
-        [(Mul(LDiv(a, b), c),
-          Mul(LDiv(a, Mul(b, c)), NInv(PAssoc(a, LDiv(a, b), c))))])
-    law("2.2.2'''",
-        r"(ab)\e = (b\e)(a\e)[t(a,b,b\e)]^-1·t(ab,b\e,a\e)",
-        [("a", "G"), ("b", "G")],
-        [(ile(Mul(a, b)),
-          mul(ile(b), ile(a), NInv(TAssoc(a, b, ile(b))),
-              TAssoc(Mul(a, b), ile(b), ile(a))))])
-    law("2.2.3", r"b(e/a) = (b/a)p(b/a,a,a\e)[p(e/a,a,a\e)]^-1",
-        [("a", "G"), ("b", "G")],
-        [(Mul(b, ire(a)),
-          mul(RDiv(b, a), PAssoc(RDiv(b, a), a, ile(a)),
-              NInv(PAssoc(ire(a), a, ile(a)))))])
-    law("2.2.3b", r"b/a = [t(b,e/a,a)]^-1·b(e/a)", [("a", "G"), ("b", "G")],
-        [(RDiv(b, a), mul(NInv(TAssoc(b, ire(a), a)), b, ire(a)))])
-    law("2.2.3'", r"a/(bc) = t(a/(bc),b,c)((a/c)/b)",
-        [("a", "G"), ("b", "G"), ("c", "G")],
-        [(RDiv(a, Mul(b, c)),
-          Mul(TAssoc(RDiv(a, Mul(b, c)), b, c), RDiv(RDiv(a, c), b)))])
-    law("2.2.3''", r"c(b/a) = t(c,b/a,a)·(cb)/a",
-        [("a", "G"), ("b", "G"), ("c", "G")],
-        [(Mul(c, RDiv(b, a)),
-          Mul(TAssoc(c, RDiv(b, a), a), RDiv(Mul(c, b), a)))])
-    law("2.2.3'''",
-        r"e/(ab) = [p(e/b,e/a,ab)]^-1·p(e/a,a,b)(e/b)(e/a)",
-        [("a", "G"), ("b", "G")],
-        [(ire(Mul(a, b)),
-          mul(NInv(PAssoc(ire(b), ire(a), Mul(a, b))),
-              PAssoc(ire(a), a, b), ire(b), ire(a)))])
-
+    ("2.2.1", r"b\e = t(e/b,b,b\e)(e/b)", "b"),
+    ("2.2.1'", r"b\e = (e/b)p(e/b,b,b\e)", "b"),
+    ("2.2.2", r"(a\e)b = t(e/a,a,a\e)[t(e/a,a,a\b)]^-1(a\b)", "a b"),
+    ("2.2.2b", r"a\b = (a\e)b·p(a,a\e,b)", "a b"),
+    ("2.2.2'", r"(bc)\a = (c\(b\a))[p(b,c,(bc)\a)]^-1", "a b c"),
+    ("2.2.2''", r"(a\b)c = (a\(bc))[p(a,a\b,c)]^-1", "a b c"),
+    ("2.2.2'''", r"(ab)\e = (b\e)(a\e)[t(a,b,b\e)]^-1·t(ab,b\e,a\e)", "a b"),
+    ("2.2.3", r"b(e/a) = (b/a)p(b/a,a,a\e)[p(e/a,a,a\e)]^-1", "a b"),
+    ("2.2.3b", r"b/a = [t(b,e/a,a)]^-1·b(e/a)", "a b"),
+    ("2.2.3'", r"a/(bc) = t(a/(bc),b,c)((a/c)/b)", "a b c"),
+    ("2.2.3''", r"c(b/a) = t(c,b/a,a)·(cb)/a", "a b c"),
+    ("2.2.3'''", r"e/(ab) = [p(e/b,e/a,ab)]^-1·p(e/a,a,b)(e/b)(e/a)", "a b"),
     # ---- 2.3 family (fan loops) ----
-    zsub = [("z1", "Z"), ("z2", "Z"), ("z3", "Z"),
-            ("a1", "G"), ("a2", "G"), ("a3", "G")]
-    law("2.3.1", "t(z1·a1,z2·a2,z3·a3) = t(a1,a2,a3)", zsub,
-        [(TAssoc(Mul(z1, a1), Mul(z2, a2), Mul(z3, a3)),
-          TAssoc(a1, a2, a3))])
-    law("2.3.1'", "p(z1·a1,z2·a2,z3·a3) = p(a1,a2,a3)", zsub,
-        [(PAssoc(Mul(z1, a1), Mul(z2, a2), Mul(z3, a3)),
-          PAssoc(a1, a2, a3))])
-    law("2.3.2", r"t(a,a\e,a)a = ap(a,a\e,a)", [("a", "G")],
-        [(Mul(TAssoc(a, ile(a), a), a), Mul(a, PAssoc(a, ile(a), a)))])
-    law("2.3.2'", r"t(a,e/a,a)a = ap(a,e/a,a)", [("a", "G")],
-        [(Mul(TAssoc(a, ire(a), a), a), Mul(a, PAssoc(a, ire(a), a)))])
-    law("2.3.2''", r"p(a,a\e,a)t(e/a,a,a\e) = e", [("a", "G")],
-        [(Mul(PAssoc(a, ile(a), a), TAssoc(ire(a), a, ile(a))), e)])
-    law("2.3.3", "t(a1,a2,a3·b) = t(a1,a2,a3)",
-        [("a1", "G"), ("a2", "G"), ("a3", "G"), ("b", "N")],
-        [(TAssoc(a1, a2, Mul(a3, b)), TAssoc(a1, a2, a3))])
-    law("2.3.3'", "p(b·a1,a2,a3) = p(a1,a2,a3)",
-        [("a1", "G"), ("a2", "G"), ("a3", "G"), ("b", "N")],
-        [(PAssoc(Mul(b, a1), a2, a3), PAssoc(a1, a2, a3))])
-    law("2.3.4", "t(b·a1,a2,a3) = b·t(a1,a2,a3)·b^-1",
-        [("a1", "G"), ("a2", "G"), ("a3", "G"), ("b", "N")],
-        [(TAssoc(Mul(b, a1), a2, a3), mul(b, TAssoc(a1, a2, a3), NInv(b)))])
-    law("2.3.4'", "p(a1,a2,a3·b) = b^-1·p(a1,a2,a3)·b",
-        [("a1", "G"), ("a2", "G"), ("a3", "G"), ("b", "N")],
-        [(PAssoc(a1, a2, Mul(a3, b)), mul(NInv(b), PAssoc(a1, a2, a3), b))])
-    law("2.3.8", r"t(a,a\e,a)·a·t(e/a,a,a\e) = a", [("a", "G")],
-        [(mul(TAssoc(a, ile(a), a), a, TAssoc(ire(a), a, ile(a))), a)])
-
+    ("2.3.1", "t(z1·a1,z2·a2,z3·a3) = t(a1,a2,a3) for z1,z2,z3 in Z",
+     "z1 z2 z3 a1 a2 a3"),
+    ("2.3.1'", "p(z1·a1,z2·a2,z3·a3) = p(a1,a2,a3) for z1,z2,z3 in Z",
+     "z1 z2 z3 a1 a2 a3"),
+    ("2.3.2", r"t(a,a\e,a)a = ap(a,a\e,a)", "a"),
+    ("2.3.2'", r"t(a,e/a,a)a = ap(a,e/a,a)", "a"),
+    ("2.3.2''", r"p(a,a\e,a)t(e/a,a,a\e) = e", "a"),
+    ("2.3.3", "t(a1,a2,a3·b) = t(a1,a2,a3) for b in N", "a1 a2 a3 b"),
+    ("2.3.3'", "p(b·a1,a2,a3) = p(a1,a2,a3) for b in N", "a1 a2 a3 b"),
+    ("2.3.4", "t(b·a1,a2,a3) = b·t(a1,a2,a3)·b^-1 for b in N", "a1 a2 a3 b"),
+    ("2.3.4'", "p(a1,a2,a3·b) = b^-1·p(a1,a2,a3)·b for b in N", "a1 a2 a3 b"),
+    ("2.3.8", r"t(a,a\e,a)·a·t(e/a,a,a\e) = a", "a"),
     # ---- unconditional laws (any loop) ----
-    law("2.2.4", r"b(b\a) = a and b\(ba) = a", [("a", "G"), ("b", "G")],
-        [(Mul(b, LDiv(b, a)), a), (LDiv(b, Mul(b, a)), a)], scope="all")
-    law("2.2.5", "(a/b)b = a and (ab)/b = a", [("a", "G"), ("b", "G")],
-        [(Mul(RDiv(a, b), b), a), (RDiv(Mul(a, b), b), a)], scope="all")
-    law("2.3.6", r"b/(qa) = q^-1(b/a); b/q = q\b = bq^-1 for q in Z",
-        [("q", "Z"), ("a", "G"), ("b", "G")],
-        [(RDiv(b, Mul(q, a)), Mul(NInv(q), RDiv(b, a))),
-         (RDiv(b, q), LDiv(q, b)),
-         (LDiv(q, b), Mul(b, NInv(q))),
-         (RDiv(b, q), Mul(b, NInv(q)))], scope="all")
-    law("2.6.6", "Inv_l(Inv_r(b)) = b and Inv_r(Inv_l(b)) = b", [("b", "G")],
-        [(ile(ire(b)), b), (ire(ile(b)), b)], scope="all")
-    law("2.8.1", r"x\(ab) = (x\a)b for a,b in N",
-        [("x", "G"), ("a", "N"), ("b", "N")],
-        [(LDiv(x, Mul(a, b)), Mul(LDiv(x, a), b))], scope="all")
-    law("2.8.2", "(ab)/x = a(b/x) for a,b in N",
-        [("x", "G"), ("a", "N"), ("b", "N")],
-        [(RDiv(Mul(a, b), x), Mul(a, RDiv(b, x)))], scope="all")
-    law("2.1.9-t", "t(a,b,c) in N(G)", [("a", "G"), ("b", "G"), ("c", "G")],
-        [(TAssoc(a, b, c), None)], scope="all")
-    law("2.1.9-p", "p(a,b,c) in N(G)", [("a", "G"), ("b", "G"), ("c", "G")],
-        [(PAssoc(a, b, c), None)], scope="all")
-
-    return tuple(laws)
-
-
-REGISTRY = _build_registry()
+    ("2.2.4", r"b(b\a) = a and b\(ba) = a", "a b", "all"),
+    ("2.2.5", "(a/b)b = a and (ab)/b = a", "a b", "all"),
+    ("2.3.6", r"b/(qa) = q^-1(b/a); b/q = q\b; q\b = bq^-1; b/q = bq^-1 for q in Z",
+     "q a b", "all"),
+    ("2.6.6", r"(e/b)\e = b and e/(b\e) = b", "b", "all"),
+    ("2.8.1", r"x\(ab) = (x\a)b for a,b in N", "x a b", "all"),
+    ("2.8.2", "(ab)/x = a(b/x) for a,b in N", "x a b", "all"),
+    ("2.1.9-t", "t(a,b,c) in N(G)", "a b c", "all"),
+    ("2.1.9-p", "p(a,b,c) in N(G)", "a b c", "all"),
+))
 _BY_ID = {law.id: law for law in REGISTRY}
 
 

@@ -232,6 +232,22 @@ def test_an_order_below_1_is_refused(order):
             call()
 
 
+@pytest.mark.parametrize("order", [5.5, "5", True])
+def test_a_non_integer_order_is_refused(order):
+    for call in (lambda: census.CensusQuery(order),
+                 lambda: census.summary(order),
+                 lambda: census.count_reduced(order),
+                 lambda: next(census.iter_reduced_latin(order))):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("limit", [1.5, True])
+def test_a_non_integer_limit_is_refused(limit):
+    with pytest.raises(ValueError, match="limit must be an integer"):
+        census.CensusQuery(5, limit=limit)
+
+
 def test_enumerated_loops_are_verified_objects():
     for G in census.enumerate_loops(4):
         assert isinstance(G, core.FiniteLoop)

@@ -57,8 +57,25 @@ def test_verify_loop_rejects_out_of_range():
     with pytest.raises(NotLatinSquare) as exc:
         core.verify_loop([[0.0, 1.0], [1.0, float("nan")]])
     assert (exc.value.kind, exc.value.row, exc.value.col) == ("value", 1, 1)
-    # integral floats are still accepted
+    # integral floats are still accepted, and so are ints in an object table
     assert core.verify_loop([[0.0, 1.0], [1.0, 0.0]]).order == 2
+    assert core.verify_loop(np.array([[0, 1], [1, 0]], dtype=object)).order == 2
+
+
+@pytest.mark.parametrize("table,cell,value", [
+    ([["0", "1"], ["1", "0"]], (0, 0), "0"),
+    ([[b"0", b"1"], [b"1", b"0"]], (0, 0), b"0"),
+    ([[0, 1 + 1j], [1, 0]], (0, 0), 0j),
+    ([[False, True], [True, False]], (0, 0), False),
+    (np.array([[0, "1"], [1, 0]], dtype=object), (0, 1), "1"),
+], ids=["str", "bytes", "complex", "bool", "object-str"])
+def test_verify_loop_refuses_a_non_integer_table(table, cell, value):
+    # the int16 cast would parse, truncate or coerce these tables into C2
+    with pytest.raises(NotLatinSquare) as exc:
+        core.verify_loop(table)
+    got = exc.value
+    assert (got.kind, got.row, got.col, got.value) == ("value", *cell, value)
+    assert type(got.value) is type(value)
 
 
 def test_verify_loop_rejects_missing_identity():

@@ -148,6 +148,87 @@ def test_law_text_uses_division_notation():
     assert "p(" in by_id["2.2.1'"].text
 
 
+# --- the registry as read from its law texts ---------------------------------
+
+def _render(expr):
+    """A term fully bracketed: ((a·b)·c), t(a,b,c), e."""
+    if expr.op == "var":
+        return expr.args[0]
+    if expr.op == "e":
+        return "e"
+    args = [_render(a) for a in expr.args]
+    if expr.op in ("t", "p"):
+        return f"{expr.op}({','.join(args)})"
+    return f"({args[0]}{expr.op}{args[1]})"
+
+
+def _render_law(law):
+    clauses = "; ".join(
+        f"{_render(lhs)} in N(G)" if rhs is None
+        else f"{_render(lhs)} = {_render(rhs)}"
+        for lhs, rhs in law.clauses)
+    names = " ".join(f"{name}:{dom}" for name, dom in law.vars)
+    return f"{law.id} [{names}] {law.scope}: {clauses}"
+
+
+# Rendered from the registry when its trees were still built by hand; a law
+# text that reads differently shows up here even where the misread law
+# still holds on every loop.
+PINNED_REGISTRY = [
+    r"2.2.1 [b:G] fan: (b\e) = (t((e/b),b,(b\e))·(e/b))",
+    r"2.2.1' [b:G] fan: (b\e) = ((e/b)·p((e/b),b,(b\e)))",
+    r"2.2.2 [a:G b:G] fan: ((a\e)·b) = ((t((e/a),a,(a\e))·(t((e/a),a,(a\b))\e))·(a\b))",
+    r"2.2.2b [a:G b:G] fan: (a\b) = (((a\e)·b)·p(a,(a\e),b))",
+    r"2.2.2' [a:G b:G c:G] fan: ((b·c)\a) = ((c\(b\a))·(p(b,c,((b·c)\a))\e))",
+    r"2.2.2'' [a:G b:G c:G] fan: ((a\b)·c) = ((a\(b·c))·(p(a,(a\b),c)\e))",
+    r"2.2.2''' [a:G b:G] fan: ((a·b)\e) = ((((b\e)·(a\e))·(t(a,b,(b\e))\e))·t((a·b),(b\e),(a\e)))",
+    r"2.2.3 [a:G b:G] fan: (b·(e/a)) = (((b/a)·p((b/a),a,(a\e)))·(p((e/a),a,(a\e))\e))",
+    r"2.2.3b [a:G b:G] fan: (b/a) = (((t(b,(e/a),a)\e)·b)·(e/a))",
+    r"2.2.3' [a:G b:G c:G] fan: (a/(b·c)) = (t((a/(b·c)),b,c)·((a/c)/b))",
+    r"2.2.3'' [a:G b:G c:G] fan: (c·(b/a)) = (t(c,(b/a),a)·((c·b)/a))",
+    r"2.2.3''' [a:G b:G] fan: (e/(a·b)) = ((((p((e/b),(e/a),(a·b))\e)·p((e/a),a,b))·(e/b))·(e/a))",
+    r"2.3.1 [z1:Z z2:Z z3:Z a1:G a2:G a3:G] fan: t((z1·a1),(z2·a2),(z3·a3)) = t(a1,a2,a3)",
+    r"2.3.1' [z1:Z z2:Z z3:Z a1:G a2:G a3:G] fan: p((z1·a1),(z2·a2),(z3·a3)) = p(a1,a2,a3)",
+    r"2.3.2 [a:G] fan: (t(a,(a\e),a)·a) = (a·p(a,(a\e),a))",
+    r"2.3.2' [a:G] fan: (t(a,(e/a),a)·a) = (a·p(a,(e/a),a))",
+    r"2.3.2'' [a:G] fan: (p(a,(a\e),a)·t((e/a),a,(a\e))) = e",
+    r"2.3.3 [a1:G a2:G a3:G b:N] fan: t(a1,a2,(a3·b)) = t(a1,a2,a3)",
+    r"2.3.3' [a1:G a2:G a3:G b:N] fan: p((b·a1),a2,a3) = p(a1,a2,a3)",
+    r"2.3.4 [a1:G a2:G a3:G b:N] fan: t((b·a1),a2,a3) = ((b·t(a1,a2,a3))·(b\e))",
+    r"2.3.4' [a1:G a2:G a3:G b:N] fan: p(a1,a2,(a3·b)) = (((b\e)·p(a1,a2,a3))·b)",
+    r"2.3.8 [a:G] fan: ((t(a,(a\e),a)·a)·t((e/a),a,(a\e))) = a",
+    r"2.2.4 [a:G b:G] all: (b·(b\a)) = a; (b\(b·a)) = a",
+    r"2.2.5 [a:G b:G] all: ((a/b)·b) = a; ((a·b)/b) = a",
+    r"2.3.6 [q:Z a:G b:G] all: (b/(q·a)) = ((q\e)·(b/a)); (b/q) = (q\b); (q\b) = (b·(q\e)); (b/q) = (b·(q\e))",
+    r"2.6.6 [b:G] all: ((e/b)\e) = b; (e/(b\e)) = b",
+    r"2.8.1 [x:G a:N b:N] all: (x\(a·b)) = ((x\a)·b)",
+    r"2.8.2 [x:G a:N b:N] all: ((a·b)/x) = (a·(b/x))",
+    r"2.1.9-t [a:G b:G c:G] all: t(a,b,c) in N(G)",
+    r"2.1.9-p [a:G b:G c:G] all: p(a,b,c) in N(G)",
+]
+
+
+def test_registry_reads_as_pinned():
+    assert [_render_law(law) for law in laws.REGISTRY] == PINNED_REGISTRY
+
+
+@pytest.mark.parametrize("text", [
+    r"b\e + a",      # unknown character
+    "a 1",           # a stray character between tokens
+    "t(a,b",         # unbalanced bracket
+    "[a)",           # mismatched bracket
+    "a)",            # trailing token
+    "t(a,b)",        # associator with two arguments
+    "p(a,b,c,a)",    # associator with four arguments
+    "t",             # associator without arguments
+    "",              # empty side
+    "a··b",          # product without a right factor
+])
+def test_bad_law_text_is_refused(text):
+    with pytest.raises(ValueError):
+        laws._term(text)
+
+
 # --- an independent evaluator: recursive lookups on the whole meshgrid -----
 
 def _ev(G, expr, env):
