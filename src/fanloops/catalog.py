@@ -96,7 +96,8 @@ def groups_up_to_8():
 
 
 def smash_instances():
-    """Named SmashingData instances covering every smashing factor.
+    """Named SmashingData instances covering every smashing factor, read
+    from the bundled corpus/*.smash files in name order.
 
     s1: all factors trivial (degenerates to the direct product C2 x C4).
     s2: C2 (x) C4 with N = C2 embedded as {e,g2}, phi trivial, xi the
@@ -110,85 +111,12 @@ def smash_instances():
         N-classes, so eta is nontrivial; kappa and xi nontrivial too.
         Order 32.
     """
-    from .products import SmashingData, default_table
+    from . import cli
 
-    out = []
-
-    # --- s1: trivial
-    A, B = cyclic(2, "a"), cyclic(4, "g")
-    out.append(SmashingData(A, B, ("e",), [0], [0], name="s1-trivial-c2-c4"))
-
-    # --- s2: xi on class pairs, N = C2 in both factors
-    A, B = cyclic(2, "a"), cyclic(4, "g")
-    xi = default_table("xi", A, B)
-    for c in range(4):
-        for b in range(4):
-            if c % 2 == 1 and b % 2 == 1:  # both outside {e, g2}
-                xi[:, c, :, b] = 1
-    out.append(SmashingData(A, B, ("e", "z"), [0, 1], [0, 2], xi=xi,
-                            name="s2-xi-c2-c4"))
-
-    # --- s3: phi = inversion, N trivial -> dihedral group D4
-    A, B = cyclic(2, "a"), cyclic(4, "g")
-    phi = default_table("phi", A, B)
-    phi[1] = [0, 3, 2, 1]  # b -> b^-1
-    out.append(SmashingData(A, B, ("e",), [0], [0], phi=phi,
-                            name="s3-phi-d4"))
-
-    # --- s4: xi = indicator(class(c)=i-bar and class(b)=i-bar) on C2 (x) Q8
-    A, B = cyclic(2, "a"), quaternion8()
-    xi = default_table("xi", A, B)
-    for c in range(8):
-        for b in range(8):
-            if c // 2 == 1 and b // 2 == 1:
-                xi[:, c, :, b] = 1
-    out.append(SmashingData(A, B, ("e", "z"), [0, 1], [0, 1], xi=xi,
-                            name="s4-xi-c2-q8"))
-
-    # --- s5: phi(g) = phi(g3) = swap j/k (sign-preserving); kappa compensates
-    A, B = cyclic(4, "g"), quaternion8()
-    sigma = np.array([0, 1, 2, 3, 6, 7, 4, 5], dtype=np.int16)
-    phi = default_table("phi", A, B)
-    phi[1] = sigma
-    phi[3] = sigma
-    kappa = default_table("kappa", A, B)
-    for u in (1, 3):
-        for c in range(8):
-            for b in range(8):
-                ci, bi = c // 2, b // 2
-                if ci != 0 and bi != 0 and ci != bi:
-                    kappa[u, c, b] = 1
-    out.append(SmashingData(A, B, ("e", "z"), [0, 2], [0, 1], phi=phi,
-                            kappa=kappa, name="s5-kappa-c4-q8"))
-
-    # --- s6: phi(g) = sigma with sigma^2 = shift-by-h4 on odd classes
-    A, B = cyclic(4, "g"), cyclic(8, "h")
-    sigma = np.array([0, 3, 6, 5, 4, 7, 2, 1], dtype=np.int16)
-    phi = default_table("phi", A, B)
-    phi[1] = sigma
-    phi[3] = sigma
-    eta = default_table("eta", A, B)
-    for v in (1, 3):
-        for u in (1, 3):
-            for b in range(8):
-                if b % 2 == 1:
-                    eta[v, u, b] = 1
-    kappa = default_table("kappa", A, B)
-    for u in (1, 3):
-        for c in range(8):
-            for b in range(8):
-                ci, bi = c % 4, b % 4
-                if ci != 0 and bi != 0 and ci != bi:
-                    kappa[u, c, b] = 1
-    xi = default_table("xi", A, B)
-    for c in range(8):
-        for b in range(8):
-            if c % 4 == 3 and b % 4 == 1:
-                xi[:, c, :, b] = 1
-    out.append(SmashingData(A, B, ("e", "z"), [0, 2], [0, 4], phi,
-                            eta, kappa, xi, name="s6-eta-c4-c8"))
-
-    return out
+    files = sorted(p.name for p in corpus_path("").iterdir()
+                   if p.name.endswith(".smash"))
+    return [cli.parse_smash_file(str(corpus_path(name)))[0]
+            for name in files]
 
 
 def corpus_path(name):

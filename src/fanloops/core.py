@@ -469,7 +469,10 @@ def require_subgroup(G, S):
     """Raise NotASubgroup unless S is a subloop contained in the nucleus.
 
     A subloop inside the (associative) nucleus is automatically a group.
+    Raises LoopMismatch when S belongs to another loop than G.
     """
+    if S.loop is not G and not S.loop.equals(G):
+        raise LoopMismatch("element set belongs to a different loop")
     if not S.is_subloop():
         raise NotASubgroup(tuple(S), "not closed under ·, \\, /")
     nuc = G.analysis.nucleus

@@ -13,11 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from ._kernels import first
+from ._kernels import first, slabs
 from .errors import NotASubloop, NotNormal, WellDefinednessFailure
-
-# Coset entries per block of rows in is_normal_subloop (bounds its memory).
-_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,12 +83,10 @@ def is_normal_subloop(G, H):
         return NormalityReport(False, "2.7.1", (G.label(*w),))
 
     # 2.7.1 holds from here on, so H(xy) is the sorted row xH[xy] as well.
-    # Rows of x are taken in blocks of about _BLOCK coset entries; the first
-    # block with a violation holds the first one in (x, y) row-major order.
-    rows = max(1, _BLOCK // (n * len(hs)))
+    # Rows of x, n·|H| coset entries each, are taken in slabs; the first
+    # slab with a violation holds the first one in (x, y) row-major order.
     y = xs[None, :, None]
-    for lo in range(0, n, rows):
-        blk = slice(lo, lo + rows)
+    for blk in slabs(n, n * len(hs)):
         x = xs[blk, None, None]
         xy_h = xH[T[blk]]                                 # (xy)H = H(xy)
         a = (xy_h != np.sort(T[x, Th[None]], axis=2)).any(axis=2)  # x(yH)
@@ -102,7 +97,8 @@ def is_normal_subloop(G, H):
         if w is not None:
             i, j = w
             cond = "2.7.2a" if a[w] else "2.7.2b" if b[w] else "2.7.2c"
-            return NormalityReport(False, cond, (G.label(lo + i), G.label(j)))
+            return NormalityReport(False, cond,
+                                   (G.label(blk.start + i), G.label(j)))
     return NormalityReport(True)
 
 

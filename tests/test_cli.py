@@ -70,12 +70,6 @@ def test_smash_files_round_trip_bytes():
             text = fh.read()
         data, refs = cli.parse_smash_file(path)
         assert cli.serialize_smash(data, *refs) == text, name
-        # and the parsed data is exactly the catalog instance
-        assert data.n_labels == data_ref.n_labels
-        assert (data.phi == data_ref.phi).all()
-        assert (data.eta == data_ref.eta).all()
-        assert (data.kappa == data_ref.kappa).all()
-        assert (data.xi == data_ref.xi).all()
 
 
 def test_function_files_round_trip_bytes(oct16):

@@ -210,6 +210,18 @@ def test_require_subgroup_rejects_non_subloop(q8):
         core.require_subgroup(q8, bad)
 
 
+def test_require_subgroup_rejects_another_loops_set(q8):
+    d4 = catalog.dihedral(4)
+    # {e, r} of D4 read against Q8: the loops differ, whatever the indices
+    with pytest.raises(LoopMismatch):
+        core.require_subgroup(q8, d4.subset([0, 1]))
+    with pytest.raises(LoopMismatch):
+        core.require_subgroup(q8, d4.analysis.center)
+    # an equal copy of the loop is the same loop
+    copy = catalog.quaternion8()
+    core.require_subgroup(q8, copy.analysis.center)
+
+
 def test_element_set_ops(q8):
     a = q8.analysis
     Z = a.center

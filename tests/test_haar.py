@@ -365,6 +365,14 @@ def test_fan_average_idempotent_and_invariant(suite_loops, rng):
         assert af.total() == f.total(), name
 
 
+def test_fan_average_refuses_another_loops_subgroup(q8, oct16):
+    f = haar.constant(q8, 1)
+    with pytest.raises(LoopMismatch):
+        haar.fan_average(f, oct16.analysis.fan)
+    with pytest.raises(LoopMismatch):
+        haar.upsilon_member(f, catalog.dihedral(4).analysis.center)
+
+
 def test_fan_average_on_octonions_is_sign_symmetrization(oct16):
     f = haar.random_function(oct16, random.Random(11))
     af = haar.fan_average(f, oct16.analysis.fan)

@@ -447,3 +447,21 @@ def test_reduced_check_agrees_on_equivariant_tensors(law_id, rng,
                 assert rep == _oracle(G, law), (members, k, side, twist)
                 seen.add(rep.status)
     assert seen == {laws.HOLDS, laws.FAILS}
+
+
+def test_check_all_computes_no_subgroup_closure(smash_products, monkeypatch):
+    # the invariance laws check every element of their pool, so once the
+    # analysis exists no subloop is generated, even with |Z| = |N| = 8
+    s = dict((d.name, P) for d, P in smash_products)
+    s4xC2 = products.direct_product([s["s4-xi-c2-q8"], catalog.cyclic(2)])
+    calls = []
+    closure = core.subgroup_closure
+    monkeypatch.setattr(core, "subgroup_closure",
+                        lambda *a: calls.append(a) or closure(*a))
+    for G in (s["s5-kappa-c4-q8"], s4xC2):
+        G.analysis
+        calls.clear()
+        reports = laws.check_all(G)
+        assert all(reports), [r.law_id for r in reports if not r]
+        assert len(G.analysis.nucleus) > 1
+        assert calls == []

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fanloops import catalog, census, core, products, quotient
+from fanloops import _kernels, catalog, census, core, products, quotient
 from fanloops.errors import NotASubloop, NotNormal, WellDefinednessFailure
 
 
@@ -174,6 +174,20 @@ def test_normality_matches_pairwise_oracle(corpus_loops):
             assert rep == _normality_oracle(G, H), (name, sorted(members))
             conditions.add(rep.condition)
     assert {None, "2.7.1", "2.7.2a", "2.7.2b"} <= conditions
+
+
+def test_normality_witness_across_slab_edges(monkeypatch):
+    # one row of x per slab: the first violation is still the first in
+    # (x, y) row-major order
+    monkeypatch.setattr(_kernels, "SLAB", 1)
+    conditions = set()
+    for G in census.enumerate_loops(census.CensusQuery(5)):
+        for g in range(G.order):
+            H = core.subgroup_closure(G, [g])
+            rep = quotient.is_normal_subloop(G, H)
+            assert rep == _normality_oracle(G, H)
+            conditions.add(rep.condition)
+    assert {"2.7.2a", "2.7.2b"} <= conditions
 
 
 @pytest.mark.parametrize("loop, members, witness, reason", [
