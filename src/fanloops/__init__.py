@@ -13,9 +13,6 @@ from .core import (
     ElementSet,
     FiniteLoop,
     LoopAnalysis,
-    classify,
-    fan,
-    nucleus_parts,
     p_hull,
     subgroup_closure,
     verify_loop,

@@ -10,6 +10,7 @@ construction.  The identity element is always index 0 after ingestion.
 """
 
 import numbers
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -78,6 +79,30 @@ class FiniteLoop:
             and np.array_equal(self.table, other.table)
         )
 
+    def same(self, other):
+        """Whether other is this loop or an equal copy of it."""
+        return other is self or self.equals(other)
+
+    def element(self, x):
+        """The index of element x, given as an index or a label; an unknown
+        label, an index outside 0..n-1, or one that is not an integer (a
+        bool included), is refused with ValueError rather than wrapped or
+        truncated."""
+        if isinstance(x, str):
+            try:
+                return self.index(x)
+            except KeyError:
+                raise ValueError(f"unknown element label {x!r}") from None
+        try:
+            i = operator.index(x)
+        except TypeError:
+            i = None
+        if i is None or isinstance(x, bool):
+            raise ValueError(f"element {x!r} is neither an index nor a label")
+        if not 0 <= i < self.order:
+            raise ValueError(f"element index {i} outside 0..{self.order - 1}")
+        return i
+
     # -- operations --------------------------------------------------------
 
     def mul(self, a, b):
@@ -121,14 +146,14 @@ class FiniteLoop:
         return self._tensors
 
     def subset(self, members):
-        idx = frozenset(
-            m if isinstance(m, (int, np.integer)) else self.index(m)
-            for m in members
-        )
-        for m in idx:
-            if not 0 <= m < self.order:
-                raise IndexError(f"element index {m} out of range")
-        return ElementSet(self, idx)
+        """members as a set of this loop: an ElementSet of this loop or of
+        an equal copy as it is, another loop's set refused with
+        LoopMismatch, any other iterable read element by element."""
+        if isinstance(members, ElementSet):
+            if not self.same(members.loop):
+                raise LoopMismatch("element set belongs to a different loop")
+            return members
+        return ElementSet(self, frozenset(map(self.element, members)))
 
     @property
     def analysis(self):
@@ -204,25 +229,33 @@ class ElementSet:
             self.loop, frozenset(self.loop.inv_r(a) for a in self.members)
         )
 
+    def closure_witness(self):
+        """The first (a, b, op) of the set, in index order, whose product,
+        left or right division (op names it) leaves the set; None when
+        the set is closed under all three."""
+        G = self.loop
+        idx = np.array(sorted(self.members), dtype=np.intp)
+        grid = np.ix_(idx, idx)
+        ops = np.stack([G.table[grid], G.ldiv[grid], G.rdiv[grid]], axis=2)
+        w = _kernels.first(~np.isin(ops, idx))
+        if w is None:
+            return None
+        i, j, op = w
+        return (int(idx[i]), int(idx[j]),
+                ("product", "left division", "right division")[op])
+
     def is_subloop(self):
         """Closed under ·, \\, / and contains the identity."""
-        if 0 not in self.members:
-            return False
-        idx = np.fromiter(self.members, dtype=np.intp)
-        grid = np.ix_(idx, idx)
-        for table in (self.loop.table, self.loop.ldiv, self.loop.rdiv):
-            if not np.isin(table[grid], idx).all():
-                return False
-        return True
+        return 0 in self.members and self.closure_witness() is None
 
     def _check(self, other):
-        if other.loop is not self.loop:
+        if not self.loop.same(other.loop):
             raise LoopMismatch("element sets belong to different loops")
 
 
 @dataclass(frozen=True)
 class LoopAnalysis:
-    """Everything classify() knows about a loop."""
+    """Everything the analysis of a loop knows (FiniteLoop.analysis)."""
 
     is_loop: bool
     is_group: bool
@@ -440,41 +473,25 @@ def _analyze(G):
     )
 
 
-def classify(G):
-    """Full analysis (cached on the loop)."""
-    return G.analysis
-
-
-def nucleus_parts(G):
-    """(N_l, N_m, N_r, N, Com, Z) as ElementSets."""
-    a = G.analysis
-    return (a.nucleus_l, a.nucleus_m, a.nucleus_r, a.nucleus, a.com, a.center)
-
-
-def fan(G):
-    """Subgroup closure of all associator values t(a,b,c), p(a,b,c)."""
-    return G.analysis.fan
-
-
 def p_hull(G, A):
-    """Setwise hull (P0 ∪ {e})(P0 ∪ {e}) with P0 = A ∪ Inv_l(A) ∪ Inv_r(A)."""
-    if A.loop is not G:
-        raise LoopMismatch("element set belongs to a different loop")
+    """Setwise hull (P0 ∪ {e})(P0 ∪ {e}) with P0 = A ∪ Inv_l(A) ∪ Inv_r(A),
+    A read by G.subset."""
+    A = G.subset(A)
     p0 = A.union(A.inv_l_image()).union(A.inv_r_image())
     with_e = ElementSet(G, p0.members | {0})
     return with_e.mul(with_e)
 
 
 def require_subgroup(G, S):
-    """Raise NotASubgroup unless S is a subloop contained in the nucleus.
+    """Raise NotASubgroup unless S is a subloop contained in the nucleus,
+    and return S as G.subset reads it (LoopMismatch for another loop's set).
 
     A subloop inside the (associative) nucleus is automatically a group.
-    Raises LoopMismatch when S belongs to another loop than G.
     """
-    if S.loop is not G and not S.loop.equals(G):
-        raise LoopMismatch("element set belongs to a different loop")
+    S = G.subset(S)
     if not S.is_subloop():
         raise NotASubgroup(tuple(S), "not closed under ·, \\, /")
     nuc = G.analysis.nucleus
     if not S.members <= nuc.members:
         raise NotASubgroup(tuple(S), "not contained in the nucleus")
+    return S

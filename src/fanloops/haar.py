@@ -24,7 +24,6 @@ indices outside 0..n-1 are refused, never wrapped.
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -92,7 +91,7 @@ class LoopFunction:
     def __eq__(self, other):
         return (
             isinstance(other, LoopFunction)
-            and (self.loop is other.loop or self.loop.equals(other.loop))
+            and self.loop.same(other.loop)
             and self.integer_form == other.integer_form
         )
 
@@ -127,7 +126,7 @@ class LoopFunction:
                                      [v * p for v in nums])
 
     def __add__(self, other):
-        _same_loop(self, other)
+        _same_loop(self.loop, other)
         (s, a), (t, b) = self.integer_form, other.integer_form
         m = math.lcm(s, t)
         u, w = m // s, m // t
@@ -135,8 +134,8 @@ class LoopFunction:
             self.loop, m, [x * u + y * w for x, y in zip(a, b)])
 
 
-def _same_loop(f, g):
-    if f.loop is not g.loop and not f.loop.equals(g.loop):
+def _same_loop(G, f):
+    if not G.same(f.loop):
         raise LoopMismatch("functions live on different loops")
 
 
@@ -145,25 +144,6 @@ def constant(G, value=1):
     if c < 0:
         raise ValueError(f"negative value at {G.label(0)}")
     return LoopFunction._reduced(G, c.denominator, (c.numerator,) * G.order)
-
-
-def _element(G, x):
-    """The index of element x, given as an index or a label; an unknown
-    label, an index outside 0..n-1, or one that is not an integer, is
-    refused with ValueError rather than wrapped or truncated."""
-    if isinstance(x, str):
-        try:
-            return G.index(x)
-        except KeyError:
-            raise ValueError(f"unknown element label {x!r}") from None
-    try:
-        i = operator.index(x)
-    except TypeError:
-        raise ValueError(f"element {x!r} is neither an index nor a label") \
-            from None
-    if not 0 <= i < G.order:
-        raise ValueError(f"element index {i} outside 0..{G.order - 1}")
-    return i
 
 
 def delta(G, x=0):
@@ -175,7 +155,7 @@ def char(G, members):
     """Indicator function of a set of indices/labels."""
     nums = [0] * G.order
     for x in members:
-        nums[_element(G, x)] = 1
+        nums[G.element(x)] = 1
     return LoopFunction._reduced(G, 1, nums)
 
 
@@ -200,7 +180,7 @@ def random_function(G, rng=None):
 def covering_problem(f, phi):
     """The LP behind (f:φ): minimize Σ_b c_b s.t. Σ_b c_b·φ(bx) ≥ f(x),
     c ≥ 0, with all n translate variables."""
-    _same_loop(f, phi)
+    _same_loop(f.loop, phi)
     G = f.loop
     n = G.order
     tbl = G.table.tolist()
@@ -230,7 +210,7 @@ def covering_number(f, phi):
     Asserts the analog of the classical covering bound: with q a point of
     maximal φ and m = |S_f|, the optimum is at most 2m·‖f‖/φ(q).
     """
-    _same_loop(f, phi)
+    _same_loop(f.loop, phi)
     s_f, f_nums = f.integer_form
     s_phi, phi_nums = phi.integer_form
     if not any(phi_nums):
@@ -262,7 +242,7 @@ def translate(f, b, mode="left"):
     r"""Translate a function: left _bf(x)=f(bx); right f_b(x)=f(xb);
     left-div f^b(x)=f(b\x)."""
     G = f.loop
-    b = _element(G, b)
+    b = G.element(b)
     if mode == "left":
         idx = G.table[b, :]
     elif mode == "right":
@@ -278,10 +258,10 @@ def translate(f, b, mode="left"):
 def fan_average(f, n0):
     """f^[λ](x) = (1/|N₀|)·Σ_{γ∈N₀} f(γx), λ the uniform weight on N₀."""
     G = f.loop
-    core.require_subgroup(G, n0)
+    members = sorted(core.require_subgroup(G, n0).members)
     scale, nums = f.integer_form
-    rows = G.table[sorted(n0.members)].T.tolist()
-    return LoopFunction._reduced(G, scale * len(n0.members),
+    rows = G.table[members].T.tolist()
+    return LoopFunction._reduced(G, scale * len(members),
                                  [sum([nums[i] for i in row]) for row in rows])
 
 
@@ -294,11 +274,10 @@ def upsilon_member(f, n0):
     failure rather than silently picking a side.
     """
     G = f.loop
-    core.require_subgroup(G, n0)
+    members = sorted(core.require_subgroup(G, n0).members)
     if f.is_zero():
         return False
     nums = list(f.integer_form[1])
-    members = sorted(n0.members)
     left = all(
         [nums[i] for i in row] == nums for row in G.table[members].tolist()
     )
@@ -308,7 +287,7 @@ def upsilon_member(f, n0):
     )
     if left != right:
         raise FanLoopCheckFailed(
-            "upsilon-left-right-mismatch", (sorted(n0.members),)
+            "upsilon-left-right-mismatch", (members,)
         )
     return left
 
@@ -339,7 +318,7 @@ class HaarFunctional:
         self.loop = G
         self.fan = ana.fan
         self.reference = f0 if f0 is not None else constant(G, 1)
-        _same_loop(self.reference, delta(G))
+        _same_loop(G, self.reference)
         if not upsilon_member(self.reference, self.fan):
             raise ReferenceNotInUpsilon(
                 "f0 must be nonzero and constant on fan orbits"
@@ -394,7 +373,7 @@ class HaarFunctional:
     # -- public surface ---------------------------------------------------
 
     def __call__(self, f):
-        _same_loop(f, self.reference)
+        _same_loop(self.loop, f)
         return self._covering_delta(f) / self._ref_total
 
     def relative(self, g):
@@ -429,7 +408,7 @@ class InvariantMeasure:
         """μ of the set of the given indices/labels; each element counts
         once, however often it is listed."""
         return sum((self.weights[i] for i in
-                    {_element(self.loop, x) for x in members}), _F0)
+                    set(map(self.loop.element, members))), _F0)
 
 
 def invariant_measure(G, J=None):
@@ -441,7 +420,7 @@ def invariant_measure(G, J=None):
     constant-reference J = haar_limit(G) is built here."""
     if J is None:
         J = haar_limit(G)
-    elif J.loop is not G and not J.loop.equals(G):
+    elif not G.same(J.loop):
         raise LoopMismatch("functional lives on a different loop")
     je = J(delta(G, 0))
     weights = tuple(J(delta(G, x)) / je for x in range(G.order))

@@ -45,32 +45,20 @@ class CosetDecomposition:
         return tuple(min(b) for b in self.blocks)
 
 
-def _as_set(G, H):
-    if isinstance(H, core.ElementSet):
-        if H.loop is not G and not H.loop.equals(G):
-            raise ValueError("subloop belongs to a different loop")
-        return H
-    return G.subset(H)
-
-
 def is_normal_subloop(G, H):
     """Exhaustive Def-2.7 normality check; first violation wins.
 
     Returns a NormalityReport; raises NotASubloop when H is not even a
     subloop (closure under ·, \\, / plus e ∈ H).
     """
-    H = _as_set(G, H)
+    H = G.subset(H)
+    w = H.closure_witness()
+    if w is not None:
+        a, b, op = w
+        raise NotASubloop((G.label(a), G.label(b)), f"{op} escapes")
+    if 0 not in H.members:
+        raise NotASubloop((G.label(0),), "identity missing")
     hs = np.array(sorted(H.members), dtype=np.intp)
-    if not H.is_subloop():
-        # the closure witness: first pair (a, b) of H, then first of ·, \, /
-        grid = np.ix_(hs, hs)
-        ops = np.stack([G.table[grid], G.ldiv[grid], G.rdiv[grid]], axis=2)
-        w = first(~np.isin(ops, hs))
-        if w is None:
-            raise NotASubloop((G.label(0),), "identity missing")
-        i, j, op = w
-        op = ("product", "left division", "right division")[op]
-        raise NotASubloop((G.label(hs[i]), G.label(hs[j])), f"{op} escapes")
 
     T = G.table
     n = G.order
@@ -124,7 +112,7 @@ def _cosets(G, H):
 
 def coset_decomposition(G, H):
     """Left-coset partition of G by a normal subloop H."""
-    H = _as_set(G, H)
+    H = G.subset(H)
     blocks, block_of = _cosets(G, H)
     return CosetDecomposition(G, H, tuple(map(frozenset, blocks.tolist())),
                               tuple(block_of.tolist()))
@@ -137,7 +125,7 @@ def quotient(G, H):
     construction (defense in depth).  When H contains fan(G), the result is
     checked to be associative with two-sided inverses before returning.
     """
-    H = _as_set(G, H)
+    H = G.subset(H)
     blocks, block = _cosets(G, H)
     reps = blocks[:, 0]
     T = G.table

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fanloops import catalog, census, core, products, quotient
+from fanloops import catalog, census, core, haar, products, quotient
 from fanloops.errors import (
     LoopMismatch,
     NoIdentity,
@@ -271,17 +271,34 @@ def test_sets_of_a_freed_loop_raise_loop_mismatch():
             use()
 
 
-def test_fan_helper_matches_analysis(oct16):
-    assert core.fan(oct16).members == oct16.analysis.fan.members
-    hull = core.p_hull(oct16, oct16.analysis.p_range)
-    assert hull.members >= oct16.analysis.p_range.members
+def test_analysis_fan_and_p_hull(oct16):
+    a = oct16.analysis
+    # the fan is the subloop generated by the associator values
+    assert a.fan == core.subgroup_closure(oct16, a.t_range.union(a.p_range))
+    hull = core.p_hull(oct16, a.p_range)
+    assert hull.members >= a.p_range.members
     assert 0 in hull
 
 
-def test_nucleus_parts_helper(oct16):
-    nl, nm, nr, nuc, com, z = core.nucleus_parts(oct16)
-    assert nl.members == nm.members == nr.members == nuc.members
-    assert z.members <= nuc.members
+def test_analysis_nucleus_parts(oct16):
+    a = oct16.analysis
+    assert (a.nucleus_l.members == a.nucleus_m.members
+            == a.nucleus_r.members == a.nucleus.members)
+    assert a.center.members <= a.nucleus.members
+
+
+def test_set_arguments_are_read_as_sets_of_the_loop(q8):
+    Z = q8.analysis.center
+    f = haar.random_function(q8)
+    # a list of members is read as the set it names
+    assert core.require_subgroup(q8, [0, 1]) == Z
+    assert haar.fan_average(f, [0, 1]) == haar.fan_average(f, Z)
+    assert haar.upsilon_member(haar.fan_average(f, [0, 1]), [0, 1])
+    assert core.p_hull(q8, [0, 2]) == core.p_hull(q8, q8.subset([0, 2]))
+    # an equal copy's set is a set of this loop
+    copy = catalog.quaternion8()
+    assert Z.union(copy.analysis.center) == Z
+    assert core.p_hull(q8, copy.subset([0, 2])) == core.p_hull(q8, [0, 2])
 
 
 @pytest.mark.parametrize("table, expect", [

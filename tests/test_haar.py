@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import test_lp
-from fanloops import catalog, census, core, haar, lp, products
+from fanloops import catalog, census, core, haar, lp, products, quotient
 from fanloops.errors import (
     FanLoopCheckFailed,
     LoopMismatch,
@@ -156,8 +156,10 @@ def test_loop_function_integer_form_is_the_values_at_least_scale(oct16, q8):
     lambda G: haar.translate(haar.delta(G), -1),
     lambda G: haar.translate(haar.delta(G), G.order, "right"),
     lambda G: haar.invariant_measure(G).mass([-1]),
+    lambda G: G.subset([G.order]),
+    lambda G: quotient.quotient(G, [0, G.order]),
 ], ids=["delta-neg", "delta-n", "char-neg", "char-n", "translate-neg",
-        "translate-n", "mass-neg"])
+        "translate-n", "mass-neg", "subset-n", "quotient-n"])
 def test_element_indices_outside_the_loop_are_refused(q8, build):
     # Python would read -1 as the last element and raise IndexError at n
     with pytest.raises(ValueError, match=r"element index -?\d+ outside 0\.\.7"):
@@ -165,9 +167,11 @@ def test_element_indices_outside_the_loop_are_refused(q8, build):
 
 
 def test_element_indices_that_are_not_integers_are_refused(q8):
-    # int() would truncate 1.5 to element 1
+    # int() would truncate 1.5 to element 1, and Python reads True as 1
     for build in (lambda: haar.delta(q8, 1.5), lambda: haar.char(q8, [F(3, 2)]),
-                  lambda: haar.translate(haar.delta(q8), 1.0)):
+                  lambda: haar.translate(haar.delta(q8), 1.0),
+                  lambda: haar.delta(q8, True), lambda: q8.subset([1.5]),
+                  lambda: q8.subset([True])):
         with pytest.raises(ValueError, match="neither an index nor a label"):
             build()
     assert haar.delta(q8, np.int64(2)) == haar.delta(q8, 2)
@@ -177,7 +181,8 @@ def test_unknown_element_labels_are_refused(q8):
     for build in (lambda: haar.delta(q8, "zz"),
                   lambda: haar.char(q8, ["e1", "zz"]),
                   lambda: haar.translate(haar.delta(q8), "zz"),
-                  lambda: haar.invariant_measure(q8).mass(["zz"])):
+                  lambda: haar.invariant_measure(q8).mass(["zz"]),
+                  lambda: q8.subset(["zz"])):
         with pytest.raises(ValueError, match="unknown element label 'zz'"):
             build()
 

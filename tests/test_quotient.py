@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from fanloops import _kernels, catalog, census, core, products, quotient
-from fanloops.errors import NotASubloop, NotNormal, WellDefinednessFailure
+from fanloops.errors import (
+    LoopMismatch,
+    NotASubloop,
+    NotNormal,
+    WellDefinednessFailure,
+)
 
 
 def _subgroup(G, members):
@@ -32,6 +37,14 @@ def test_non_normal_subgroup_detected():
     assert not rep.ok
     assert rep.condition is not None
     assert rep.witness is not None
+
+
+def test_another_loops_set_is_refused_with_loop_mismatch(q8):
+    d4 = catalog.dihedral(4)
+    for build in (quotient.is_normal_subloop, quotient.coset_decomposition,
+                  quotient.quotient):
+        with pytest.raises(LoopMismatch, match="different loop"):
+            build(q8, d4.analysis.center)
 
 
 def test_not_a_subloop_rejected(q8):
