@@ -5,9 +5,11 @@ unit; every reduced square of order n is a loop table with identity 0.
 The squares are classified in fixed batches, stacked as one (k, n, n)
 array through the same kernels as core's per-loop analysis, so each
 filter is one mask over the batch and a FiniteLoop is built only for the
-squares emitted.  The census is a corpus feeder for fan/non-fan examples
-— including loops where the left and right inverses split (e/a != a\\e
-for some a).
+squares emitted.  The number of reduced squares of each order is known
+(OEIS A000315), and every pass that runs to the end checks that the
+enumerator yielded exactly that many.  The census is a corpus feeder for
+fan/non-fan examples — including loops where the left and right inverses
+split (e/a != a\\e for some a).
 """
 
 import numbers
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import _kernels, core
 from .config import CENSUS_ORDER_CAP
-from .errors import OrderCapExceeded, UnknownPredicate
+from .errors import FanLoopCheckFailed, OrderCapExceeded, UnknownPredicate
 
 # Squares classified per batch.  Large enough that the per-call overhead of
 # the kernels is spread thin, small enough that a batch's tensors stay a
@@ -81,12 +83,17 @@ def _check_order(order):
 
 def _batches(order, names=FILTERS):
     """(batch, ldiv, rdiv, masks of ``names``) for the reduced squares of
-    this order in stream order, _BATCH squares at a time."""
+    this order in stream order, _BATCH squares at a time.  A pass that runs
+    to the end checks that it saw count_reduced(order) squares."""
     _check_order(order)
+    visited = 0
     for batch in _kernels.reduced_latin_squares(order, _BATCH):
         _check_reduced(batch)
+        visited += len(batch)
         ldiv, rdiv = _kernels.division_tables(batch)
         yield batch, ldiv, rdiv, _filter_masks(batch, ldiv, rdiv, names)
+    if visited != count_reduced(order):
+        raise FanLoopCheckFailed("census-count", (order, visited))
 
 
 def iter_reduced_latin(order):
@@ -112,66 +119,39 @@ class CensusQuery:
                 raise ValueError(f"limit must be at least 0, got {self.limit}")
 
 
-class Sweep:
-    """One pass of a census query.  Iterating yields the loops that pass
-    the filter; `total` is the number of reduced squares of the order once
-    the pass has classified the last one, and None until then (so also
-    when the limit stopped the pass early)."""
-
-    def __init__(self, query):
-        self.query = (query if isinstance(query, CensusQuery)
-                      else CensusQuery(order=query))
-        self.total = None
-
-    def __iter__(self):
-        q = self.query
-        if q.limit == 0:
-            return
-        labels = core.default_labels(q.order)
-        emitted = visited = 0
-        for batch, ldiv, rdiv, masks in _batches(q.order, (q.filter,)):
-            visited += len(batch)
-            for i in np.flatnonzero(masks[q.filter]):
-                # own copies, so the loop does not keep the batch alive
-                yield core.FiniteLoop(labels, batch[i].copy(),
-                                      ldiv[i].copy(), rdiv[i].copy())
-                emitted += 1
-                if emitted == q.limit:
-                    return
-        self.total = visited
-
-
 def enumerate_loops(query):
     """Stream the reduced Latin squares of query.order as verified loops,
     lexicographic by table rows, filtered; duplicate-free and
     deterministic (same query twice gives the identical stream)."""
-    return iter(Sweep(query))
+    q = query if isinstance(query, CensusQuery) else CensusQuery(order=query)
+    if q.limit == 0:
+        return
+    labels = core.default_labels(q.order)
+    emitted = 0
+    for batch, ldiv, rdiv, masks in _batches(q.order, (q.filter,)):
+        for i in np.flatnonzero(masks[q.filter]):
+            # own copies, so the loop does not keep the batch alive
+            yield core.FiniteLoop(labels, batch[i].copy(),
+                                  ldiv[i].copy(), rdiv[i].copy())
+            emitted += 1
+            if emitted == q.limit:
+                return
 
 
-PREDICATES = {
-    "non-fan": "non-fan",
-    "fan-only": "fan-only",
-    "central-fan": "central-fan",
-    "inverse-split": "nontrivial-two-sided-inverse-split",
-    "nontrivial-two-sided-inverse-split":
-        "nontrivial-two-sided-inverse-split",
-}
+# OEIS A000315: the number of reduced Latin squares of order 1, 2, ...
+_REDUCED = (1, 1, 1, 4, 56, 9408, 16942080)
 
 
 def count_reduced(order):
-    """Total number of reduced Latin squares at this order (no filter): one
-    per reduced (n-1)-row Latin rectangle, which completes uniquely."""
+    """Total number of reduced Latin squares at this order (no filter)."""
     _check_order(order)
-    return sum(map(len, _kernels.latin_rectangles(order)))
+    return _REDUCED[order - 1]
 
 
-def find_witness(order, predicate):
-    """First loop (in enumeration order) satisfying the named predicate,
-    or None when the exhaustive sweep finds nothing at this order."""
-    if predicate not in PREDICATES:
-        raise UnknownPredicate(predicate, tuple(sorted(PREDICATES)))
-    query = CensusQuery(order=order, filter=PREDICATES[predicate], limit=1)
-    return next(enumerate_loops(query), None)
+def find_witness(order, filter):
+    """First loop (in enumeration order) that passes the named filter, or
+    None when the exhaustive sweep finds nothing at this order."""
+    return next(enumerate_loops(CensusQuery(order, filter, limit=1)), None)
 
 
 def summary(order):

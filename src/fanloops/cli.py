@@ -564,12 +564,8 @@ def cmd_census(order, filter="all", limit=None, cap=None):
     """Enumerate reduced squares; stream loop files inside the report."""
     try:
         order_cap(cap)  # the census has its own cap; refuse a bad one all the same
-        sweep = census.Sweep(census.CensusQuery(order=order, filter=filter,
-                                                limit=limit))
-        loops = [serialize_loop(G) for G in sweep]
-        # a pass that a limit stopped early has not seen every square
-        reduced_total = (census.count_reduced(order) if sweep.total is None
-                         else sweep.total)
+        query = census.CensusQuery(order=order, filter=filter, limit=limit)
+        loops = [serialize_loop(G) for G in census.enumerate_loops(query)]
     except Exception as exc:  # noqa: BLE001
         return _classify_exit(exc), _error_report("census", exc)
     return EXIT_OK, {
@@ -578,7 +574,7 @@ def cmd_census(order, filter="all", limit=None, cap=None):
         "filter": filter,
         "limit": limit,
         "emitted": len(loops),
-        "summary": f"reduced={reduced_total}",
+        "summary": f"reduced={census.count_reduced(order)}",
         "loops": loops,
     }
 

@@ -378,16 +378,13 @@ def _mask_set(G, mask):
 
 
 def subgroup_closure(G, seed):
-    """Smallest subset containing `seed` closed under ·, \\, / (worklist).
+    """Smallest subset containing `seed` (read by G.subset) closed under
+    ·, \\, / (worklist).
 
     Termination is guaranteed by finiteness; the result always contains e
     (any a in the closure contributes a\\a = e).
     """
-    mask = np.zeros(G.order, dtype=bool)
-    seed = list(seed)
-    if not seed:
-        seed = [0]
-    mask[np.asarray(seed, dtype=np.intp)] = True
+    mask = G.subset(seed).mask()
     mask[0] = True
     while True:
         idx = np.nonzero(mask)[0]
@@ -446,7 +443,7 @@ def _analyze(G):
         fan_witness = _kernels.fan_violation(t_tensor, p_tensor,
                                              m.nucleus)[1:]
 
-    fan_set = subgroup_closure(G, np.flatnonzero(m.t_range | m.p_range))
+    fan_set = subgroup_closure(G, _mask_set(G, m.t_range | m.p_range))
 
     # central fan condition: (ab)/(ba) in Z for every pair
     central_witness = _kernels.first(~m.central_pairs)

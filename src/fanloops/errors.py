@@ -150,7 +150,7 @@ class ValidationFailed(FanloopsError):
 
 
 class FanLoopCheckFailed(FanloopsError):
-    """A constructed product failed an internal theorem-backed check.
+    """A computed result failed an internal theorem-backed check.
 
     This always signals an implementation bug and is surfaced, never
     swallowed.

@@ -303,7 +303,7 @@ def test_criterion_09_census(capsys):
         a, b, c = w.analysis.fan_witness
         nuc = w.analysis.nucleus.members
         assert w.t(a, b, c) not in nuc or w.p(a, b, c) not in nuc
-        w2 = census.find_witness(5, "inverse-split")
+        w2 = census.find_witness(5, "nontrivial-two-sided-inverse-split")
         assert w2 is not None
         assert any(
             int(w2.ldiv[a, 0]) != int(w2.rdiv[0, a]) for a in range(5)

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from fanloops import _kernels, census, core
+from fanloops.config import CENSUS_ORDER_CAP
 from fanloops.errors import (
+    FanLoopCheckFailed,
     NoIdentity,
     NotLatinSquare,
     OrderCapExceeded,
@@ -103,8 +105,9 @@ def test_counts_match_naive_oracle():
 
 
 def test_reduced_count_ladder():
-    assert [census.count_reduced(n) for n in range(1, 7)] == [
-        1, 1, 1, 4, 56, 9408
+    assert [census.count_reduced(n)
+            for n in range(1, CENSUS_ORDER_CAP + 1)] == [
+        1, 1, 1, 4, 56, 9408, 16942080
     ]
 
 
@@ -187,7 +190,7 @@ def test_non_fan_witness_at_order_5():
 
 
 def test_inverse_split_witness_at_order_5():
-    G = census.find_witness(5, "inverse-split")
+    G = census.find_witness(5, "nontrivial-two-sided-inverse-split")
     assert G is not None
     split = [
         a for a in range(5) if int(G.ldiv[a, 0]) != int(G.rdiv[0, a])
@@ -198,7 +201,8 @@ def test_inverse_split_witness_at_order_5():
 def test_no_witnesses_below_order_5():
     for n in range(1, 5):
         assert census.find_witness(n, "non-fan") is None
-        assert census.find_witness(n, "inverse-split") is None
+        assert census.find_witness(
+            n, "nontrivial-two-sided-inverse-split") is None
         for G in census.enumerate_loops(n):
             assert G.analysis.is_group  # orders <= 4: nothing but groups
 
@@ -314,9 +318,9 @@ def test_limit_prefix_across_batch_edges(filter):
             for G in census.enumerate_loops(census.CensusQuery(6, filter))]
     assert len(full) > 2 * census._BATCH
     for limit in (1, 255, 256, 257):
-        sweep = census.Sweep(census.CensusQuery(6, filter, limit=limit))
-        assert [G.table.tobytes() for G in sweep] == full[:limit]
-        assert sweep.total is None  # stopped early: not every square seen
+        query = census.CensusQuery(6, filter, limit=limit)
+        assert ([G.table.tobytes() for G in census.enumerate_loops(query)]
+                == full[:limit])
 
 
 @pytest.mark.parametrize("filter, tensors", [
@@ -366,13 +370,22 @@ def test_enumeration_memory_is_bounded():
     assert _traced_peak_mb(lambda: sum(1 for _ in squares)) < 5.5
 
 
-def test_sweep_total_counts_every_square():
-    for order, filter, limit in ((1, "all", None), (5, "fan-only", None),
-                                 (5, "fan-only", 7), (6, "central-fan", None)):
-        sweep = census.Sweep(census.CensusQuery(order, filter, limit=limit))
-        emitted = sum(1 for _ in sweep)
-        assert emitted == census.summary(order)[filter]
-        assert sweep.total == census.count_reduced(order)
+def test_a_pass_that_misses_squares_is_refused(monkeypatch):
+    # an enumerator that loses its last batch fails every pass that runs
+    # to the end; a pass that a limit stops early checks nothing
+    squares = _kernels.reduced_latin_squares
+
+    def short(*args):
+        yield from list(squares(*args))[:-1]
+
+    monkeypatch.setattr(_kernels, "reduced_latin_squares", short)
+    for full_pass in (lambda: census.summary(6),
+                      lambda: list(census.enumerate_loops(6))):
+        with pytest.raises(FanLoopCheckFailed, match="census-count") as e:
+            full_pass()
+        assert e.value.witness == (6, 9408 - 9408 % census._BATCH)
+    stopped = census.enumerate_loops(census.CensusQuery(6, limit=1))
+    assert len(list(stopped)) == 1
 
 
 def test_a_non_latin_batch_is_refused():

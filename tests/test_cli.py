@@ -461,23 +461,6 @@ def test_census_command(capsys):
     _no_floats(out)
 
 
-@pytest.mark.parametrize("argv, recounts", [
-    (["census", "5", "--filter", "fan-only"], False),
-    (["census", "5", "--filter", "fan-only", "--limit", "7"], False),
-    (["census", "5", "--filter", "fan-only", "--limit", "6"], True),
-    (["census", "5", "--limit", "0"], True),
-], ids=["full", "limit-past-the-end", "limit-hit", "limit-0"])
-def test_census_counts_squares_again_only_after_a_stopped_sweep(
-        argv, recounts, monkeypatch, capsys):
-    calls = []
-    count = census.count_reduced
-    monkeypatch.setattr(census, "count_reduced",
-                        lambda n: calls.append(n) or count(n))
-    assert cli.main(argv) == cli.EXIT_OK
-    assert json.loads(capsys.readouterr().out)["summary"] == "reduced=56"
-    assert calls == ([5] if recounts else [])
-
-
 def test_census_limit_zero_emits_nothing(capsys):
     code = cli.main(["census", "5", "--limit", "0"])
     report = json.loads(capsys.readouterr().out)

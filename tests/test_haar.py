@@ -158,8 +158,9 @@ def test_loop_function_integer_form_is_the_values_at_least_scale(oct16, q8):
     lambda G: haar.invariant_measure(G).mass([-1]),
     lambda G: G.subset([G.order]),
     lambda G: quotient.quotient(G, [0, G.order]),
+    lambda G: core.subgroup_closure(G, [G.order]),
 ], ids=["delta-neg", "delta-n", "char-neg", "char-n", "translate-neg",
-        "translate-n", "mass-neg", "subset-n", "quotient-n"])
+        "translate-n", "mass-neg", "subset-n", "quotient-n", "closure-n"])
 def test_element_indices_outside_the_loop_are_refused(q8, build):
     # Python would read -1 as the last element and raise IndexError at n
     with pytest.raises(ValueError, match=r"element index -?\d+ outside 0\.\.7"):
@@ -171,7 +172,8 @@ def test_element_indices_that_are_not_integers_are_refused(q8):
     for build in (lambda: haar.delta(q8, 1.5), lambda: haar.char(q8, [F(3, 2)]),
                   lambda: haar.translate(haar.delta(q8), 1.0),
                   lambda: haar.delta(q8, True), lambda: q8.subset([1.5]),
-                  lambda: q8.subset([True])):
+                  lambda: q8.subset([True]),
+                  lambda: core.subgroup_closure(q8, [1.5])):
         with pytest.raises(ValueError, match="neither an index nor a label"):
             build()
     assert haar.delta(q8, np.int64(2)) == haar.delta(q8, 2)
