@@ -30,6 +30,16 @@ from .errors import (
 _DTYPE = np.int16
 
 
+def _integer(x):
+    """x as a Python int when it is an integer and not a bool, else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
 class FiniteLoop:
     """Immutable finite loop with precomputed division tables."""
 
@@ -93,11 +103,8 @@ class FiniteLoop:
                 return self.index(x)
             except KeyError:
                 raise ValueError(f"unknown element label {x!r}") from None
-        try:
-            i = operator.index(x)
-        except TypeError:
-            i = None
-        if i is None or isinstance(x, bool):
+        i = _integer(x)
+        if i is None:
             raise ValueError(f"element {x!r} is neither an index nor a label")
         if not 0 <= i < self.order:
             raise ValueError(f"element index {i} outside 0..{self.order - 1}")
@@ -107,10 +114,6 @@ class FiniteLoop:
 
     def mul(self, a, b):
         return int(self.table[a, b])
-
-    def ld(self, a, b):
-        """a \\ b"""
-        return int(self.ldiv[a, b])
 
     def rd(self, b, a):
         """b / a"""
@@ -186,7 +189,13 @@ class ElementSet:
         return loop
 
     def __contains__(self, x):
-        return int(x) in self.members
+        """Whether the element index x is a member; a bool, or anything
+        that is not an integer, is refused with ValueError rather than
+        truncated."""
+        i = _integer(x)
+        if i is None:
+            raise ValueError(f"element {x!r} is not an integer index")
+        return i in self.members
 
     def __iter__(self):
         return iter(sorted(self.members))

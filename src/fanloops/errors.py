@@ -165,7 +165,19 @@ class FanLoopCheckFailed(FanloopsError):
 class UnknownPredicate(FanloopsError):
     def __init__(self, name, known):
         self.name = name
-        super().__init__(f"unknown predicate {name!r}; known: {', '.join(sorted(known))}")
+        super().__init__(f"unknown predicate {name!r}; known: {', '.join(known)}")
+
+
+class UnknownLaw(FanloopsError, KeyError):
+    """A law id that is not in the registry; a KeyError too, as a lookup
+    by id."""
+
+    # KeyError's own str() would quote the message
+    __str__ = Exception.__str__
+
+    def __init__(self, law_id):
+        self.law_id = law_id
+        super().__init__(f"unknown law id {law_id!r}")
 
 
 class NotApplicable(FanloopsError):

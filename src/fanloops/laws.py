@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from . import _kernels
-from .errors import NotApplicable
+from .errors import NotApplicable, UnknownLaw
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -236,7 +236,7 @@ def get_law(law_id):
     try:
         return _BY_ID[law_id]
     except KeyError:
-        raise KeyError(f"unknown law id {law_id!r}") from None
+        raise UnknownLaw(law_id) from None
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +322,14 @@ def check_law(G, law):
     tuples_checked is the size of the quantified domain the verdict covers
     (times the clause count), however it was decided.
 
-    Raises NotApplicable when a fan-only law is asked of a non-fan loop.
+    Raises UnknownLaw for an id not in the registry, ValueError for a
+    law that is neither a Law nor an id, and NotApplicable when a fan-only
+    law is asked of a non-fan loop.
     """
     if isinstance(law, str):
         law = get_law(law)
+    elif not isinstance(law, Law):
+        raise ValueError(f"law must be a Law or a law id, got {law!r}")
     if law.scope == "fan" and not G.analysis.is_fan_loop:
         raise NotApplicable(law.id)
     pools = _pools(G)

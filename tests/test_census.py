@@ -212,8 +212,12 @@ def test_no_witnesses_below_order_5():
 def test_query_validation():
     with pytest.raises(UnknownPredicate):
         census.CensusQuery(5, "weird")
-    with pytest.raises(UnknownPredicate):
+    with pytest.raises(UnknownPredicate) as e:
         census.find_witness(5, "weird")
+    # the names in FILTERS order
+    assert str(e.value) == (
+        "unknown predicate 'weird'; known: all, fan-only, non-fan, "
+        "central-fan, nontrivial-two-sided-inverse-split")
 
 
 def test_order_cap():
@@ -335,6 +339,75 @@ def test_only_the_tensor_filters_build_tensors(filter, tensors, monkeypatch):
         census.CensusQuery(5, filter)))
     assert bool(calls) == tensors
     assert emitted == census.summary(5)[filter]
+
+
+# --- the nucleus screen -------------------------------------------------------
+
+def _prefix7():
+    """(batch, ldiv, rdiv) of the first 100 batches of order 7, which hold
+    no square with a nontrivial nucleus."""
+    return [b[:3] for b in itertools.islice(census._batches(7, ("all",)), 100)]
+
+
+def _batches_of(order):
+    return [b[:3] for b in census._batches(order, ("all",))]
+
+
+def _tensor_masks_differ(batches):
+    """Whether _filter_masks differs, on some batch, from the verdicts of
+    core.masks on the whole batch, with no screen."""
+    for batch, ldiv, rdiv in batches:
+        got = census._filter_masks(batch, ldiv, rdiv, census.FILTERS)
+        m = core.masks(batch, rdiv,
+                       *_kernels.assoc_tensors(batch, ldiv, rdiv))
+        want = {"fan-only": m.is_fan, "non-fan": ~m.is_fan,
+                "central-fan": m.is_fan & m.central_pairs.all(axis=(-2, -1))}
+        if any(not np.array_equal(got[name], want[name]) for name in want):
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def screen_batches():
+    """Every batch of orders 1-4, and the order-7 prefix."""
+    return [b for n in range(1, 5) for b in _batches_of(n)] + _prefix7()
+
+
+def test_screened_masks_match_the_unscreened_masks(screen_batches):
+    # orders 5 and 6 are compared with verify_loop's analysis by
+    # test_batch_masks_and_loops_match_verify_loop
+    assert not _tensor_masks_differ(screen_batches)
+
+
+def test_a_screen_that_drops_nucleus_elements_is_caught(screen_batches,
+                                                        monkeypatch):
+    # negative control: a screen that rejects every a calls every square
+    # of orders 2-4, all of them groups, non-fan
+    monkeypatch.setattr(_kernels, "nucleus_screen",
+                        lambda table: np.zeros(table.shape[:-1], bool))
+    assert _tensor_masks_differ(screen_batches)
+
+
+def test_only_the_screened_squares_reach_the_tensors(monkeypatch):
+    sent = []
+    build = _kernels.assoc_tensors
+    monkeypatch.setattr(_kernels, "assoc_tensors",
+                        lambda table, *args: sent.append(table.copy())
+                        or build(table, *args))
+
+    def classify(batches):
+        sent.clear()
+        for batch, ldiv, rdiv in batches:
+            census._filter_masks(batch, ldiv, rdiv, ("fan-only",))
+
+    batches = _batches_of(6)
+    squares = np.concatenate([b for b, *_ in batches])
+    kept = _kernels.nucleus_screen(squares)[:, 1:].any(axis=-1)
+    classify(batches)
+    assert np.array_equal(np.concatenate(sent), squares[kept])
+    assert len(squares) == 9408 and 300 <= kept.sum() < 1100
+    classify(_prefix7())
+    assert not sent
 
 
 def test_batches_are_full_across_stack_edges():

@@ -242,6 +242,20 @@ def test_element_set_ops(q8):
         Z.members = frozenset()
 
 
+@pytest.mark.parametrize("x", [1.5, True, "e1", None, b"1"])
+def test_membership_refuses_what_is_not_an_integer_index(q8, x):
+    # 1.5 was truncated to element 1, and True read as element 1
+    Z = q8.analysis.center
+    with pytest.raises(ValueError, match="not an integer index"):
+        x in Z
+
+
+def test_membership_reads_numpy_integer_indices(q8):
+    Z = q8.analysis.center
+    assert np.int16(1) in Z and np.intp(0) in Z
+    assert 2 not in Z and -1 not in Z and 99 not in Z
+
+
 def test_dropped_loop_is_freed_without_the_collector():
     # the cached analysis holds element sets of the loop; they must not
     # keep it (and its n^3 tensors) alive until a garbage collection

@@ -250,6 +250,54 @@ def test_nucleus_masks_match_naive():
         assert np.array_equal(nr, er)
 
 
+def naive_nucleus_screen(table):
+    """screen[a]: the three nucleus laws at a hold for every b and c = 1."""
+    n = table.shape[0]
+    c = min(1, n - 1)
+    T = table.tolist()
+    return np.array([all(T[T[a][b]][c] == T[a][T[b][c]]
+                         and T[T[b][a]][c] == T[b][T[a][c]]
+                         and T[T[b][c]][a] == T[b][T[c][a]]
+                         for b in range(n)) for a in range(n)])
+
+
+def test_nucleus_screen_matches_naive():
+    # single tables, and every reduced square of orders 1-6 in census
+    # batches (a screen that reads the right law along the wrong axis
+    # differs on 336 squares of order 6, and on none of order 5)
+    for G in SAMPLE:
+        assert np.array_equal(_kernels.nucleus_screen(G.table),
+                              naive_nucleus_screen(G.table))
+    for n in range(1, 7):
+        for batch in _kernels.reduced_latin_squares(n, census._BATCH):
+            assert np.array_equal(_kernels.nucleus_screen(batch),
+                                  [naive_nucleus_screen(T) for T in batch])
+
+
+def test_nucleus_screen_passes_every_nucleus_element():
+    # every reduced square of orders 1-6 and the first 100 batches of
+    # order 7, in census batches
+    def batches():
+        for n in range(1, 7):
+            yield from _kernels.reduced_latin_squares(n, census._BATCH)
+        yield from islice(_kernels.reduced_latin_squares(7, census._BATCH),
+                          100)
+
+    seen = weaker = 0
+    for batch in batches():
+        ldiv, rdiv = _kernels.division_tables(batch)
+        t, _ = _kernels.assoc_tensors(batch, ldiv, rdiv)
+        nucleus = np.logical_and.reduce(_kernels.nucleus_masks(t))
+        screen = _kernels.nucleus_screen(batch)
+        assert screen.shape == nucleus.shape
+        assert not (nucleus & ~screen).any()
+        seen += len(batch)
+        weaker += int((screen & ~nucleus).any(axis=-1).sum())
+    assert seen == 1 + 1 + 1 + 4 + 56 + 9408 + 100 * census._BATCH
+    # the screen passes elements outside N too, so it decides no verdict
+    assert weaker > 0
+
+
 def test_fan_violation_matches_lexicographic_oracle():
     seen = set()
     for G in SAMPLE + reduced_loops(5):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fanloops import _kernels, catalog, census, core, laws, products
-from fanloops.errors import NotApplicable
+from fanloops.errors import FanloopsError, NotApplicable, UnknownLaw
 
 ALL_IDS = laws.law_ids()
 
@@ -133,6 +133,20 @@ def test_arity6_laws_restrict_center_variables(oct16):
 def test_check_law_unknown_id(q8):
     with pytest.raises(KeyError):
         laws.check_law(q8, "9.9.9")
+
+
+def test_an_unknown_law_id_is_a_typed_error(q8):
+    with pytest.raises(UnknownLaw, match=r"^unknown law id '9\.9\.9'$") as e:
+        laws.check_law(q8, "9.9.9")
+    assert isinstance(e.value, FanloopsError) and e.value.law_id == "9.9.9"
+    with pytest.raises(UnknownLaw):
+        laws.get_law("2.3.99")
+
+
+@pytest.mark.parametrize("law", [None, 3, ("2.3.1",)])
+def test_check_law_refuses_what_is_neither_a_law_nor_an_id(q8, law):
+    with pytest.raises(ValueError, match="must be a Law or a law id"):
+        laws.check_law(q8, law)
 
 
 def test_clause_index_reported():
@@ -271,18 +285,25 @@ def _oracle(G, law):
 
 # --- expression nodes against a scalar interpreter ---------------------------
 
-_SCALAR = {"·": "mul", "\\": "ld", "/": "rd", "t": "t", "p": "p"}
+def _left_division(G):
+    """a \\ b read off row a of the table, without the division tables."""
+    rows = G.table.tolist()
+    return lambda a, b: rows[a].index(b)
+
+
+_SCALAR = {"·": lambda G: G.mul, "\\": _left_division,
+           "/": lambda G: G.rd, "t": lambda G: G.t, "p": lambda G: G.p}
 
 
 def _scalar(G, expr, names):
     """A function of one tuple (values in the order of names) that
     evaluates expr through the loop's scalar methods, which never read the
-    t/p tensors."""
+    t/p tensors (a \\ b through the table's rows)."""
     if expr.op == "var":
         return itemgetter(names.index(expr.args[0]))
     if expr.op == "e":
         return lambda x: 0
-    method = lru_cache(maxsize=None)(getattr(G, _SCALAR[expr.op]))
+    method = lru_cache(maxsize=None)(_SCALAR[expr.op](G))
     parts = [_scalar(G, a, names) for a in expr.args]
     return lambda x: method(*[f(x) for f in parts])
 
