@@ -15,8 +15,7 @@ from . import core
 
 def cyclic(n, generator_label="g"):
     """C_n with elements e, g, g2, ..."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    n = core.count(n, "n", 1)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [generator_label if i == 1 else f"{generator_label}{i}"
@@ -29,8 +28,7 @@ def dihedral(n):
 
     Element (i, f) sits at index i + n*f; labels e, r, r2, ..., s, rs, r2s, ...
     """
-    if n < 1:
-        raise ValueError("order must be positive")
+    n = core.count(n, "n", 1)
     table = np.empty((2 * n, 2 * n), dtype=np.int16)
     for i in range(n):
         for f in range(2):

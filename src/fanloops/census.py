@@ -15,7 +15,6 @@ fan/non-fan examples — including loops where the left and right inverses
 split (e/a != a\\e for some a).
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,27 +81,20 @@ def _check_reduced(batch):
         raise AssertionError(f"square {bad} of the batch is not reduced")
 
 
-def _check_integer(name, value):
-    """Refuse a value that is not an integer; a bool is refused too."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_order(order):
-    """Refuse an order that is not an integer, below 1 or above the census
-    cap."""
-    _check_integer("order", order)
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+    """order as core.count reads it, at least 1; above the census cap it is
+    refused with OrderCapExceeded."""
+    order = core.count(order, "order", 1)
     if order > CENSUS_ORDER_CAP:
         raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
+    return order
 
 
 def _batches(order, names=FILTERS):
     """(batch, ldiv, rdiv, masks of ``names``) for the reduced squares of
     this order in stream order, _BATCH squares at a time.  A pass that runs
     to the end checks that it saw count_reduced(order) squares."""
-    _check_order(order)
+    order = _check_order(order)
     visited = 0
     for batch in _kernels.reduced_latin_squares(order, _BATCH):
         _check_reduced(batch)
@@ -115,7 +107,7 @@ def _batches(order, names=FILTERS):
 
 def iter_reduced_latin(order):
     """The census's squares of this order one at a time, in stream order."""
-    _check_order(order)
+    order = _check_order(order)
     for batch in _kernels.reduced_latin_squares(order, _BATCH):
         yield from batch
 
@@ -129,11 +121,9 @@ class CensusQuery:
     def __post_init__(self):
         if self.filter not in FILTERS:
             raise UnknownPredicate(self.filter, FILTERS)
-        _check_order(self.order)
+        object.__setattr__(self, "order", _check_order(self.order))
         if self.limit is not None:
-            _check_integer("limit", self.limit)
-            if self.limit < 0:
-                raise ValueError(f"limit must be at least 0, got {self.limit}")
+            object.__setattr__(self, "limit", core.count(self.limit, "limit"))
 
 
 def enumerate_loops(query):
@@ -161,8 +151,7 @@ _REDUCED = (1, 1, 1, 4, 56, 9408, 16942080)
 
 def count_reduced(order):
     """Total number of reduced Latin squares at this order (no filter)."""
-    _check_order(order)
-    return _REDUCED[order - 1]
+    return _REDUCED[_check_order(order) - 1]
 
 
 def find_witness(order, filter):

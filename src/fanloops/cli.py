@@ -570,11 +570,11 @@ def cmd_census(order, filter="all", limit=None, cap=None):
         return _classify_exit(exc), _error_report("census", exc)
     return EXIT_OK, {
         "command": "census",
-        "order": order,
+        "order": query.order,
         "filter": filter,
-        "limit": limit,
+        "limit": query.limit,
         "emitted": len(loops),
-        "summary": f"reduced={census.count_reduced(order)}",
+        "summary": f"reduced={census.count_reduced(query.order)}",
         "loops": loops,
     }
 

@@ -40,6 +40,18 @@ def _integer(x):
         return None
 
 
+def count(x, name, low=0):
+    """x as a Python int: an integer (numpy's too) of at least low; a bool,
+    a non-integer or a smaller value is refused with a ValueError that
+    names it, never truncated."""
+    i = _integer(x)
+    if i is None:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if i < low:
+        raise ValueError(f"{name} must be at least {low}, got {i}")
+    return i
+
+
 class FiniteLoop:
     """Immutable finite loop with precomputed division tables."""
 
@@ -75,8 +87,8 @@ class FiniteLoop:
     def elements(self):
         return range(self.order)
 
-    def label(self, i):
-        return self.labels[i]
+    def label(self, x):
+        return self.labels[self.element(x)]
 
     def index(self, label):
         return self._label_index[label]
@@ -112,32 +124,15 @@ class FiniteLoop:
 
     # -- operations --------------------------------------------------------
 
-    def mul(self, a, b):
-        return int(self.table[a, b])
-
-    def rd(self, b, a):
-        """b / a"""
-        return int(self.rdiv[b, a])
-
     def t(self, a, b, c):
+        a, b, c = map(self.element, (a, b, c))
         T = self.table
-        lhs = T[T[a, b], c]
-        rhs = T[a, T[b, c]]
-        return int(self.rdiv[lhs, rhs])
+        return int(self.rdiv[T[T[a, b], c], T[a, T[b, c]]])
 
     def p(self, a, b, c):
+        a, b, c = map(self.element, (a, b, c))
         T = self.table
-        lhs = T[T[a, b], c]
-        rhs = T[a, T[b, c]]
-        return int(self.ldiv[rhs, lhs])
-
-    def inv_l(self, a):
-        """a \\ e"""
-        return int(self.ldiv[a, 0])
-
-    def inv_r(self, a):
-        """e / a"""
-        return int(self.rdiv[0, a])
+        return int(self.ldiv[T[a, T[b, c]], T[T[a, b], c]])
 
     def assoc_tensors(self):
         """Full n^3 tensors (t, p), computed once and kept on the loop."""
@@ -228,16 +223,6 @@ class ElementSet:
         prods = self.loop.table[np.ix_(a, b)]
         return ElementSet(self.loop, frozenset(int(x) for x in prods.ravel()))
 
-    def inv_l_image(self):
-        return ElementSet(
-            self.loop, frozenset(self.loop.inv_l(a) for a in self.members)
-        )
-
-    def inv_r_image(self):
-        return ElementSet(
-            self.loop, frozenset(self.loop.inv_r(a) for a in self.members)
-        )
-
     def closure_witness(self):
         """The first (a, b, op) of the set, in index order, whose product,
         left or right division (op names it) leaves the set; None when
@@ -304,8 +289,9 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     """Check the loop axioms and return a normalized FiniteLoop.
 
     table: n×n matrix of element indices (table[a][b] = a·b).
-    identity: optional index that must act as two-sided identity; when
-        omitted the identity is searched for.  The result is re-indexed so
+    identity: optional index that must act as two-sided identity (a bool
+        or a non-integer is refused, never truncated); when omitted the
+        identity is searched for.  The result is re-indexed so
         the identity sits at index 0 (labels are permuted along).
     Raises NotLatinSquare / NoIdentity / OrderCapExceeded.
     """
@@ -348,9 +334,9 @@ def verify_loop(table, identity=None, labels=None, cap=None):
 
     natural = np.arange(n, dtype=_DTYPE)
     if identity is not None:
-        e = int(identity)
-        if not 0 <= e < n:
-            raise NoIdentity(candidate=e)
+        e = _integer(identity)
+        if e is None or not 0 <= e < n:
+            raise NoIdentity(candidate=identity)
         for line in (table[e, :], table[:, e]):  # the row first
             w = _kernels.first(line != natural)
             if w is not None:
@@ -482,9 +468,9 @@ def _analyze(G):
 def p_hull(G, A):
     """Setwise hull (P0 ∪ {e})(P0 ∪ {e}) with P0 = A ∪ Inv_l(A) ∪ Inv_r(A),
     A read by G.subset."""
-    A = G.subset(A)
-    p0 = A.union(A.inv_l_image()).union(A.inv_r_image())
-    with_e = ElementSet(G, p0.members | {0})
+    a = list(G.subset(A).members)
+    p0 = {0, *a, *G.ldiv[a, 0].tolist(), *G.rdiv[0, a].tolist()}
+    with_e = ElementSet(G, p0)
     return with_e.mul(with_e)
 
 

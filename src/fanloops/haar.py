@@ -7,11 +7,11 @@ discrete loop the tail is constant, so the limit is the point-mass value);
 the induced invariant functional/measure; and the uniqueness constant
 between two references.
 
-Point-mass covering numbers have a closed form with a hand-checkable LP
-certificate: the constraint at x is served only by the variable at b = e/x,
-forcing c_{e/x} = f(x); the all-ones dual matches.  HaarFunctional uses
-this certified path per evaluation and cross-checks it against the simplex
-once at construction.
+Point-mass covering numbers have a closed form: the constraint at x is
+served only by the variable at b = e/x, forcing c_{e/x} = f(x), and b ↦ b\e
+is a bijection, so (f:δ_e) = Σf and J_{f₀}(f) = Σf/Σf₀.  HaarFunctional
+evaluates this closed form and cross-checks it once at construction against
+six certified simplex solves.
 
 A LoopFunction stores only its values' integer form (least common
 denominator, integer numerators) and rebuilds the values as Fractions on
@@ -86,7 +86,7 @@ class LoopFunction:
 
     def __call__(self, x):
         scale, nums = self.integer_form
-        return Fraction(nums[x], scale)
+        return Fraction(nums[self.loop.element(x)], scale)
 
     def __eq__(self, other):
         return (
@@ -114,8 +114,9 @@ class LoopFunction:
 
     def scale(self, alpha):
         """α·f; an int or Fraction α is read as its ratio, any other α (a
-        rational string) goes through lp.rational, which refuses floats."""
-        if not isinstance(alpha, numbers.Rational):
+        bool or a rational string) goes through lp.rational, which refuses
+        bools and floats."""
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Rational):
             alpha = lp.rational(alpha)
         p, q = int(alpha.numerator), int(alpha.denominator)
         scale, nums = self.integer_form
@@ -308,8 +309,7 @@ def ratio_functional(f, f0, phi):
 class HaarFunctional:
     """J_{f₀}: the value of the directed limit of J_{φ_W,f₀} as supp φ_W
     shrinks to {e}.  On a discrete loop the net's tail — every φ supported
-    inside {e} — gives one constant value, which this object evaluates via
-    the certified point-mass path."""
+    inside {e} — gives one constant value, the closed form Σf/Σf₀."""
 
     def __init__(self, G, f0=None):
         ana = G.analysis
@@ -323,33 +323,12 @@ class HaarFunctional:
             raise ReferenceNotInUpsilon(
                 "f0 must be nonzero and constant on fan orbits"
             )
-        # b -> b\e is a bijection in any loop; e/(b\e) = b gives its inverse
-        self._inv_l = tuple(int(G.ldiv[b, 0]) for b in range(G.order))
         self._ref_total = self.reference.total()
         self._cross_check()
 
-    # -- certified point-mass covering -----------------------------------
-
-    def _covering_delta(self, f):
-        """(f:δ_e) = Σf with a structural certificate: c_b = f(b\\e) is
-        feasible and tight, the all-ones dual is feasible, objectives agree.
-        The sum runs over f's integer numerators, over one scale."""
-        scale, nums = f.integer_form
-        total = 0
-        seen = bytearray(self.loop.order)
-        for b, x in enumerate(self._inv_l):
-            v = nums[x]
-            if v < 0:  # pragma: no cover - LoopFunction forbids this
-                raise FanLoopCheckFailed("negative covering weight", (b,))
-            seen[x] = 1
-            total += v
-        if not all(seen):  # pragma: no cover - loop axioms forbid this
-            raise FanLoopCheckFailed("inv_l not a bijection", ())
-        return Fraction(total, scale)
-
     def _cross_check(self):
         """Run the real simplex on (p : h·δ_e) once per probe p in (f₀, δ_e)
-        and height h, and compare: at h = 1 with the closed form, at every
+        and height h, and compare: at h = 1 with the closed form Σp, at every
         h the ratio J_{h·δ_e,f₀}(p) with J_{f₀}(p) (point-mass height
         invariance)."""
         G = self.loop
@@ -361,7 +340,7 @@ class HaarFunctional:
             values = [covering_number(p, phi) for p in probes]
             if height == _F1:
                 for probe, value in zip(probes, values):
-                    if value != self._covering_delta(probe):
+                    if value != probe.total():
                         raise FanLoopCheckFailed(
                             "point-mass covering mismatch", (probe.values,)
                         )
@@ -374,7 +353,7 @@ class HaarFunctional:
 
     def __call__(self, f):
         _same_loop(self.loop, f)
-        return self._covering_delta(f) / self._ref_total
+        return f.total() / self._ref_total
 
     def relative(self, g):
         """J_g with J_g(f) = J_{f₀}(f)/J_{f₀}(g) — independent of f₀."""
@@ -446,6 +425,7 @@ def verify_uniqueness(G, f0, g0, trials=20, rng=None):
     """Uniqueness constant: H = J_{g₀} satisfies H(f) = κ·J_{f₀}(f) with
     κ = (Σf₀)/(Σg₀).  Verified exactly on every singleton indicator and on
     seeded random functions before κ is returned."""
+    trials = core.count(trials, "trials")
     J = haar_limit(G, f0)
     H = haar_limit(G, g0)
     kappa = f0.total() / g0.total()

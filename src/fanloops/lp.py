@@ -56,7 +56,8 @@ class BitGrowthWarning(UserWarning):
 
 def rational(x):
     """x as a Fraction of Python ints, from an int (numpy's too), a Fraction or
-    a rational string; a float (numpy's too) is refused with a ValueError."""
+    a rational string; a float (numpy's too) is refused with a ValueError, and
+    so are a bool and anything else Fraction cannot read (None included)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational):
@@ -64,8 +65,13 @@ def rational(x):
             f"float {x!r} is not exact: give an int, a Fraction or a "
             "rational string"
         )
-    return Fraction(int(x.numerator), int(x.denominator)) \
-        if hasattr(x, "numerator") else Fraction(x)
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a rational")
+    try:
+        return Fraction(int(x.numerator), int(x.denominator)) \
+            if hasattr(x, "numerator") else Fraction(x)
+    except (TypeError, ArithmeticError):  # "1/0", Decimal("Infinity")
+        raise ValueError(f"{x!r} is not a rational") from None
 
 
 @dataclass(frozen=True, init=False)

@@ -138,8 +138,9 @@ def cayley_dickson_basis_loop(k, cap=None):
     octonion basis loop: order 16, nonassociative, central fan loop with
     fan {1,-1}.
     """
-    if not 1 <= k <= CAYLEY_DICKSON_CAP:
-        raise SizeCapExceeded(2 ** (k + 1), 2 ** (CAYLEY_DICKSON_CAP + 1))
+    k = core.count(k, "k", 1)
+    if k > CAYLEY_DICKSON_CAP:
+        raise ValueError(f"k must be at most {CAYLEY_DICKSON_CAP}, got {k}")
     dim = 2 ** k
     n = 2 * dim
     if n > order_cap(cap):

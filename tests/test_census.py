@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fanloops import _kernels, census, core
+from fanloops import _kernels, census, cli, core
 from fanloops.config import CENSUS_ORDER_CAP
 from fanloops.errors import (
     FanLoopCheckFailed,
@@ -256,6 +256,17 @@ def test_a_non_integer_limit_is_refused(limit):
         census.CensusQuery(5, limit=limit)
 
 
+def test_a_query_keeps_its_order_and_limit_as_python_ints():
+    q = census.CensusQuery(np.int64(5), limit=np.int64(2))
+    assert (q.order, q.limit) == (5, 2)
+    assert type(q.order) is int and type(q.limit) is int
+    # the report of a numpy order renders, as the same bytes as an int's
+    for args in ((4,), (4, "all", 2)):
+        plain = cli.render_report(cli.cmd_census(*args)[1])
+        numpy_args = [np.int64(a) if isinstance(a, int) else a for a in args]
+        assert cli.render_report(cli.cmd_census(*numpy_args)[1]) == plain
+
+
 def test_enumerated_loops_are_verified_objects():
     for G in census.enumerate_loops(4):
         assert isinstance(G, core.FiniteLoop)
@@ -275,7 +286,7 @@ def _per_loop_verdicts(G):
         "non-fan": not a.is_fan_loop,
         "central-fan": a.is_central_fan_loop,
         "nontrivial-two-sided-inverse-split":
-            any(G.inv_l(x) != G.inv_r(x) for x in G.elements()),
+            any(G.ldiv[x, 0] != G.rdiv[0, x] for x in G.elements()),
     }
 
 

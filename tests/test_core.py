@@ -117,8 +117,8 @@ def test_division_identities_on_sample():
 def test_left_right_inverses():
     G = catalog.quaternion8()
     for x in range(8):
-        il = int(G.inv_l(x))
-        ir = int(G.inv_r(x))
+        il = int(G.ldiv[x, 0])
+        ir = int(G.rdiv[0, x])
         assert int(G.table[il, x]) == 0
         assert int(G.table[x, ir]) == 0
         assert il == ir  # Q8 is a group
@@ -339,6 +339,20 @@ def test_out_of_range_identity_is_refused(identity):
     assert core.verify_loop(table, identity=2).labels == ("e", "x0", "x1")
 
 
+@pytest.mark.parametrize("identity", [1.5, True, np.float64(1.0), b"1", "e"],
+                         ids=["float", "bool", "numpy-float", "bytes", "label"])
+def test_an_identity_that_is_not_an_integer_index_is_refused(identity):
+    # index 1 is the identity, so a value truncated or coerced to 1 would
+    # pass; the error carries the value as given
+    table = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+    with pytest.raises(NoIdentity) as exc:
+        core.verify_loop(table, identity=identity)
+    assert exc.value.candidate is identity
+    assert exc.value.counterexample is None
+    G = core.verify_loop(table, identity=np.int64(1))
+    assert G.labels == ("e", "x0", "x2")
+
+
 def test_identity_search_needs_a_natural_row_and_column():
     # a natural row (a left identity) alone, and a natural column alone
     left = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -361,7 +375,7 @@ def test_witnesses_match_lexicographic_oracle():
         triples = [(x, y, z) for x in range(n) for y in range(n)
                    for z in range(n) if G.t(x, y, z) != 0]
         pairs = [(x, y) for x in range(n) for y in range(n)
-                 if G.rd(G.mul(x, y), G.mul(y, x)) not in a.center]
+                 if G.rdiv[G.table[x, y], G.table[y, x]] not in a.center]
         assert a.non_assoc_witness == (triples[0] if triples else None)
         assert a.central_witness == (pairs[0] if pairs else None)
         seen.add((bool(triples), bool(pairs)))

@@ -798,9 +798,9 @@ def test_haar_cross_check_solves_each_covering_number_once(oct16,
 
 
 def test_haar_cross_check_catches_a_wrong_closed_form(oct16, monkeypatch):
-    closed = haar.HaarFunctional._covering_delta
-    monkeypatch.setattr(haar.HaarFunctional, "_covering_delta",
-                        lambda self, f: closed(self, f) + 1)
+    closed = haar.LoopFunction.total
+    monkeypatch.setattr(haar.LoopFunction, "total",
+                        lambda self: closed(self) + 1)
     with pytest.raises(FanLoopCheckFailed, match="point-mass covering mismatch"):
         haar.haar_limit(oct16)
 

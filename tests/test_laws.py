@@ -291,14 +291,17 @@ def _left_division(G):
     return lambda a, b: rows[a].index(b)
 
 
-_SCALAR = {"·": lambda G: G.mul, "\\": _left_division,
-           "/": lambda G: G.rd, "t": lambda G: G.t, "p": lambda G: G.p}
+_SCALAR = {"·": lambda G: lambda a, b: int(G.table[a, b]),
+           "\\": _left_division,
+           "/": lambda G: lambda b, a: int(G.rdiv[b, a]),
+           "t": lambda G: G.t, "p": lambda G: G.p}
 
 
 def _scalar(G, expr, names):
     """A function of one tuple (values in the order of names) that
-    evaluates expr through the loop's scalar methods, which never read the
-    t/p tensors (a \\ b through the table's rows)."""
+    evaluates expr one cell at a time, never reading the t/p tensors: · and
+    / off the tables, t and p through the loop's scalar oracles, a \\ b
+    through the table's rows."""
     if expr.op == "var":
         return itemgetter(names.index(expr.args[0]))
     if expr.op == "e":

@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from fanloops import _kernels, catalog, census, core, products
-from fanloops.errors import (
-    FanLoopCheckFailed,
-    SizeCapExceeded,
-    ValidationFailed,
-)
+from fanloops.errors import FanLoopCheckFailed, ValidationFailed
 
 # --- independent Cayley-Dickson oracle -------------------------------------
 
@@ -83,7 +79,8 @@ def test_cd_classifications():
 
 
 def test_cd_cap():
-    with pytest.raises(SizeCapExceeded):
+    # k past the cap is refused by name, not as the order 2^(k+1) it implies
+    with pytest.raises(ValueError, match="k must be at most 5, got 6"):
         products.cayley_dickson_basis_loop(6)
 
 

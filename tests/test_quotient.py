@@ -86,7 +86,7 @@ def test_octonion_quotient_is_elementary_abelian(oct16):
     assert a.is_group and a.is_commutative
     for x in range(1, 8):
         assert int(Q.table[x, x]) == 0  # every nonidentity element order 2
-        il, ir = int(Q.inv_l(x)), int(Q.inv_r(x))
+        il, ir = int(Q.ldiv[x, 0]), int(Q.rdiv[0, x])
         assert il == ir == x
 
 
