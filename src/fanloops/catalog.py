@@ -11,11 +11,13 @@ from importlib import resources
 import numpy as np
 
 from . import core
+from .config import check_order
 
 
 def cyclic(n, generator_label="g"):
     """C_n with elements e, g, g2, ..."""
     n = core.count(n, "n", 1)
+    check_order(n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [generator_label if i == 1 else f"{generator_label}{i}"
@@ -29,13 +31,9 @@ def dihedral(n):
     Element (i, f) sits at index i + n*f; labels e, r, r2, ..., s, rs, r2s, ...
     """
     n = core.count(n, "n", 1)
-    table = np.empty((2 * n, 2 * n), dtype=np.int16)
-    for i in range(n):
-        for f in range(2):
-            for j in range(n):
-                for g in range(2):
-                    k = (i + (j if f == 0 else -j)) % n
-                    table[i + n * f, j + n * g] = k + n * (f ^ g)
+    check_order(2 * n)
+    f, i, g, j = np.ogrid[:2, :n, :2, :n]
+    table = ((i + (1 - 2 * f) * j) % n + n * (f ^ g)).reshape(2 * n, 2 * n)
     rot = ["e"] + ["r" if i == 1 else f"r{i}" for i in range(1, n)]
     ref = ["s"] + ["rs" if i == 1 else f"r{i}s" for i in range(1, n)]
     return core.verify_loop(table, identity=0, labels=rot + ref)

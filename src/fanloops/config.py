@@ -38,3 +38,12 @@ def order_cap(explicit=None):
     if cap > _INT16_MAX:
         raise OrderCapExceeded(cap, _INT16_MAX)
     return cap
+
+
+def check_order(n, cap=None, error=OrderCapExceeded):
+    """Refuse order n above order_cap(cap) with error(n, cap) before any
+    table of that order is built; returns the resolved cap."""
+    cap = order_cap(cap)
+    if n > cap:
+        raise error(n, cap)
+    return cap

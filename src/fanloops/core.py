@@ -18,13 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .config import order_cap
+from .config import check_order
 from .errors import (
     LoopMismatch,
     NoIdentity,
     NotASubgroup,
     NotLatinSquare,
-    OrderCapExceeded,
 )
 
 _DTYPE = np.int16
@@ -301,9 +300,7 @@ def verify_loop(table, identity=None, labels=None, cap=None):
     n = table.shape[0]
     if n < 1:
         raise ValueError("order must be at least 1")
-    cap = order_cap(cap)
-    if n > cap:
-        raise OrderCapExceeded(n, cap)
+    check_order(n, cap)
     if table.dtype != _DTYPE:
         # check before the cast: it would wrap a wider integer to int16,
         # drop a float's fraction and coerce a bool, complex, string or

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import core, laws, quotient
 from ._kernels import first, slabs
-from .config import CAYLEY_DICKSON_CAP, order_cap
+from .config import CAYLEY_DICKSON_CAP, check_order, order_cap
 from .errors import FanLoopCheckFailed, SizeCapExceeded, ValidationFailed
 
 _DT = np.int16
@@ -31,17 +31,15 @@ _DT = np.int16
 # direct products
 # ---------------------------------------------------------------------------
 
-def _direct_product_pair(A, B, cap):
-    nA, nB = A.order, B.order
-    if nA * nB > cap:
-        raise SizeCapExceeded(nA * nB, cap)
-    table = (
-        A.table[:, None, :, None].astype(np.int32) * nB
-        + B.table[None, :, None, :]
-    ).reshape(nA * nB, nA * nB)
-    labels = [
-        f"({la},{lb})" for la in A.labels for lb in B.labels
-    ]
+def _pair_loop(A, B, first, second, cap):
+    """The loop on A×B with (a1,b1)·(a2,b2) = (first, second), both arrays
+    broadcast over the axes (a1, b1, a2, b2); element (a, b) sits at index
+    a·|B| + b, labelled (la,lb).  An order above the cap is refused before
+    the table is built."""
+    n = A.order * B.order
+    cap = check_order(n, cap, SizeCapExceeded)
+    table = (first.astype(np.int32) * B.order + second).reshape(n, n)
+    labels = [f"({la},{lb})" for la in A.labels for lb in B.labels]
     return core.verify_loop(table, identity=0, labels=labels, cap=cap)
 
 
@@ -98,7 +96,8 @@ def direct_product(loops, cap=None, verify=True):
     cap = order_cap(cap)
 
     def pair(A, B):
-        P = _direct_product_pair(A, B, cap)
+        P = _pair_loop(A, B, A.table[:, None, :, None],
+                       B.table[None, :, None, :], cap)
         if verify:
             _check_componentwise_sets(P, A, B)
             _check_componentwise_assoc(P, A, B)
@@ -111,26 +110,6 @@ def direct_product(loops, cap=None, verify=True):
 # Cayley-Dickson basis loops
 # ---------------------------------------------------------------------------
 
-def _cd_mul(dim, i, j):
-    """Signed product of basis elements i, j of the dimension-`dim` doubling
-    algebra: returns (sign, index) with the rule
-        (a,b)(c,d) = (ac - d*b, da + bc*)
-    and conjugation negating every non-real basis element."""
-    if dim == 1:
-        return 1, 0
-    h = dim // 2
-    if i < h:
-        if j < h:
-            return _cd_mul(h, i, j)  # (ac, 0)
-        s, m = _cd_mul(h, j - h, i)  # (0, da)
-        return s, m + h
-    if j < h:
-        s, m = _cd_mul(h, i - h, j)  # (0, b c*)
-        return (s if j == 0 else -s), m + h
-    s, m = _cd_mul(h, j - h, i - h)  # (-d* b, 0)
-    return (-s if j - h == 0 else s), m
-
-
 def cayley_dickson_basis_loop(k, cap=None):
     """Basis loop {±e0, .., ±e_(2^k-1)} of the k-fold doubling algebra.
 
@@ -141,24 +120,23 @@ def cayley_dickson_basis_loop(k, cap=None):
     k = core.count(k, "k", 1)
     if k > CAYLEY_DICKSON_CAP:
         raise ValueError(f"k must be at most {CAYLEY_DICKSON_CAP}, got {k}")
-    dim = 2 ** k
-    n = 2 * dim
-    if n > order_cap(cap):
-        raise SizeCapExceeded(n, order_cap(cap))
-    # element (sign s, basis i) packed as 2*i + (0 if s>0 else 1)
-    table = np.empty((n, n), dtype=_DT)
-    for i in range(dim):
-        for j in range(dim):
-            s, m = _cd_mul(dim, i, j)
-            for si in (0, 1):
-                for sj in (0, 1):
-                    sign = s * (-1 if si else 1) * (-1 if sj else 1)
-                    table[2 * i + si, 2 * j + sj] = 2 * m + (0 if sign > 0 else 1)
-    labels = []
-    for i in range(dim):
-        base = "1" if i == 0 else f"e{i}"
-        labels.append(base)
-        labels.append(f"-{base}" if i else "-1")
+    n = 2 ** (k + 1)
+    cap = check_order(n, cap, SizeCapExceeded)
+    # double k times by (a,b)(c,d) = (ac - d*b, da + bc*): e_i·e_j is
+    # sign[i, j]·e_index[i, j], and conjugation c negates every e_i but e_0
+    sign, index = np.ones((1, 1), int), np.zeros((1, 1), int)
+    for i in range(k):
+        h = 2 ** i
+        c = np.where(np.arange(h), -1, 1)
+        sign = np.block([[sign, sign.T], [sign * c, -sign.T * c]])
+        index = np.block([[index, index.T + h], [index + h, index.T]])
+    # element (sign s, basis i) packed as 2*i + (0 if s>0 else 1), so the
+    # signs of the two factors flip the low bit
+    bits = np.arange(2)
+    table = ((2 * index + (sign < 0))[:, None, :, None]
+             ^ (bits[:, None] ^ bits)[None, :, None, :]).reshape(n, n)
+    labels = [s + (f"e{i}" if i else "1") for i in range(n // 2)
+              for s in ("", "-")]
     return core.verify_loop(table, identity=0, labels=labels, cap=cap)
 
 
@@ -276,166 +254,123 @@ def validate_smashing(data):
     TA, TB = A.table, B.table
     nA, nB, nN = A.order, B.order, data.n_size
     sizes = {"A": nA, "B": nB, "N": nN}
-    checked = []
+    ia, ib, phi = data.into_a, data.into_b, data.phi
 
     # --- structure: embeddings are injective homomorphisms onto subgroups
-    if (
-        len(data.into_a) != nN
-        or len(data.into_b) != nN
-        or len(set(int(x) for x in data.into_a)) != nN
-        or len(set(int(x) for x in data.into_b)) != nN
-    ):
-        return _fail("structure", ("embedding not injective",), checked)
-    if nN == 0 or int(data.into_a[0]) != 0 or int(data.into_b[0]) != 0:
-        return _fail("structure", ("N identity must embed to e",), checked)
-    for f, into in (("A", data.into_a), ("B", data.into_b)):
+    if (len(ia) != nN or len(ib) != nN or len(set(int(x) for x in ia)) != nN
+            or len(set(int(x) for x in ib)) != nN):
+        return _fail("structure", ("embedding not injective",), ())
+    if nN == 0 or int(ia[0]) != 0 or int(ib[0]) != 0:
+        return _fail("structure", ("N identity must embed to e",), ())
+    for f, into in (("A", ia), ("B", ib)):
         if into.min() < 0 or into.max() >= sizes[f]:
-            return _fail("structure", (f"embedding outside {f}",), checked)
-    img_a, img_b = A.subset(data.into_a), B.subset(data.into_b)
-    checked.append("structure")
-    if not img_a.is_subloop() or not img_b.is_subloop():
-        return _fail("structure", ("embedded image not closed",), checked)
-    # the two embeddings must induce the same group structure on N
-    back_a = np.zeros(nA, dtype=np.intp)
-    back_a[data.into_a] = np.arange(nN)
-    w = first(TB[np.ix_(data.into_b, data.into_b)]
-              != data.into_b[back_a[TA[np.ix_(data.into_a, data.into_a)]]])
-    if w is not None:
-        return _fail("structure", ("embeddings not isomorphic", *w), checked)
+            return _fail("structure", (f"embedding outside {f}",), ())
+    img_a, img_b = A.subset(ia), B.subset(ib)
 
-    for name, (args, _) in TABLES.items():
-        shape = getattr(data, name).shape
-        if shape != tuple(sizes[f] for f in args):
-            return _fail("structure", (f"{name} shape", shape), checked)
-    for name, (_, values) in TABLES.items():
-        table = getattr(data, name)
-        if table.size and (table.min() < 0 or table.max() >= sizes[values]):
-            return _fail("structure", (f"{name} value outside {values}",),
-                         checked)
-    # phi rows are permutations of B: with values in B, a row is one iff it
-    # sorts to 0..nB-1
-    checked.append("phi-bijective")
-    w = first((np.sort(data.phi, axis=1) != np.arange(nB)).any(axis=1))
-    if w is not None:
-        return _fail("phi-bijective", w, checked)
-
-    # --- 4.3.1 containment chain: fan(A) ⊆ iota_A(N) ⊆ N(A), same for B
-    checked.append("4.3.1")
-    for (loop, img, side) in ((A, img_a, "A"), (B, img_b, "B")):
-        an = loop.analysis
-        if not an.fan.members <= img.members:
-            bad = sorted(an.fan.members - img.members)[0]
-            return _fail("4.3.1", (side, "fan not inside N image", bad), checked)
-        if not img.members <= an.nucleus.members:
-            bad = sorted(img.members - an.nucleus.members)[0]
-            return _fail("4.3.1", (side, "N image not inside nucleus", bad),
-                         checked)
-    for (loop, img, side) in ((A, img_a, "A"), (B, img_b, "B")):
-        cond = f"4.3.1-normal-{side}"
-        checked.append(cond)
-        rep = quotient.is_normal_subloop(loop, img)
-        if not rep.ok:
-            return _fail(cond, (rep.condition,) + tuple(rep.witness or ()),
-                         checked)
-
-    phi = data.phi
-    ib = data.into_b
-    eta_b, kappa_b = ib[data.eta], ib[data.kappa]  # eta/kappa as B elems
-
-    # --- 4.3.4: (b^u)^v = b^(vu)·eta(v,u,b); gamma^u = gamma; b^gamma = b
-    checked.append("4.3.4")
-    u_ix = np.arange(nA)[None, :, None]
-    v_ix = np.arange(nA)[:, None, None]
-    b_ix = np.arange(nB)[None, None, :]
-    lhs = phi[v_ix, phi[u_ix, b_ix]]
-    rhs = TB[phi[TA[v_ix, u_ix], b_ix], eta_b]
-    w = first(lhs != rhs)
-    if w is not None:
-        return _fail("4.3.4", w, checked)
-    checked.append("4.3.4-gamma-fixed")
-    w = first(phi[:, data.into_b] != data.into_b)
-    if w is not None:
-        return _fail("4.3.4-gamma-fixed", w, checked)
-    checked.append("4.3.4-action-trivial")
-    w = first(phi[data.into_a, :] != np.arange(nB))
-    if w is not None:
-        return _fail("4.3.4-action-trivial", w, checked)
-
-    # --- 4.3.5: eta invariant under N-shifts of b; e when any argument in N
-    checked.append("4.3.5")
-    shift = _shift_witness(data, "eta", (2,))
-    if shift:
-        return _fail("4.3.5", ("shift", shift[0]), checked)
-    checked.append("4.3.5-degenerate")
-    if _nonzero_on_n(data, "eta"):
-        return _fail("4.3.5-degenerate", ("eta nonzero on N argument",), checked)
-
-    # --- 4.3.6: (cb)^u = (c^u·b^u)·kappa(u,c,b)
-    checked.append("4.3.6")
-    u_ix = np.arange(nA)[:, None, None]
-    c_ix = np.arange(nB)[None, :, None]
-    b_ix = np.arange(nB)[None, None, :]
-    lhs = phi[u_ix, TB[c_ix, b_ix]]
-    rhs = TB[TB[phi[u_ix, c_ix], phi[u_ix, b_ix]], kappa_b]
-    w = first(lhs != rhs)
-    if w is not None:
-        return _fail("4.3.6", w, checked)
-
-    # --- 4.3.7: kappa shift invariance and degeneracy
-    checked.append("4.3.7")
-    shift = _shift_witness(data, "kappa", (1, 2))
-    if shift:
-        return _fail("4.3.7", ("shift", shift[0]), checked)
-    checked.append("4.3.7-degenerate")
-    if _nonzero_on_n(data, "kappa"):
-        return _fail("4.3.7-degenerate", ("kappa nonzero on N argument",),
-                     checked)
-
-    # --- 4.3.8: xi shift invariance in all eight argument positions,
-    #            and xi((e,e),·) = xi(·,(e,e)) = e
-    checked.append("4.3.8")
-    shift = _shift_witness(data, "xi", (0, 1, 2, 3))
-    if shift:
-        return _fail("4.3.8", ("shift", shift[0], "position", shift[1]),
-                     checked)
-    checked.append("4.3.8-identity")
-    for side, values in (("left", data.xi[0, 0]),
-                         ("right", data.xi[:, :, 0, 0])):
-        w = first(values != 0)
+    def structure():
+        if not img_a.is_subloop() or not img_b.is_subloop():
+            return ("embedded image not closed",)
+        # the two embeddings must induce the same group structure on N
+        back_a = np.zeros(nA, dtype=np.intp)
+        back_a[ia] = np.arange(nN)
+        w = first(TB[np.ix_(ib, ib)] != ib[back_a[TA[np.ix_(ia, ia)]]])
         if w is not None:
-            return _fail("4.3.8-identity", (side, *w), checked)
+            return ("embeddings not isomorphic", *w)
+        for name, (args, _) in TABLES.items():
+            shape = getattr(data, name).shape
+            if shape != tuple(sizes[f] for f in args):
+                return (f"{name} shape", shape)
+        for name, (_, values) in TABLES.items():
+            t = getattr(data, name)
+            if t.size and (t.min() < 0 or t.max() >= sizes[values]):
+                return (f"{name} value outside {values}",)
 
+    def chain():  # fan(A) ⊆ iota_A(N) ⊆ N(A), the same for B
+        for loop, img, side in ((A, img_a, "A"), (B, img_b, "B")):
+            an = loop.analysis
+            for bad, what in ((an.fan.members - img.members,
+                               "fan not inside N image"),
+                              (img.members - an.nucleus.members,
+                               "N image not inside nucleus")):
+                if bad:
+                    return (side, what, min(bad))
+
+    def normal(loop, img):
+        rep = quotient.is_normal_subloop(loop, img)
+        return None if rep.ok else (rep.condition, *(rep.witness or ()))
+
+    def action():  # (b^u)^v = b^(vu)·eta(v,u,b)
+        v, u, b = np.ix_(range(nA), range(nA), range(nB))
+        return first(phi[v, phi[u, b]] != TB[phi[TA[v, u], b], ib[data.eta]])
+
+    def twist():  # (cb)^u = (c^u·b^u)·kappa(u,c,b)
+        u, c, b = np.ix_(range(nA), range(nB), range(nB))
+        return first(phi[u, TB[c, b]]
+                     != TB[TB[phi[u, c], phi[u, b]], ib[data.kappa]])
+
+    def shift(name, slots):  # N-shifts in these slots leave the table as is
+        w = _shift_witness(data, name, slots)
+        if w is not None:
+            return (("shift", w[0], "position", w[1]) if name == "xi"
+                    else ("shift", w[0]))
+
+    def degenerate(name):  # e when any argument lies in N
+        return ((f"{name} nonzero on N argument",)
+                if _nonzero_on_n(data, name) else None)
+
+    def xi_identity():  # xi((e,e),·) = xi(·,(e,e)) = e
+        for side, values in (("left", data.xi[0, 0]),
+                             ("right", data.xi[:, :, 0, 0])):
+            w = first(values != 0)
+            if w is not None:
+                return (side, *w)
+
+    checked = []
+    for condition, check in (
+        ("structure", structure),
+        # phi rows are permutations of B: with values in B, a row is one
+        # iff it sorts to 0..nB-1
+        ("phi-bijective",
+         lambda: first((np.sort(phi, axis=1) != np.arange(nB)).any(axis=1))),
+        ("4.3.1", chain),
+        ("4.3.1-normal-A", lambda: normal(A, img_a)),
+        ("4.3.1-normal-B", lambda: normal(B, img_b)),
+        ("4.3.4", action),
+        ("4.3.4-gamma-fixed", lambda: first(phi[:, ib] != ib)),
+        ("4.3.4-action-trivial", lambda: first(phi[ia, :] != np.arange(nB))),
+        ("4.3.5", lambda: shift("eta", (2,))),
+        ("4.3.5-degenerate", lambda: degenerate("eta")),
+        ("4.3.6", twist),
+        ("4.3.7", lambda: shift("kappa", (1, 2))),
+        ("4.3.7-degenerate", lambda: degenerate("kappa")),
+        ("4.3.8", lambda: shift("xi", (0, 1, 2, 3))),
+        ("4.3.8-identity", xi_identity),
+    ):
+        checked.append(condition)
+        witness = check()
+        if witness is not None:
+            return _fail(condition, witness, checked)
     return ValidationReport(True, None, None, tuple(checked))
 
 
 def smashed_product(data, cap=None, verify=True):
     """Build the loop on A×B with the twisted multiplication above.
 
-    Raises ValidationFailed when the smashing conditions fail, and
+    Raises SizeCapExceeded for an order above the cap before anything is
+    validated, ValidationFailed when the smashing conditions fail, and
     FanLoopCheckFailed when a theorem-backed cross-check breaks (the latter
     signals a bug, not bad input).
     """
+    A, B = data.A, data.B
+    cap = check_order(A.order * B.order, cap, SizeCapExceeded)
     report = validate_smashing(data)
     if not report.ok:
         raise ValidationFailed(report.condition, report.witness)
-    A, B = data.A, data.B
-    nA, nB = A.order, B.order
-    n = nA * nB
-    cap_v = order_cap(cap)
-    if n > cap_v:
-        raise SizeCapExceeded(n, cap_v)
-    TA, TB = A.table, B.table
-    ib = data.into_b
-
-    a1 = np.arange(nA)[:, None, None, None]
-    b1 = np.arange(nB)[None, :, None, None]
-    a2 = np.arange(nA)[None, None, :, None]
-    b2 = np.arange(nB)[None, None, None, :]
-    second = TB[TB[b1, data.phi[a1, b2]], ib[data.xi[a1, b1, a2, b2]]]
-    first = TA[a1, a2]
-    table = (first.astype(np.int32) * nB + second).reshape(n, n)
-    labels = [f"({la},{lb})" for la in A.labels for lb in B.labels]
-    P = core.verify_loop(table, identity=0, labels=labels, cap=cap)
+    a1, b1, a2, b2 = np.ix_(range(A.order), range(B.order),
+                            range(A.order), range(B.order))
+    TB = B.table
+    second = TB[TB[b1, data.phi[a1, b2]], data.into_b[data.xi[a1, b1, a2, b2]]]
+    P = _pair_loop(A, B, A.table[a1, a2], second, cap)
     if verify:
         errs = verify_smashed_product(data, P)
         if errs:

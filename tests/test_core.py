@@ -7,6 +7,7 @@ test_products.py and from the naive nucleus oracle in test_kernels.py.
 """
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -183,6 +184,16 @@ def test_sedenion_fan():
     assert S.order == 32
     assert a.is_fan_loop
     assert a.fan.members == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_dihedral_follows_its_rule_cell_by_cell(n):
+    # (i,f)(j,g) = (i + (-1)^f j mod n, f xor g), element (i, f) at i + n*f
+    D = catalog.dihedral(n)
+    for i, f, j, g in itertools.product(range(n), range(2), range(n),
+                                        range(2)):
+        k = (i + (j if f == 0 else -j)) % n
+        assert D.table[i + n * f, j + n * g] == k + n * (f ^ g)
 
 
 def test_subgroup_closure():

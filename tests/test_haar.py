@@ -360,6 +360,53 @@ def test_covering_chain_through_upsilon(suite_loops, rng):
             assert lhs <= rhs, name
 
 
+# --- covering numbers over direct products -----------------------------------
+
+PRODUCT_PAIRS = [("Q8", "C2"), ("Q8", "K4"), ("O16", "C2"), ("Q8", "Q8"),
+                 ("O16", "C4")]
+
+
+def tensor(P, f, g, swap=False):
+    """(f⊗g)(a,b) = f(a)·g(b) on P = A×B, with (a, b) at index a·|B| + b,
+    the layout of products.direct_product; swap=True puts it at b·|A| + a."""
+    if swap:
+        return haar.LoopFunction(P, [x * y for y in g.values for x in f.values])
+    return haar.LoopFunction(P, [x * y for x in f.values for y in g.values])
+
+
+def _product_cases(groups8, oct16, pair):
+    """Four seeded (P, f, φ, g, ψ) with f, φ on A and g, ψ on B."""
+    loops = dict(groups8, O16=oct16)
+    A, B = loops[pair[0]], loops[pair[1]]
+    P = products.direct_product([A, B], verify=False)
+    rng = random.Random(SEED)
+    for _ in range(4):
+        f, phi = haar.random_function(A, rng), haar.random_function(A, rng)
+        g, psi = haar.random_function(B, rng), haar.random_function(B, rng)
+        yield P, f, phi, g, psi
+
+
+@pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids="x".join)
+def test_covering_number_factors_over_direct_products(groups8, oct16, pair):
+    # (f⊗g : φ⊗ψ) = (f:φ)·(g:ψ): a translate of φ⊗ψ is a product of
+    # translates, a product of covers covers, and the product of two
+    # dual-feasible vectors is dual-feasible, all entries being >= 0
+    for P, f, phi, g, psi in _product_cases(groups8, oct16, pair):
+        assert haar.covering_number(tensor(P, f, g), tensor(P, phi, psi)) == (
+            haar.covering_number(f, phi) * haar.covering_number(g, psi))
+
+
+def test_covering_number_product_layout_negative_control(groups8, oct16):
+    # the same data in the layout b·|A| + a must break the identity somewhere
+    broken = [
+        pair for pair in PRODUCT_PAIRS
+        for P, f, phi, g, psi in _product_cases(groups8, oct16, pair)
+        if haar.covering_number(tensor(P, f, g, True), tensor(P, phi, psi, True))
+        != haar.covering_number(f, phi) * haar.covering_number(g, psi)
+    ]
+    assert broken
+
+
 # --- fan averaging and the invariant cone ------------------------------------
 
 def test_fan_average_idempotent_and_invariant(suite_loops, rng):
@@ -814,5 +861,5 @@ def test_haar_cross_check_catches_height_dependence(oct16, monkeypatch):
         return value if phi.sup_norm() == 1 else value + 1
 
     monkeypatch.setattr(haar, "covering_number", faulty)
-    with pytest.raises(FanLoopCheckFailed, match="point-mass height variance"):
+    with pytest.raises(FanLoopCheckFailed, match="point-mass covering mismatch"):
         haar.haar_limit(oct16)

@@ -2,8 +2,9 @@
 direct products, and the smashed-product validation/cross-check machinery.
 
 The oracle multiplies signed basis *vectors* of the doubling algebra with
-plain integer arrays — no shared code with products._cd_mul, which works
-on (sign, index) pairs.
+plain integer arrays — no shared code with
+products.cayley_dickson_basis_loop, which doubles whole sign and index
+tables.
 """
 
 import dataclasses
@@ -12,7 +13,12 @@ import numpy as np
 import pytest
 
 from fanloops import _kernels, catalog, census, core, products
-from fanloops.errors import FanLoopCheckFailed, ValidationFailed
+from fanloops.errors import (
+    FanLoopCheckFailed,
+    OrderCapExceeded,
+    SizeCapExceeded,
+    ValidationFailed,
+)
 
 # --- independent Cayley-Dickson oracle -------------------------------------
 
@@ -352,6 +358,29 @@ def test_smashed_product_raises_on_invalid_data():
     with pytest.raises(ValidationFailed) as exc:
         products.smashed_product(bad)
     assert exc.value.condition.startswith("4.3")
+
+
+def test_over_cap_orders_are_refused_before_any_work(monkeypatch):
+    C17 = catalog.cyclic(17)
+    data = products.SmashingData(C17, C17, ("e",), [0], [0])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built or validated past the cap")
+
+    monkeypatch.delenv("FANLOOP_CAP", raising=False)
+    monkeypatch.setattr(core, "verify_loop", unreachable)
+    monkeypatch.setattr(products, "validate_smashing", unreachable)
+    for build, order, error in (
+        (lambda: catalog.cyclic(257), 257, OrderCapExceeded),
+        (lambda: catalog.dihedral(129), 258, OrderCapExceeded),
+        (lambda: products.direct_product([C17, C17]), 289, SizeCapExceeded),
+        (lambda: products.smashed_product(data), 289, SizeCapExceeded),
+        (lambda: products.cayley_dickson_basis_loop(3, cap=8), 16,
+         SizeCapExceeded),
+    ):
+        cap = 8 if order == 16 else 256
+        with pytest.raises(error, match=f"^order {order} exceeds cap {cap}$"):
+            build()
 
 
 # --- smashed products: construction and closed forms -------------------------
