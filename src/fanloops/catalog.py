@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import core
+from . import cli, core, products
 from .config import check_order
 
 
@@ -50,16 +50,12 @@ def klein4():
 
 def quaternion8():
     """Q8 as the k=2 Cayley-Dickson basis loop (1, -1, i, -i, j, -j, k, -k)."""
-    from .products import cayley_dickson_basis_loop
-
-    return cayley_dickson_basis_loop(2)
+    return products.cayley_dickson_basis_loop(2)
 
 
 def octonion16():
     """The octonion basis loop (k=3): the flagship order-16 fan loop."""
-    from .products import cayley_dickson_basis_loop
-
-    return cayley_dickson_basis_loop(3)
+    return products.cayley_dickson_basis_loop(3)
 
 
 def symmetric3():
@@ -69,8 +65,6 @@ def symmetric3():
 
 def groups_up_to_8():
     """All groups of order <= 8 up to isomorphism, as (name, loop) pairs."""
-    from .products import direct_product
-
     out = [
         ("C1", cyclic(1)),
         ("C2", cyclic(2)),
@@ -82,9 +76,10 @@ def groups_up_to_8():
         ("S3", symmetric3()),
         ("C7", cyclic(7)),
         ("C8", cyclic(8)),
-        ("C4xC2", direct_product([cyclic(4), cyclic(2)], verify=False)),
-        ("C2^3", direct_product([cyclic(2), cyclic(2), cyclic(2)],
-                                verify=False)),
+        ("C4xC2", products.direct_product([cyclic(4), cyclic(2)],
+                                          verify=False)),
+        ("C2^3", products.direct_product([cyclic(2), cyclic(2), cyclic(2)],
+                                         verify=False)),
         ("D4", dihedral(4)),
         ("Q8", quaternion8()),
     ]
@@ -107,8 +102,6 @@ def smash_instances():
         N-classes, so eta is nontrivial; kappa and xi nontrivial too.
         Order 32.
     """
-    from . import cli
-
     files = sorted(p.name for p in corpus_path("").iterdir()
                    if p.name.endswith(".smash"))
     return [cli.parse_smash_file(str(corpus_path(name)))[0]
@@ -122,6 +115,4 @@ def corpus_path(name):
 
 def corpus_loop(name):
     """Load a bundled .loop file by name."""
-    from . import cli
-
     return cli.parse_loop_file(str(corpus_path(name)))

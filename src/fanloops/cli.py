@@ -30,7 +30,7 @@ from random import Random
 import numpy as np
 
 from . import census, core, haar, laws, products
-from .config import DEFAULT_SEED, order_cap
+from .config import DEFAULT_SEED, check_order, order_cap
 from .errors import (
     AxiomError,
     DuplicateLabel,
@@ -38,6 +38,7 @@ from .errors import (
     OrderCapExceeded,
     ParseError,
     ReferenceNotInUpsilon,
+    SizeCapExceeded,
     ValidationFailed,
 )
 
@@ -289,6 +290,7 @@ def parse_smash_file(path, cap=None):
 
     A, a_ref = loop_from("A")
     B, b_ref = loop_from("B")
+    check_order(A.order * B.order, cap, SizeCapExceeded)
 
     _, n_labels = _keyed_line(sections["N"], "labels", path)
     if not n_labels:

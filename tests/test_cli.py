@@ -278,6 +278,29 @@ def test_exit_7_cap_above_index_width(monkeypatch, capsys):
     assert cli.main(["--quiet", "check", _corpus("c2.loop")]) == cli.EXIT_OK
 
 
+def test_exit_7_smash_cap_before_any_table(monkeypatch, tmp_path):
+    # two C17 factors are each within the cap of 256, their product is not:
+    # the parser refuses it before building a table of (17·17)² ξ entries,
+    # and the cap wins over a parse error further down the file
+    monkeypatch.delenv("FANLOOP_CAP", raising=False)
+
+    def unreachable(name, A, B):
+        raise AssertionError(f"default {name} table built for order "
+                             f"{A.order * B.order}")
+
+    monkeypatch.setattr(products, "default_table", unreachable)
+    (tmp_path / "c17.loop").write_text(cli.serialize_loop(catalog.cyclic(17)))
+    trivial = ("[A] c17.loop\n[B] c17.loop\n[N]\nlabels: e\ninto-a: e\n"
+               "into-b: e\n[phi]\n[eta]\n[kappa]\n[xi]\n")
+    for name, text in (("trivial", trivial), ("bad-line", trivial + "x\n")):
+        path = tmp_path / f"{name}.smash"
+        path.write_text(text)
+        code, report = cli.cmd_smash(str(path))
+        assert code == cli.EXIT_CAP, report
+        assert report["error"] == "SizeCapExceeded"
+        assert report["message"] == "order 289 exceeds cap 256"
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5"])
 def test_exit_7_non_integer_cap_from_env(value, monkeypatch, capsys):
     monkeypatch.setenv("FANLOOP_CAP", value)

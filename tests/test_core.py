@@ -79,6 +79,26 @@ def test_verify_loop_refuses_a_non_integer_table(table, cell, value):
     assert type(got.value) is type(value)
 
 
+@pytest.mark.parametrize("table, kwargs, message", [
+    ([[0, 1, 2]], {}, r"table must be square, got shape \(1, 3\)"),
+    (np.zeros((0, 0), dtype=int), {}, "order must be at least 1"),
+    ([[0, 1], [1, 0]], {"labels": ["e"]}, "expected 2 labels, got 1"),
+    ([[0, 1], [1, 0]], {"labels": ["e", "e"]}, "labels must be distinct"),
+])
+def test_verify_loop_refuses_a_malformed_table_or_labels(table, kwargs,
+                                                         message):
+    with pytest.raises(ValueError, match=message):
+        core.verify_loop(table, **kwargs)
+
+
+def test_verify_loop_refuses_a_negative_int16_entry():
+    # an int16 table skips the pre-cast check: the Latin kernel finds -1
+    with pytest.raises(NotLatinSquare) as exc:
+        core.verify_loop(np.array([[0, 1], [1, -1]], dtype=np.int16))
+    assert (exc.value.kind, exc.value.row, exc.value.col,
+            exc.value.value) == ("value", 1, 1, -1)
+
+
 def test_verify_loop_rejects_missing_identity():
     # latin, but no row equals the natural order => no left identity
     t = [[1, 0, 2], [0, 2, 1], [2, 1, 0]]
@@ -251,6 +271,14 @@ def test_element_set_ops(q8):
     assert len({Z, same, a.nucleus}) == 2
     with pytest.raises(AttributeError):
         Z.members = frozenset()
+
+
+def test_element_set_union_and_empty_product(q8):
+    Z, empty = q8.analysis.center, core.ElementSet(q8)
+    assert Z.mul(empty) == empty and empty.mul(Z) == empty
+    d4 = catalog.dihedral(4)  # held, or its set's loop would be freed
+    with pytest.raises(LoopMismatch, match="different loops"):
+        Z.union(d4.analysis.center)
 
 
 @pytest.mark.parametrize("x", [1.5, True, "e1", None, b"1"])

@@ -670,6 +670,20 @@ def test_invariant_measure_takes_the_callers_functional(oct16, q8,
         haar.invariant_measure(q8, J)
 
 
+def test_invariant_measure_refuses_a_functional_that_is_not_invariant(q8):
+    class Weighted:
+        """J(f) = Σ (x+1)·f(x): positive, but not translation invariant."""
+        loop = q8
+
+        def __call__(self, f):
+            return sum((x + 1) * f(x) for x in range(q8.order))
+
+    with pytest.raises(FanLoopCheckFailed) as exc:
+        haar.invariant_measure(q8, Weighted())
+    assert (exc.value.check, exc.value.witness) == (
+        "measure-translation-invariance", (1, 0))
+
+
 def test_verify_uniqueness_constant(oct16):
     f0 = haar.constant(oct16)
     g0 = haar.char(oct16, ("1", "-1", "e1", "-e1")).scale(F(1, 2))

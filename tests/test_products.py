@@ -125,6 +125,11 @@ def test_direct_product_three_factors():
     assert P.analysis.is_group and P.analysis.is_commutative
 
 
+def test_direct_product_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="at least one loop"):
+        products.direct_product([])
+
+
 def test_direct_product_labels():
     P = products.direct_product([catalog.cyclic(2, "a"), catalog.cyclic(2, "b")])
     assert "(a,b)" in P.labels
@@ -316,6 +321,23 @@ def test_validation_witness_embeddings_not_isomorphic():
     rep = products.validate_smashing(data)
     assert (rep.condition, rep.witness, rep.checked) == (
         "structure", ("embeddings not isomorphic", 1, 1), ("structure",))
+
+
+def test_validation_witness_embedded_image_not_closed():
+    # {0, 1} = {e, g} of C4 is no subgroup
+    C4 = catalog.cyclic(4)
+    data = products.SmashingData(C4, C4, ("e", "x"), [0, 1], [0, 2])
+    rep = products.validate_smashing(data)
+    assert (rep.condition, rep.witness, rep.checked) == (
+        "structure", ("embedded image not closed",), ("structure",))
+
+
+def test_validation_witness_fan_outside_the_n_image(oct16):
+    # N = {e} misses -1, the first fan element of the octonion loop
+    data = products.SmashingData(oct16, catalog.cyclic(2), ("e",), [0], [0])
+    rep = products.validate_smashing(data)
+    assert (rep.condition, rep.witness) == (
+        "4.3.1", ("A", "fan not inside N image", 1))
 
 
 @pytest.mark.parametrize("prefix, name, slots, change, witness", [
