@@ -193,20 +193,26 @@ def covering_problem(f, phi):
 
 
 def covering_number(f, phi):
-    """(f:φ), exact, via the LP dual of the covering LP over all n translates.
+    """(f:φ), exact, via the LP dual of the covering LP, over supp f only.
 
     That dual, max f·y s.t. Σ_x φ(bx)·y_x ≤ 1 and y ≥ 0, is given to
     lp.solve as D: min −f·y s.t. −Φᵀy ≥ −1, where every right-hand side is
     negative, so the surplus basis is feasible from the start and phase 1
-    does nothing.  The LP dual of D is covering_problem(f, φ) with its
-    objective negated, so lp.verify_certificate(D, solution) proves
-    (f:φ) = −optimum, with the covering witness c as D's dual.
+    does nothing.  D has a column only for each x in supp f: a y_x with
+    f(x) = 0 has cost 0 and Φ ≥ 0, so y_x = 0 at some optimum and the value
+    is unchanged.  A row b whose entries φ(bx), x in supp f, are all 0 reads
+    0 ≤ 1 and is dropped.  The LP dual of this D is the covering LP
+    restricted to the rows x in supp f, with its objective negated, and the
+    rows it leaves out, Σ_b c_b·φ(bx) ≥ 0, hold for every c ≥ 0; so
+    lp.verify_certificate(D, solution) proves (f:φ) = −optimum, with the
+    covering witness c as D's dual (0 at each dropped translate b).  The
+    (0:φ) problem is 0×0, with optimum 0.
 
     D is built in integer form straight from the functions' integer forms:
-    the objective is (s_f, −nums_f) and row b is (s_φ, −nums_φ[bx] for each
-    x, then −s_φ).  The table is Latin, so each row of Φ is a permutation of
-    φ's values and s_φ is its least scale: the form is the one LPProblem
-    would compute from D's Fractions.
+    the objective is (s_f, −nums_f[x] for x in supp f), least since the
+    dropped numerators are 0, and row b is (s_φ, −nums_φ[bx] for each kept
+    x, then −s_φ), divided by its own gcd, so that the form is the one
+    LPProblem would compute from D's Fractions.
 
     Asserts the analog of the classical covering bound: with q a point of
     maximal φ and m = |S_f|, the optimum is at most 2m·‖f‖/φ(q).
@@ -216,13 +222,16 @@ def covering_number(f, phi):
     s_phi, phi_nums = phi.integer_form
     if not any(phi_nums):
         raise ZeroComparisonFunction()
-    neg = [-v for v in phi_nums]
-    rhs = (-s_phi,)
+    support = [x for x, v in enumerate(f_nums) if v]
+    rows = []
+    for row in f.loop.table.tolist():
+        vals = [phi_nums[row[x]] for x in support]
+        if any(vals):
+            g = math.gcd(s_phi, *vals)
+            vals.append(s_phi)
+            rows.append((s_phi // g, tuple([-v // g for v in vals])))
     problem = lp.LPProblem.from_integer_form(
-        (s_f, tuple([-v for v in f_nums])),
-        [(s_phi, tuple([neg[bx] for bx in row]) + rhs)
-         for row in f.loop.table.tolist()],
-    )
+        (s_f, tuple([-f_nums[x] for x in support])), rows)
     sol = lp.solve(problem)
     # D is feasible at y = 0 and bounded (φ ≠ 0, Latin table): always optimal
     cert = lp.verify_certificate(problem, sol)
@@ -231,7 +240,7 @@ def covering_number(f, phi):
     value = -sol.optimum
     # the bound 2m·‖f‖/φ(q) is top/low, compared cross-multiplied in ints;
     # theorem-backed, so never exceeded
-    top = 2 * (len(f_nums) - f_nums.count(0)) * max(f_nums) * s_phi
+    top = 2 * len(support) * max(f_nums) * s_phi
     low = s_f * max(phi_nums)
     if value.numerator * low > top * value.denominator:  # pragma: no cover
         raise FanLoopCheckFailed("covering-bound", (value, Fraction(top, low)))

@@ -15,24 +15,28 @@ the integer form, and every entry is a Python int over one common
 denominator d, the determinant of the current basis.  A
 pivot on p replaces each entry a of another row by (p·a - f·g)/d, where f is
 the row's entry in the pivot column and g the pivot row's entry in a's
-column; the division is exact, and d becomes p.  The optimum, the witness
-(basic right-hand sides over d) and the dual are read back as Fractions, so
-every public field is a Fraction.  The dual value of row i is the reduced
-cost of its surplus over d, times the row's scale over the objective's, and
-0 while that surplus is basic.  Entries are minors of the scaled data, so
-their growth is bounded by Hadamard's bound; a bit-length alarm warns once
-an entry a/d has more than LP_BIT_ALARM bits in a and d together, rather
-than failing.
+column; the division is exact, and d becomes p.  Entries are minors of the
+scaled data, so their growth is bounded by Hadamard's bound; a bit-length
+alarm warns once an entry a/d has more than LP_BIT_ALARM bits in a and d
+together, rather than failing.
+
+The solution is read back in integer form too: the witness is the basic
+right-hand sides over d, and the dual value of row i is the reduced cost of
+its surplus times the row's scale, over d times the objective's scale, and
+0 while that surplus is basic.  An LPSolution stores the witness and the
+dual only as least integer forms (den, ints) and rebuilds their Fractions
+only when read; the optimum is its one Fraction.
 
 ``verify_certificate`` checks primal and dual feasibility and a zero gap,
 which imply complementary slackness, from the problem and the solution
-alone, in Python ints too: it reads the same integer form as the tableau,
-scales the witness and the dual by their own denominators, and sums each
-row and column over their nonzero coordinates only.
+alone, in Python ints too: it reads the problem's integer form and the
+solution's, puts the dual of the scaled problem over one common
+denominator, and adds up Aᵀy over the rows where the dual is nonzero
+only.
 
-Input is exact: ints, Fractions and rational strings such as "5/2".  Floats
-are refused, since a binary float such as 0.1 is not the rational it reads
-as.
+Input is exact: ints, Fractions and rational strings such as "5/2", for an
+LPProblem and an LPSolution alike.  Floats are refused, since a binary
+float such as 0.1 is not the rational it reads as.
 """
 
 import math
@@ -40,6 +44,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .config import LP_BIT_ALARM
 
@@ -145,13 +150,74 @@ class LPProblem:
         return len(self.integer_form[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LPSolution:
+    """What solve found: a status, and once OPTIMAL the optimum, a witness x
+    and a dual y.
+
+    x and y are stored only as ``witness_form`` and ``dual_form``, each None
+    or the least integer form (den, ints) with v_k = ints[k]/den.
+    ``witness`` and ``dual`` are rebuilt from them as Fractions; equality
+    compares the forms, which equal values share.  LPSolution(status,
+    optimum, witness, dual, iterations) takes rationals, as LPProblem does,
+    and refuses floats with ValueError."""
+
     status: str
-    optimum: Fraction | None = None
-    witness: tuple | None = None
-    dual: tuple | None = None
-    iterations: int = 0
+    optimum: Fraction | None
+    witness_form: tuple | None
+    dual_form: tuple | None
+    iterations: int
+
+    def __init__(self, status, optimum=None, witness=None, dual=None,
+                 iterations=0):
+        forms = [None if v is None else scaled([rational(x) for x in v])
+                 for v in (witness, dual)]
+        self._fill(status, None if optimum is None else rational(optimum),
+                   *forms, iterations)
+
+    @classmethod
+    def from_integer_form(cls, status, optimum, witness, dual, iterations=0):
+        """The solution whose witness and dual are the integer forms witness
+        and dual, each (den, ints) or None, brought to least form by one gcd
+        each; optimum is taken as given.  A form that is not a (den, ints)
+        pair, a den below 1, or a den or entry that is not a Python int is
+        refused with ValueError."""
+        forms = []
+        for form in (witness, dual):
+            if form is not None:
+                if len(form) != 2:
+                    raise ValueError("solution form must be a (den, ints) pair")
+                den, ints = form
+                if not set(map(type, ints)) <= {int} or type(den) is not int:
+                    raise ValueError("solution form entries must be Python ints")
+                if den < 1:
+                    raise ValueError(f"solution form den {den} is not positive")
+                g = math.gcd(den, *ints)
+                form = (den // g, tuple([v // g for v in ints]))
+            forms.append(form)
+        solution = cls.__new__(cls)
+        solution._fill(status, optimum, *forms, iterations)
+        return solution
+
+    def _fill(self, *values):
+        for name, value in zip(("status", "optimum", "witness_form",
+                                "dual_form", "iterations"), values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def witness(self):
+        return _fractions(self.witness_form)
+
+    @property
+    def dual(self):
+        return _fractions(self.dual_form)
+
+
+def _fractions(form):
+    if form is None:
+        return None
+    den, ints = form
+    return tuple([Fraction(v, den) for v in ints])
 
 
 @dataclass(frozen=True)
@@ -342,25 +408,19 @@ def solve(problem):
     if not t._iterate():
         return LPSolution(UNBOUNDED, iterations=t.iterations)
 
-    d = t.d
-    x = [Fraction(0)] * t.n
+    x = [0] * t.n
     for row, v in zip(t.rows, t.basis):
         if v < t.n:
-            x[v] = Fraction(row[-1], d)
+            x[v] = row[-1]
     # dual value for original row i = reduced cost of its surplus, which
     # is 0 while the surplus is basic
-    den = d * t.c_scale
-    y = [Fraction(0)] * t.m
+    den = t.d * t.c_scale
+    y = [0] * t.m
     for j, v in enumerate(t.cols):
         if v >= t.n:
-            y[v - t.n] = Fraction(t.row_scale[v - t.n] * t.obj[j], den)
-    return LPSolution(
-        OPTIMAL,
-        optimum=Fraction(-t.obj[-1], den),
-        witness=tuple(x),
-        dual=tuple(y),
-        iterations=t.iterations,
-    )
+            y[v - t.n] = t.row_scale[v - t.n] * t.obj[j]
+    return LPSolution.from_integer_form(
+        OPTIMAL, Fraction(-t.obj[-1], den), (t.d, x), (den, y), t.iterations)
 
 
 def verify_certificate(problem, solution):
@@ -369,55 +429,57 @@ def verify_certificate(problem, solution):
     Independent of the solver path: it reads only the problem and the
     solution, never a tableau.
 
-    The check runs in Python ints on the problem's integer_form, with the
-    witness x scaled by its own dx and the dual of the scaled problem by its
-    own dy; every row and column sum runs over the nonzero coordinates of x
-    or y alone, and signs and cross-multiplied totals are compared as ints.
-    The primal objective is rebuilt as a Fraction only for the comparison
-    with ``solution.optimum``.  The checks run in this order, and the first
-    that fails gives the report's reason and index: status, lengths,
-    witness sign, primal rows, dual columns, dual sign, objective, then
-    duality gap.  A float in the witness or the dual raises ValueError, as
-    in LPProblem.
+    The check runs in Python ints on the problem's integer_form and the
+    solution's integer forms: the witness is X/dx, and the dual of the scaled
+    problem is Y over the common denominator dy = den·lcm(s_i).  Aᵀy is
+    accumulated over the rows where Y is nonzero alone, and signs and
+    cross-multiplied totals are compared as ints.  The primal
+    objective is rebuilt as a Fraction only for the comparison with
+    ``solution.optimum``.  The checks run in this order, and the first that
+    fails gives the report's reason and index: status, lengths, witness
+    sign, primal rows, dual columns, dual sign, objective, then duality gap.
 
-    Complementary slackness needs no stage of its own.  With X = dx·x, Y
-    the scaled dual, slack_i = s_i·dx·(A_i x - b_i) and reduced_j =
-    sc·dy·(c_j - (Aᵀy)_j), Σ_j X_j·reduced_j + Σ_i Y_i·slack_i =
-    sc·dx·dy·(c·x - b·y).  Every term is >= 0 once the sign and
-    feasibility stages pass, so a zero gap makes every term 0."""
+    Complementary slackness needs no stage of its own.  With slack_i =
+    s_i·dx·(A_i x - b_i) and reduced_j = sc·dy·(c_j - (Aᵀy)_j), Σ_j
+    X_j·reduced_j + Σ_i Y_i·slack_i = sc·dx·dy·(c·x - b·y).  Every term is
+    >= 0 once the sign and feasibility stages pass, so a zero gap makes
+    every term 0."""
     if solution.status != OPTIMAL:
         return CertificateReport(False, "status not optimal")
-    x = solution.witness
-    y = solution.dual
-    if x is None or len(x) != problem.n_vars:
+    x, y = solution.witness_form, solution.dual_form
+    if x is None or len(x[1]) != problem.n_vars:
         return CertificateReport(False, "witness missing or wrong length")
-    if y is None or len(y) != problem.n_constraints:
+    if y is None or len(y[1]) != problem.n_constraints:
         return CertificateReport(False, "dual missing or wrong length")
-    x = [rational(v) for v in x]
-    y = [rational(v) for v in y]
-    for j, v in enumerate(x):
+    (dx, X), (den, y) = x, y
+    for j, v in enumerate(X):
         if v < 0:
             return CertificateReport(False, "negative witness coordinate", j)
     (sc, c), form = problem.integer_form
     A = [row for _, row in form]
-    dx, X = scaled(x)
     # row i of A is s_i times the problem's and c is sc times its objective,
-    # so the dual of the scaled problem is y_i·sc/s_i
-    dy, Y = scaled([Fraction(v.numerator * sc, v.denominator * si)
-                    for v, (si, _) in zip(y, form)])
-    nzx = [(j, v) for j, v in enumerate(X) if v]
-    nzy = [(i, v) for i, v in enumerate(Y) if v]
+    # so the dual of the scaled problem is (y[i]/den)·sc/s_i, which is
+    # y[i]·sc·(lcm/s_i) over dy
+    lcm = math.lcm(*(si for si, _ in form))
+    dy = den * lcm
     for i, row in enumerate(A):  # s_i·dx·(A x) >= s_i·dx·b, row by row
-        if sum(row[j] * v for j, v in nzx) < row[-1] * dx:
+        if sum(map(mul, row, X)) < row[-1] * dx:
             return CertificateReport(False, "primal constraint violated", i)
-    for j, cj in enumerate(c):  # sc·dy·c >= sc·dy·(Aᵀy), column by column
-        if cj * dy < sum(A[i][j] * v for i, v in nzy):
+    # sc·dy·(Aᵀy), column by column, summed over the rows where y != 0;
+    # the rhs column last gives sc·dy·(b·y)
+    aty = [0] * (len(c) + 1)
+    for i, v in enumerate(y):
+        if v:
+            v *= sc * (lcm // form[i][0])
+            aty = [t + a * v for t, a in zip(aty, A[i])]
+    for j, (cj, t) in enumerate(zip(c, aty)):  # sc·dy·c >= sc·dy·(Aᵀy)
+        if cj * dy < t:
             return CertificateReport(False, "dual constraint violated", j)
-    for i, v in enumerate(Y):
+    for i, v in enumerate(y):
         if v < 0:
             return CertificateReport(False, "negative dual coordinate", i)
-    primal = sum(c[j] * v for j, v in nzx)    # sc·dx·(c·x)
-    dual = sum(A[i][-1] * v for i, v in nzy)  # sc·dy·(b·y)
+    primal = sum(map(mul, c, X))  # sc·dx·(c·x)
+    dual = aty[-1]                # sc·dy·(b·y)
     if Fraction(primal, sc * dx) != solution.optimum:
         return CertificateReport(False, "objective mismatch with witness")
     if dual * dx != primal * dy:

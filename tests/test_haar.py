@@ -7,7 +7,6 @@ octonion basis loop and one smashed product so both the associative and the
 genuinely nonassociative regimes are exercised.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -734,9 +733,11 @@ def test_covering_number_refuses_a_failed_certificate(q8, monkeypatch):
     def perturbed(field):
         def solve_off_by_one(problem):
             sol = solve(problem)
-            values = getattr(sol, field)
-            return dataclasses.replace(
-                sol, **{field: (values[0] + 1,) + values[1:]})
+            fields = {"witness": sol.witness, "dual": sol.dual}
+            values = fields[field]
+            fields[field] = (values[0] + 1,) + values[1:]
+            return lp.LPSolution(sol.status, sol.optimum, fields["witness"],
+                                 fields["dual"], sol.iterations)
         return solve_off_by_one
 
     for field, reason in (("dual", "duality gap nonzero"),
@@ -788,13 +789,14 @@ def test_covering_number_certifies_the_one_lp_it_solves(q8, monkeypatch):
 
 
 def _rational_dual(f, phi):
-    """D as the Fractions it stands for: min -f·y s.t. -Φᵀy >= -1."""
-    tbl = f.loop.table.tolist()
-    return lp.LPProblem(
-        tuple(-v for v in f.values),
-        tuple(tuple(-phi.values[bx] for bx in row) for row in tbl),
-        (-1,) * f.loop.order,
-    )
+    """D as the Fractions it stands for: min -f·y s.t. -Φᵀy >= -1, over the
+    columns x in supp f, less each row that is 0 on every such column."""
+    support = [x for x, v in enumerate(f.values) if v]
+    rows = [[-phi.values[row[x]] for x in support]
+            for row in f.loop.table.tolist()]
+    rows = [row for row in rows if any(row)]
+    return lp.LPProblem([-f.values[x] for x in support], rows,
+                        [-1] * len(rows))
 
 
 def test_covering_number_builds_the_rational_dual(corpus_loops, monkeypatch):
@@ -831,6 +833,55 @@ def test_covering_number_builds_the_rational_dual(corpus_loops, monkeypatch):
             assert built[-1].integer_form == want.integer_form, name
             assert value == -lp.solve(want).optimum, name
     assert len(built) == sum(2 + (G.order <= 8) for _, G in family)
+
+
+def _record_lps(monkeypatch):
+    """(n_vars, n_constraints) of each problem built in integer form, and
+    the verdict of each certificate checked."""
+    shapes, verdicts = [], []
+    from_form, verify = lp.LPProblem.from_integer_form, lp.verify_certificate
+
+    def build(*args):
+        problem = from_form(*args)
+        shapes.append((problem.n_vars, problem.n_constraints))
+        return problem
+
+    def verify_logged(problem, solution):
+        report = verify(problem, solution)
+        verdicts.append(report.ok)
+        return report
+
+    monkeypatch.setattr(lp.LPProblem, "from_integer_form", build)
+    monkeypatch.setattr(lp, "verify_certificate", verify_logged)
+    return shapes, verdicts
+
+
+def test_covering_number_of_zero_is_a_certified_empty_lp(q8, monkeypatch):
+    shapes, verdicts = _record_lps(monkeypatch)
+    phi = haar.random_function(q8, random.Random(SEED))
+    assert haar.covering_number(haar.constant(q8, 0), phi) == 0
+    assert shapes == [(0, 0)] and verdicts == [True]
+
+
+def test_covering_number_of_a_point_mass_has_one_column(oct16, monkeypatch):
+    shapes, verdicts = _record_lps(monkeypatch)
+    rng = random.Random(SEED)
+    for x in range(oct16.order):
+        phi = haar.random_function(oct16, rng)
+        f = haar.delta(oct16, x).scale(F(3, 2))
+        # one column, and a row for each translate b with φ(bx) != 0
+        assert haar.covering_number(f, phi) == F(3, 2) / max(
+            phi(int(oct16.table[b, x])) for b in range(oct16.order))
+        assert shapes[-1] == (1, len(phi.support()))
+    assert verdicts == [True] * oct16.order
+
+
+def test_haar_cross_check_point_mass_probes_are_one_by_one(q8, monkeypatch):
+    # (δ_e : h·δ_e) for three heights: one column, e, and one row, the
+    # translate b = e; the constant reference keeps every column and row
+    shapes, verdicts = _record_lps(monkeypatch)
+    haar.haar_limit(q8)
+    assert shapes == [(8, 8), (1, 1)] * 3 and verdicts == [True] * 6
 
 
 def test_sedenion_spot_check():

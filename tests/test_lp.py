@@ -8,6 +8,7 @@ program can never be unbounded; unboundedness gets dedicated cases.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -237,6 +238,45 @@ def test_from_integer_form_refuses_a_malformed_form(objective, rows, match):
         lp.LPProblem.from_integer_form(objective, rows)
 
 
+def test_solution_stores_least_integer_forms():
+    # the tableau's forms, unreduced, and the rationals they stand for
+    sol = lp.LPSolution.from_integer_form(lp.OPTIMAL, F(4), (6, [0, 12]),
+                                          (4, [8, 0]), 3)
+    assert sol.witness_form == (1, (0, 2)) and sol.dual_form == (1, (2, 0))
+    assert sol == lp.LPSolution(lp.OPTIMAL, 4, (0, "2"), (F(2), 0), 3)
+    assert sol.witness == (0, 2) and sol.dual == (2, 0)
+    assert all(type(v) is F for v in sol.witness + sol.dual)
+    rng = random.Random(60614)
+    for prob in [random_problem(rng) for _ in range(20)] + [_manual()]:
+        sol = lp.solve(prob)
+        again = lp.LPSolution(sol.status, sol.optimum, sol.witness, sol.dual,
+                              sol.iterations)
+        assert again == sol
+        for form in (sol.witness_form, sol.dual_form):
+            assert form is None or math.gcd(*form[1], form[0]) == 1
+    assert lp.LPSolution(lp.INFEASIBLE).witness is None
+
+
+@pytest.mark.parametrize("witness,dual,match", [
+    ((0, (1, 2)), (1, (1,)), "not positive"),        # witness den 0
+    ((1, (1, 2)), (-1, (1,)), "not positive"),       # dual den < 0
+    ((1, (1, F(2))), (1, (1,)), "Python ints"),      # a Fraction entry
+    ((1, (1, 2)), (1, (2.0,)), "Python ints"),       # a float entry
+    ((1, (np.int64(1), 2)), (1, (1,)), "Python ints"),
+    ((1, (1, True)), (1, (1,)), "Python ints"),      # a bool entry
+    ((True, (1, 2)), (1, (1,)), "Python ints"),      # a bool den
+    ((1, (1, 2)), (F(1), (1,)), "Python ints"),      # a Fraction den
+    ((1, (1, 2), 3), (1, (1,)), "pair"),             # a form of three
+    ((1, (1, 2)), ((1,),), "pair"),                  # a form of one
+], ids=["zero-den", "negative-den", "fraction-entry", "float-entry",
+        "numpy-entry", "bool-entry", "bool-den", "fraction-den",
+        "three-part-form", "one-part-form"])
+def test_solution_from_integer_form_refuses_a_malformed_form(witness, dual,
+                                                             match):
+    with pytest.raises(ValueError, match=match):
+        lp.LPSolution.from_integer_form(lp.OPTIMAL, F(1), witness, dual)
+
+
 @pytest.mark.parametrize("value", [0.5, float("nan"), np.float64(0.1),
                                    np.float32(2.0)])
 def test_problem_refuses_floats(value):
@@ -419,10 +459,21 @@ def test_integer_certificate_matches_the_fraction_checker():
     assert _compare_checkers(pairs, rng) == _REACHABLE
 
 
+def _padded(values, kept, n):
+    """values at the indices kept, 0 at the other indices below n."""
+    out = [F(0)] * n
+    for k, v in zip(kept, values):
+        out[k] = v
+    return tuple(out)
+
+
 def test_integer_certificate_matches_on_covering_pairs(monkeypatch):
     # the (dual LP D, solution) pairs covering_number certifies, and the
     # swapped (covering problem, solution) pairs they stand for, on
-    # criterion 4's loop family
+    # criterion 4's loop family.  D has a column only for each x in supp f
+    # and a row only for each translate b with some φ(bx) != 0 there; padded
+    # with zeros at the dropped columns and rows, its solution certifies the
+    # covering LP over every point and all n translates
     family = [catalog.cyclic(k) for k in range(1, 7)]
     family += [catalog.klein4(), catalog.symmetric3()]
     family += [census.find_witness(5, "non-fan"),
@@ -441,16 +492,24 @@ def test_integer_certificate_matches_on_covering_pairs(monkeypatch):
             f, phi = haar.random_function(G, rng), haar.random_function(G, rng)
             haar.covering_number(f, phi)
             sol = pairs[-1][1]
-            swapped.append((haar.covering_problem(f, phi), lp.LPSolution(
-                lp.OPTIMAL, -sol.optimum, sol.dual, sol.witness,
-                sol.iterations)))
+            n = G.order
+            support = sorted(f.support())
+            translates = [b for b in range(n) if any(
+                phi(int(G.table[b, x])) for x in support)]
+            assert pairs[-1][0].n_vars == len(support)
+            assert pairs[-1][0].n_constraints == len(translates)
+            problem = haar.covering_problem(f, phi)
+            padded = lp.LPSolution(
+                lp.OPTIMAL, -sol.optimum, _padded(sol.dual, translates, n),
+                _padded(sol.witness, support, n), sol.iterations)
+            assert verify(problem, padded)
+            swapped.append((problem, padded))
     monkeypatch.undo()
     assert len(pairs) == 3 * len(family)
-    on_d = _compare_checkers(pairs, rng)
-    # a sign flipped in D's dual, the covering witness, breaks a dual
-    # constraint first, since D's objective and matrix are nonpositive
-    assert on_d == _REACHABLE - {"negative dual coordinate"}
-    assert on_d | _compare_checkers(swapped, rng) == _REACHABLE
+    # every kept column of D has cost -f(x) < 0, so a sign flipped in D's
+    # dual, the covering witness, can leave every dual constraint standing
+    assert _compare_checkers(pairs, rng) == _REACHABLE
+    assert _compare_checkers(swapped, rng) == _REACHABLE
 
 
 # --- bit-growth alarm --------------------------------------------------------

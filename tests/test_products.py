@@ -354,6 +354,38 @@ def test_shift_witness_on_tampered_tables(prefix, name, slots, change,
     assert products._shift_witness(bad, name, slots) == witness
 
 
+def _smashing_from_action(pi):
+    """A = C6 and B = C9, written additively, over N = C3 with images
+    {0, 2, 4} and {0, 3, 6}; b^u = pi(b) for odd u and b for even u, and eta
+    and kappa are the N-values that make 4.3.4 and 4.3.6 hold."""
+    A, B = catalog.cyclic(6), catalog.cyclic(9)
+    into_b = np.array([0, 3, 6])
+    phi = np.array([pi if u % 2 else range(9) for u in range(6)])
+    back = np.full(9, -1)
+    back[into_b] = range(3)
+    v, u, b = np.ix_(range(6), range(6), range(9))
+    eta = back[B.ldiv[phi[A.table[v, u], b], phi[v, phi[u, b]]]]
+    u, c, b = np.ix_(range(6), range(9), range(9))
+    kappa = back[B.ldiv[B.table[phi[u, c], phi[u, b]], phi[u, B.table[c, b]]]]
+    assert eta.min() >= 0 and kappa.min() >= 0  # both N-valued
+    return products.SmashingData(A, B, ("0", "1", "2"), [0, 2, 4], into_b,
+                                 phi=phi, eta=eta, kappa=kappa)
+
+
+@pytest.mark.parametrize("pi, condition", [
+    # pi swaps the cosets 1+N and 2+N, and pi² = (1 4)(2 5), so
+    # eta(1, 1, b) = pi²(b) - b is 3 at b = 1 but 6 at b = 1 + 3
+    ([0, 2, 4, 3, 5, 1, 6, 8, 7], "4.3.5"),
+    # pi² = id, so eta = 0 passes 4.3.5, but kappa(1, c, 1) =
+    # pi(c + 1) - pi(c) - pi(1) is 0 at c = 0 and 3 at c = 0 + 3
+    ([0, 2, 1, 3, 8, 7, 6, 5, 4], "4.3.7"),
+], ids=["eta-shift", "kappa-shift"])
+def test_validation_reaches_the_eta_and_kappa_shift_witnesses(pi, condition):
+    rep = products.validate_smashing(_smashing_from_action(pi))
+    assert (rep.ok, rep.condition, rep.witness, rep.checked) == (
+        False, condition, ("shift", 1), _checked(condition))
+
+
 @pytest.mark.parametrize("prefix, name, index", [
     ("s6", "eta", (2, 1, 1)),    # v = g2 in the image of N in A
     ("s6", "eta", (1, 0, 1)),    # u = e
