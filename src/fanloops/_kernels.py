@@ -5,9 +5,8 @@ Kernels that return a witness scan in a fixed order, stated above each, so
 reports are reproducible.  Every witness in the package is read with first():
 the first violation in C (row-major) order.
 
-Exact-rational code (lp/haar) deliberately does not go through this module:
-those computations run on arbitrary-precision rationals, which numpy cannot
-carry.
+Exact-rational code (lp/haar) deliberately computes outside this module, on
+arbitrary-precision rationals, which numpy cannot carry in its number types.
 """
 
 from itertools import permutations

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, core
-from .config import CENSUS_ORDER_CAP
-from .errors import FanLoopCheckFailed, OrderCapExceeded, UnknownPredicate
+from .config import CENSUS_ORDER_CAP, check_order
+from .errors import FanLoopCheckFailed, UnknownPredicate
 
 # Squares classified per batch.  Large enough that the per-call overhead of
 # the kernels is spread thin, small enough that a batch's tensors stay a
@@ -85,8 +85,7 @@ def _check_order(order):
     """order as core.count reads it, at least 1; above the census cap it is
     refused with OrderCapExceeded."""
     order = core.count(order, "order", 1)
-    if order > CENSUS_ORDER_CAP:
-        raise OrderCapExceeded(order, CENSUS_ORDER_CAP)
+    check_order(order, CENSUS_ORDER_CAP)
     return order
 
 

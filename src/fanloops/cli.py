@@ -29,7 +29,7 @@ from random import Random
 
 import numpy as np
 
-from . import census, core, haar, laws, products
+from . import census, core, haar, laws, lp, products
 from .config import DEFAULT_SEED, check_order, order_cap
 from .errors import (
     AxiomError,
@@ -70,8 +70,8 @@ def parse_rational(token, line=None, path=None):
             line=line, path=path,
         )
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        return lp.rational(token)
+    except ValueError:
         raise ParseError(f"bad rational {token!r}", line=line, path=path)
 
 
@@ -317,8 +317,10 @@ def parse_smash_file(path, cap=None):
 
     tables = {}
     for name, (args, values) in products.TABLES.items():
-        table = tables[name] = products.default_table(name, A, B)
-        for lineno, line in sections.get(name, []):
+        if not sections.get(name):
+            continue
+        table = tables[name] = products.default_table(name, A, B).copy()
+        for lineno, line in sections[name]:
             labels, out = _parse_arrow(line, lineno, path, len(args))
             value = resolve(values, out, lineno)
             table[tuple(resolve(f, lab, lineno)
@@ -444,15 +446,11 @@ def cmd_check(path, cap=None):
     failed = [r.law_id for r in reports if r.status == laws.FAILS]
     # Exit 3 means the law suite disagrees with the classification (a table
     # or implementation inconsistency).  On a non-fan loop the membership
-    # laws 2.1.9-t/2.1.9-p are *expected* to fail; everything else failing,
-    # or a fan loop failing anything, is an inconsistency.
-    membership = {"2.1.9-t", "2.1.9-p"}
-    if G.analysis.is_fan_loop:
-        inconsistent = list(failed)
-    else:
-        inconsistent = [i for i in failed if i not in membership]
-        if not any(i in membership for i in failed):  # pragma: no cover
-            inconsistent.append("membership-vs-classification")
+    # laws are *expected* to fail, and one of them always does: both they
+    # and is_fan are read from the t/p value masks.  Everything else
+    # failing, or a fan loop failing anything, is an inconsistency.
+    expected = () if G.analysis.is_fan_loop else laws.MEMBERSHIP
+    inconsistent = [i for i in failed if i not in expected]
     code = EXIT_OK if not inconsistent else EXIT_LAW
     return code, {
         "command": "check",

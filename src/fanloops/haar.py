@@ -30,12 +30,14 @@ from random import Random
 
 import numpy as np
 
-from . import core, lp
+from . import core, lp, quotient
+from ._kernels import first
 from .config import DEFAULT_SEED
 from .errors import (
     FanLoopCheckFailed,
     LoopMismatch,
     NotFanLoop,
+    NotNormal,
     ReferenceNotInUpsilon,
     ZeroComparisonFunction,
     ZeroReference,
@@ -81,8 +83,7 @@ class LoopFunction:
 
     @property
     def values(self):
-        scale, nums = self.integer_form
-        return tuple([Fraction(v, scale) for v in nums])
+        return lp.fractions(self.integer_form)
 
     def __call__(self, x):
         scale, nums = self.integer_form
@@ -141,10 +142,7 @@ def _same_loop(G, f):
 
 
 def constant(G, value=1):
-    c = lp.rational(value)
-    if c < 0:
-        raise ValueError(f"negative value at {G.label(0)}")
-    return LoopFunction._reduced(G, c.denominator, (c.numerator,) * G.order)
+    return LoopFunction(G, [value] * G.order)
 
 
 def delta(G, x=0):
@@ -278,9 +276,9 @@ def upsilon_member(f, n0):
     r"""Is f in Υ(G,N₀): nonzero and constant on N₀-orbits?
 
     Both the left form f(γa) = f(a) and the right form f(aγ) = f(a) are
-    evaluated; they must agree (they do whenever N₀ is normal, in
-    particular for the fan), and a disagreement is surfaced as a check
-    failure rather than silently picking a side.
+    evaluated.  They can disagree only where N₀a ≠ aN₀, so a disagreement
+    raises NotNormal with is_normal_subloop's witness rather than silently
+    picking a side; for a normal N₀, the fan among them, it is a bug.
     """
     G = f.loop
     members = sorted(core.require_subgroup(G, n0).members)
@@ -295,9 +293,11 @@ def upsilon_member(f, n0):
         for col in G.table[:, members].T.tolist()
     )
     if left != right:
-        raise FanLoopCheckFailed(
-            "upsilon-left-right-mismatch", (members,)
-        )
+        rep = quotient.is_normal_subloop(G, members)
+        if not rep.ok:
+            raise NotNormal(rep.condition, rep.witness)
+        raise FanLoopCheckFailed(  # pragma: no cover
+            "upsilon-left-right-mismatch", (members,))
     return left
 
 
@@ -403,13 +403,10 @@ def invariant_measure(G, J=None):
     for w in weights:
         if w <= 0:
             raise FanLoopCheckFailed("measure-positivity", (w,))
-    tbl = G.table
-    for b in range(G.order):
-        for x in range(G.order):
-            if weights[int(tbl[b, x])] != weights[x]:
-                raise FanLoopCheckFailed(
-                    "measure-translation-invariance", (b, x)
-                )
+    w = np.array(weights, dtype=object)
+    bx = first(w[G.table] != w)  # μ({bx}) = μ({x}), first (b, x) row-major
+    if bx is not None:
+        raise FanLoopCheckFailed("measure-translation-invariance", bx)
     total = sum(weights, _F0)
     notes = (
         "mu(G) is finite and G is compact (finite discrete): "

@@ -273,7 +273,7 @@ _INVARIANCE = {
 # Membership laws: X(a,b,c) lies in N(G) for all a, b, c exactly when the
 # value set of the t or p tensor does, so the analysis' value masks decide
 # them.
-_MEMBERSHIP = {"2.1.9-t": "t_range", "2.1.9-p": "p_range"}
+MEMBERSHIP = {"2.1.9-t": "t_range", "2.1.9-p": "p_range"}
 
 
 def _reduced_holds(G, law, pools):
@@ -286,8 +286,8 @@ def _reduced_holds(G, law, pools):
     skipped.
     """
     ana = G.analysis
-    if law.id in _MEMBERSHIP:
-        return getattr(ana, _MEMBERSHIP[law.id]).members <= ana.nucleus.members
+    if law.id in MEMBERSHIP:
+        return getattr(ana, MEMBERSHIP[law.id]).members <= ana.nucleus.members
     spec = _INVARIANCE.get(law.id)
     if spec is None:
         return None

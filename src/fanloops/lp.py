@@ -128,8 +128,7 @@ class LPProblem:
 
     @property
     def objective(self):
-        scale, ints = self.integer_form[0]
-        return tuple(Fraction(v, scale) for v in ints)
+        return fractions(self.integer_form[0])
 
     @property
     def A(self):
@@ -206,14 +205,15 @@ class LPSolution:
 
     @property
     def witness(self):
-        return _fractions(self.witness_form)
+        return fractions(self.witness_form)
 
     @property
     def dual(self):
-        return _fractions(self.dual_form)
+        return fractions(self.dual_form)
 
 
-def _fractions(form):
+def fractions(form):
+    """The Fractions ints[k]/den of an integer form (den, ints), or None."""
     if form is None:
         return None
     den, ints = form

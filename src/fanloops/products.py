@@ -24,8 +24,6 @@ from ._kernels import first, slabs
 from .config import CAYLEY_DICKSON_CAP, check_order, order_cap
 from .errors import FanLoopCheckFailed, SizeCapExceeded, ValidationFailed
 
-_DT = np.int16
-
 
 # ---------------------------------------------------------------------------
 # direct products
@@ -151,13 +149,13 @@ TABLES = {"phi": ("AB", "B"), "eta": ("AAB", "N"), "kappa": ("ABB", "N"),
 
 
 def default_table(name, A, B):
-    """A fresh table of the entries an omitted smash-file line means: the
-    identity action b^u = b for phi, the identity of N for the others."""
+    """The entries an omitted smash-file line means, as a read-only intp
+    view that allocates no table: the identity action b^u = b for phi, the
+    identity of N for the others."""
     args, values = TABLES[name]
     shape = tuple(A.order if f == "A" else B.order for f in args)
-    if values == "B":
-        return np.broadcast_to(np.arange(B.order, dtype=_DT), shape).copy()
-    return np.zeros(shape, dtype=_DT)
+    fill = np.arange(B.order, dtype=np.intp) if values == "B" else np.intp(0)
+    return np.broadcast_to(fill, shape)
 
 
 @dataclass
@@ -169,9 +167,10 @@ class SmashingData:
     phi[u, b] = b^u (action of A on B).
     eta[v, u, b], kappa[u, c, b] and xi[u, c, v, b] take values in N
     (abstract N indices); xi[u, c, v, b] encodes xi((u,c),(v,b)).
-    A table left out is default_table(name, A, B).  Tables and embeddings
-    must hold integers, kept unwrapped in intp so that validate_smashing sees
-    every out-of-range value; anything else raises ValueError.
+    A table left out is default_table(name, A, B), a read-only view; a table
+    given is copied.  Tables and embeddings must hold integers, kept
+    unwrapped in intp so that validate_smashing sees every out-of-range
+    value; anything else raises ValueError.
     """
 
     A: core.FiniteLoop
@@ -190,7 +189,8 @@ class SmashingData:
         for name in ("into_a", "into_b", *TABLES):
             value = getattr(self, name)
             if value is None and name in TABLES:
-                value = default_table(name, self.A, self.B)
+                setattr(self, name, default_table(name, self.A, self.B))
+                continue
             value = np.asarray(value)
             if value.size and value.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integers, got {value.dtype}")

@@ -21,6 +21,7 @@ from fanloops.errors import (
     LoopMismatch,
     NotASubgroup,
     NotFanLoop,
+    NotNormal,
     ReferenceNotInUpsilon,
     ZeroComparisonFunction,
     ZeroReference,
@@ -443,14 +444,15 @@ def test_upsilon_rejects_unbalanced_functions(oct16):
 
 def test_upsilon_left_right_mismatch_guard(groups8):
     # a right-coset indicator of a non-normal subgroup is left-invariant
-    # but not right-invariant; the membership test must refuse to pick a side
+    # but not right-invariant; the membership test must refuse to pick a
+    # side, and names the normality condition that fails, as bad input
     S3 = dict(groups8)["S3"]
     H = S3.subset({0, S3.index("s")})
     coset = {int(S3.table[x, S3.index("r")]) for x in H.members}  # H.r
     f = haar.char(S3, coset)
-    with pytest.raises(FanLoopCheckFailed) as exc:
+    with pytest.raises(NotNormal) as exc:
         haar.upsilon_member(f, H)
-    assert "upsilon-left-right-mismatch" in str(exc.value)
+    assert (exc.value.condition, exc.value.witness) == ("2.7.1", ("r",))
 
 
 def test_fan_average_requires_subgroup(oct16):

@@ -8,6 +8,7 @@ tables.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,22 @@ def test_over_cap_orders_are_refused_before_any_work(monkeypatch):
         cap = 8 if order == 16 else 256
         with pytest.raises(error, match=f"^order {order} exceeds cap {cap}$"):
             build()
+
+
+def test_omitted_smashing_tables_are_not_built_before_the_cap(monkeypatch):
+    # a default ξ for C40 × C40 would hold (40·40)² intp entries, 20 MB;
+    # omitted tables are read-only views, so the refusal costs kilobytes
+    monkeypatch.delenv("FANLOOP_CAP", raising=False)
+    C40 = catalog.cyclic(40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="^order 1600 exceeds"):
+            products.smashed_product(
+                products.SmashingData(C40, C40, ("e",), [0], [0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # --- smashed products: construction and closed forms -------------------------
