@@ -22,6 +22,7 @@ Upsilon, 6 smashing validation failure, 7 order cap.
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -171,8 +172,9 @@ def serialize_loop(G):
 # ---------------------------------------------------------------------------
 
 def parse_function_text(text, G, path=None):
-    vals = [Fraction(0)] * G.order
-    assigned = set()
+    """The LoopFunction of a .fn text, built in integer form: each value is
+    read by parse_rational, then all of them are put over one lcm."""
+    vals = {}
     for lineno, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -187,18 +189,21 @@ def parse_function_text(text, G, path=None):
             raise ParseError(
                 f"unknown element label {lab!r}", line=lineno, path=path
             )
-        if i in assigned:
+        if i in vals:
             raise ParseError(
                 f"label {lab!r} assigned twice", line=lineno, path=path
             )
-        assigned.add(i)
         v = parse_rational(tok, line=lineno, path=path)
         if v < 0:
             raise ParseError(
                 f"negative value {tok!r}", line=lineno, path=path
             )
         vals[i] = v
-    return haar.LoopFunction(G, vals)
+    scale = math.lcm(*(v.denominator for v in vals.values()))
+    nums = [0] * G.order
+    for i, v in vals.items():
+        nums[i] = v.numerator * (scale // v.denominator)
+    return haar.LoopFunction.from_integer_form(G, scale, nums)
 
 
 def parse_function_file(path, G):
@@ -476,25 +481,29 @@ def cmd_haar(loop_path, f0_path=None, f_paths=(), seed=None, cap=None):
 
     # μ({x}) = J(δ_x)/J(δ_e) does not depend on J's reference
     mu = haar.invariant_measure(G, J)
-    # independence of the reference (J_g must not depend on f0): rebuild
-    # with a second seeded reference and compare J_g for g = fan-average
+    # independence of the reference (J_g must not depend on f0): rebase
+    # on a second seeded reference and compare J_g for g = fan-average
     # of a random function
     rng = Random(seed)
     g0 = haar.fan_average(haar.random_function(G, rng), G.analysis.fan)
-    H = haar.haar_limit(G, g0)
+    H = J.rebased(g0)
     g = haar.fan_average(haar.random_function(G, rng), G.analysis.fan)
     probes = [f for _, f in fns] or [haar.delta(G)]
     independent = all(
         J.relative(g)(f) == H.relative(g)(f) for f in probes
     )
 
+    # J(_bf) = J(f) with J's closed form Σf/Σf0: _bf's numerators over f's
+    # scale are one gather of f's, so the check compares their sums
     invariance_checked = 0
     invariant = True
+    rows = G.table.tolist()
     for f in probes:
-        jf = J(f)
-        for b in range(G.order):
+        nums = f.integer_form[1]
+        total = sum(nums)
+        for row in rows:
             invariance_checked += 1
-            if J(haar.translate(f, b, "left")) != jf:
+            if sum([nums[i] for i in row]) != total:
                 invariant = False  # pragma: no cover - theorem-backed
     report = {
         "command": "haar",

@@ -165,15 +165,19 @@ class ElementSet:
 
     The loop is held weakly, so the sets in a loop's cached analysis do not
     keep the loop alive; `loop` returns it while it lives and raises
-    LoopMismatch once it has been freed.
+    LoopMismatch once it has been freed.  The `is_subloop` verdict is
+    cached, as the loop caches its analysis: the set and the table it is
+    read from are both immutable.
     """
 
     members: frozenset
     _loop_ref: weakref.ref = field(compare=False, repr=False)
+    _subloop: bool | None = field(compare=False, repr=False)
 
     def __init__(self, loop, members=frozenset()):
         object.__setattr__(self, "members", frozenset(int(m) for m in members))
         object.__setattr__(self, "_loop_ref", weakref.ref(loop))
+        object.__setattr__(self, "_subloop", None)
 
     @property
     def loop(self):
@@ -239,7 +243,10 @@ class ElementSet:
 
     def is_subloop(self):
         """Closed under ·, \\, / and contains the identity."""
-        return 0 in self.members and self.closure_witness() is None
+        if self._subloop is None:
+            object.__setattr__(self, "_subloop", 0 in self.members
+                               and self.closure_witness() is None)
+        return self._subloop
 
     def _check(self, other):
         if not self.loop.same(other.loop):

@@ -11,15 +11,19 @@ Point-mass covering numbers have a closed form: the constraint at x is
 served only by the variable at b = e/x, forcing c_{e/x} = f(x), and b ↦ b\e
 is a bijection, so (f:δ_e) = Σf and J_{f₀}(f) = Σf/Σf₀.  HaarFunctional
 evaluates this closed form and cross-checks it once at construction against
-six certified simplex solves.
+certified simplex solves: three for the reference f₀, and three for δ_e,
+which depend only on the loop and are solved once per loop, since
+HaarFunctional.rebased builds J_{g₀} from J_{f₀} without repeating them.
 
 A LoopFunction stores only its values' integer form (least common
 denominator, integer numerators) and rebuilds the values as Fractions on
 request.  Input values are made exact and scaled once, by the constructor;
 every other operation works on the numerators and reduces by one gcd.  The
 covering LP is built from the two integer forms without a Fraction, and the
-closed form sums numerators over one scale.  Unknown labels and element
-indices outside 0..n-1 are refused, never wrapped.
+closed form sums numerators over one scale; its comparisons, in the
+cross-check and in the measure's translation check, cross-multiply ints.
+Unknown labels and element indices outside 0..n-1 are refused, never
+wrapped.
 """
 
 import math
@@ -45,6 +49,7 @@ from .errors import (
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_HEIGHTS = (_F1, Fraction(1, 2), Fraction(3, 1))
 
 
 @dataclass(frozen=True, init=False)
@@ -60,26 +65,26 @@ class LoopFunction:
     integer_form: tuple
 
     def __init__(self, loop, values):
-        vals = tuple(lp.rational(v) for v in values)
-        if len(vals) != loop.order:
-            raise ValueError("value vector length != loop order")
-        form = lp.scaled(vals)
-        if min(form[1]) < 0:
-            i = next(i for i, v in enumerate(form[1]) if v < 0)
-            raise ValueError(f"negative value at {loop.label(i)}")
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "integer_form", form)
+        self._store(loop, *lp.scaled(tuple(lp.rational(v) for v in values)))
 
     @classmethod
-    def _reduced(cls, loop, scale, nums):
-        """The function nums/scale, nums nonnegative ints by construction,
-        brought to its least form by one gcd."""
-        g = math.gcd(scale, *nums)
+    def from_integer_form(cls, loop, scale, nums):
+        """The function nums[x]/scale, for a positive int scale and one int
+        numerator per element, brought to its least form by one gcd."""
         f = cls.__new__(cls)
-        object.__setattr__(f, "loop", loop)
-        object.__setattr__(f, "integer_form",
-                           (scale // g, tuple([v // g for v in nums])))
+        f._store(loop, scale, nums)
         return f
+
+    def _store(self, loop, scale, nums):
+        if len(nums) != loop.order:
+            raise ValueError("value vector length != loop order")
+        if min(nums) < 0:
+            i = next(i for i, v in enumerate(nums) if v < 0)
+            raise ValueError(f"negative value at {loop.label(i)}")
+        g = math.gcd(scale, *nums)
+        object.__setattr__(self, "loop", loop)
+        object.__setattr__(self, "integer_form",
+                           (scale // g, tuple([v // g for v in nums])))
 
     @property
     def values(self):
@@ -105,9 +110,13 @@ class LoopFunction:
     def is_zero(self):
         return not any(self.integer_form[1])
 
-    def total(self):
+    def total_form(self):
+        """Σf as the int pair (Σ nums, s): Σf = Σ nums / s."""
         scale, nums = self.integer_form
-        return Fraction(sum(nums), scale)
+        return sum(nums), scale
+
+    def total(self):
+        return Fraction(*self.total_form())
 
     def sup_norm(self):
         scale, nums = self.integer_form
@@ -121,18 +130,15 @@ class LoopFunction:
             alpha = lp.rational(alpha)
         p, q = int(alpha.numerator), int(alpha.denominator)
         scale, nums = self.integer_form
-        if p < 0 and any(nums):
-            i = next(i for i, v in enumerate(nums) if v)
-            raise ValueError(f"negative value at {self.loop.label(i)}")
-        return LoopFunction._reduced(self.loop, scale * q,
-                                     [v * p for v in nums])
+        return LoopFunction.from_integer_form(self.loop, scale * q,
+                                              [v * p for v in nums])
 
     def __add__(self, other):
         _same_loop(self.loop, other)
         (s, a), (t, b) = self.integer_form, other.integer_form
         m = math.lcm(s, t)
         u, w = m // s, m // t
-        return LoopFunction._reduced(
+        return LoopFunction.from_integer_form(
             self.loop, m, [x * u + y * w for x, y in zip(a, b)])
 
 
@@ -155,7 +161,7 @@ def char(G, members):
     nums = [0] * G.order
     for x in members:
         nums[G.element(x)] = 1
-    return LoopFunction._reduced(G, 1, nums)
+    return LoopFunction.from_integer_form(G, 1, nums)
 
 
 def random_function(G, rng=None):
@@ -259,7 +265,8 @@ def translate(f, b, mode="left"):
     else:
         raise ValueError(f"unknown translate mode {mode!r}")
     scale, nums = f.integer_form
-    return LoopFunction._reduced(G, scale, [nums[i] for i in idx.tolist()])
+    return LoopFunction.from_integer_form(G, scale,
+                                          [nums[i] for i in idx.tolist()])
 
 
 def fan_average(f, n0):
@@ -268,8 +275,8 @@ def fan_average(f, n0):
     members = sorted(core.require_subgroup(G, n0).members)
     scale, nums = f.integer_form
     rows = G.table[members].T.tolist()
-    return LoopFunction._reduced(G, scale * len(members),
-                                 [sum([nums[i] for i in row]) for row in rows])
+    return LoopFunction.from_integer_form(
+        G, scale * len(members), [sum([nums[i] for i in row]) for row in rows])
 
 
 def upsilon_member(f, n0):
@@ -325,23 +332,40 @@ class HaarFunctional:
             raise NotFanLoop(ana.fan_witness)
         self.loop = G
         self.fan = ana.fan
-        self.reference = f0 if f0 is not None else constant(G, 1)
-        _same_loop(G, self.reference)
-        if not upsilon_member(self.reference, self.fan):
+        self._set_reference(f0 if f0 is not None else constant(G, 1))
+        self._cross_check((self.reference, delta(G)))
+
+    def rebased(self, g0):
+        """J_{g₀} on this functional's loop.  The Υ test and the three
+        (g₀ : h·δ_e) probes run as at construction; the (δ_e : h·δ_e)
+        probes depend only on the loop and were certified for this one."""
+        H = object.__new__(type(self))
+        H.loop, H.fan = self.loop, self.fan
+        H._set_reference(g0)
+        H._cross_check((H.reference,))
+        return H
+
+    def _set_reference(self, f0):
+        _same_loop(self.loop, f0)
+        if not upsilon_member(f0, self.fan):
             raise ReferenceNotInUpsilon(
                 "f0 must be nonzero and constant on fan orbits"
             )
-        self._ref_total = self.reference.total()
-        self._cross_check()
+        self.reference = f0
+        self._ref_total = f0.total_form()
 
-    def _cross_check(self):
-        """Run the real simplex on (p : h·δ_e) once per probe p in (f₀, δ_e)
-        and height h, and compare it with the closed form Σp/h."""
+    def _cross_check(self, probes):
+        """Run the real simplex on (p : h·δ_e) once per probe p and height
+        h, and compare it with the closed form Σp/h, cross-multiplied in
+        ints."""
         de = delta(self.loop)
-        for height in (_F1, Fraction(1, 2), Fraction(3, 1)):
+        for height in _HEIGHTS:
             phi = de.scale(height)
-            for probe in (self.reference, de):
-                if covering_number(probe, phi) != probe.total() / height:
+            for probe in probes:
+                value = covering_number(probe, phi)
+                total, scale = probe.total_form()
+                if (value.numerator * scale * height.numerator
+                        != total * value.denominator * height.denominator):
                     raise FanLoopCheckFailed(
                         "point-mass covering mismatch", (probe.values, height)
                     )
@@ -350,7 +374,9 @@ class HaarFunctional:
 
     def __call__(self, f):
         _same_loop(self.loop, f)
-        return f.total() / self._ref_total
+        total, scale = f.total_form()
+        ref_total, ref_scale = self._ref_total
+        return Fraction(total * ref_scale, scale * ref_total)
 
     def relative(self, g):
         """J_g with J_g(f) = J_{f₀}(f)/J_{f₀}(g) — independent of f₀."""
@@ -393,21 +419,27 @@ def invariant_measure(G, J=None):
     re-verified exhaustively before returning.
 
     J is the caller's functional on G, if it has one; by default the
-    constant-reference J = haar_limit(G) is built here."""
+    constant-reference J = haar_limit(G) is built here.  J is called once
+    per element; the n values are brought over one scale, so μ({x}) is
+    nums[x]/nums[e], and the checks compare those ints."""
     if J is None:
         J = haar_limit(G)
     elif not G.same(J.loop):
         raise LoopMismatch("functional lives on a different loop")
-    je = J(delta(G, 0))
-    weights = tuple(J(delta(G, x)) / je for x in range(G.order))
-    for w in weights:
-        if w <= 0:
-            raise FanLoopCheckFailed("measure-positivity", (w,))
-    w = np.array(weights, dtype=object)
-    bx = first(w[G.table] != w)  # μ({bx}) = μ({x}), first (b, x) row-major
+    _, nums = lp.scaled([lp.rational(J(delta(G, x))) for x in range(G.order)])
+    ne = nums[0]
+    for v in nums:
+        if v * ne <= 0:
+            raise FanLoopCheckFailed("measure-positivity", (Fraction(v, ne),))
+    # equal weights share a class id; μ({bx}) = μ({x}), first (b, x)
+    # row-major
+    ids = {}
+    w = np.array([ids.setdefault(v, len(ids)) for v in nums], dtype=np.intp)
+    bx = first(w[G.table] != w)
     if bx is not None:
         raise FanLoopCheckFailed("measure-translation-invariance", bx)
-    total = sum(weights, _F0)
+    weights = tuple([Fraction(v, ne) for v in nums])
+    total = Fraction(sum(nums), ne)
     notes = (
         "mu(G) is finite and G is compact (finite discrete): "
         "finiteness <-> compactness holds trivially",
@@ -421,7 +453,7 @@ def verify_uniqueness(G, f0, g0, trials=20, rng=None):
     seeded random functions before κ is returned."""
     trials = core.count(trials, "trials")
     J = haar_limit(G, f0)
-    H = haar_limit(G, g0)
+    H = J.rebased(g0)
     kappa = f0.total() / g0.total()
     for x in range(G.order):
         d = delta(G, x)

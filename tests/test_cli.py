@@ -3,12 +3,14 @@ decimal-free, and every exit code in the contract is reachable.
 """
 
 import json
+import random
 import shutil
 import types
+from fractions import Fraction
 
 import pytest
 
-from fanloops import catalog, census, cli, laws, lp, products
+from fanloops import catalog, census, cli, haar, laws, lp, products
 from fanloops.config import order_cap
 from fanloops.errors import (
     DuplicateLabel,
@@ -37,8 +39,6 @@ def _no_floats(report_text):
 # --- rationals ---------------------------------------------------------------
 
 def test_rational_round_trip():
-    from fractions import Fraction
-
     assert cli.format_rational(Fraction(3, 4)) == "3/4"
     assert cli.format_rational(Fraction(5)) == "5"
     assert cli.parse_rational("7/2") == Fraction(7, 2)
@@ -80,6 +80,24 @@ def test_function_files_round_trip_bytes(oct16):
             text = fh.read()
         f = cli.parse_function_text(text, oct16, path=path)
         assert cli.serialize_function(f) == text, name
+
+
+@pytest.mark.parametrize("name", ["q8", "oct16"])
+def test_function_text_parses_to_the_constructors_integer_form(name, request):
+    G = request.getfixturevalue(name)
+    rng = random.Random(4411)
+    for _ in range(40):
+        values, lines = [Fraction(0)] * G.order, ["# seeded"]
+        for x in rng.sample(range(G.order), rng.randint(0, G.order)):
+            p, q, k = rng.randint(0, 9), rng.randint(1, 12), rng.randint(1, 3)
+            values[x] = Fraction(p, q)
+            tok = rng.choice([f"{p * k}/{q * k}", f"+{p}/{q}", f"{p}/{q}"])
+            if q == 1 and rng.random() < 0.5:
+                tok = str(p)
+            lines += [f"{G.label(x)} {tok}", ""]
+        f = cli.parse_function_text("\n".join(lines) + "\n", G)
+        want = haar.LoopFunction(G, values)
+        assert f == want and f.integer_form == want.integer_form
 
 
 def test_loop_serialization_is_canonical():
@@ -430,10 +448,11 @@ def test_haar_reports_are_byte_identical(capsys):
     assert json.loads(out1)["seed"] == 7
 
 
-@pytest.mark.parametrize("f0, solves", [(None, 12), ("halves.fn", 12)])
+@pytest.mark.parametrize("f0, solves", [(None, 9), ("halves.fn", 9)])
 def test_haar_solves_each_functional_once(monkeypatch, f0, solves):
-    # 6 LPs per functional, J and H; the measure is read off J whatever its
-    # reference, so --f0 builds no third functional
+    # 6 LPs for J, three for its reference and three for δ_e, and 3 for H,
+    # rebased on J, whose δ_e probes J has certified; the measure is read
+    # off J whatever its reference, so --f0 builds no third functional
     calls = []
     solve = lp.solve
 

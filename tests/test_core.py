@@ -241,6 +241,35 @@ def test_require_subgroup_rejects_non_subloop(q8):
         core.require_subgroup(q8, bad)
 
 
+def test_require_subgroup_proves_a_set_closed_once(monkeypatch):
+    calls = []
+    witness = core.ElementSet.closure_witness
+
+    def counted(self):
+        calls.append(self)
+        return witness(self)
+
+    monkeypatch.setattr(core.ElementSet, "closure_witness", counted)
+    G = catalog.octonion16()
+    fan = G.analysis.fan
+    for _ in range(4):
+        assert core.require_subgroup(G, fan) is fan
+    assert calls == [fan]
+    # the cached verdict is no part of equality, the hash or the repr
+    fresh = core.ElementSet(G, fan.members)
+    assert fresh == fan and hash(fresh) == hash(fan)
+    assert repr(fan) == repr(fresh) == f"ElementSet(members={fan.members!r})"
+    # refusals keep their reasons, asked once or twice
+    open_set = core.ElementSet(G, {0, G.index("e1")})
+    outside = core.subgroup_closure(G, {G.index("e1")})
+    for S, reason in ((open_set, "not closed under ·, \\, /"),
+                      (outside, "not contained in the nucleus")):
+        for _ in range(2):
+            with pytest.raises(NotASubgroup) as exc:
+                core.require_subgroup(G, S)
+            assert (exc.value.witness, exc.value.reason) == (tuple(S), reason)
+
+
 def test_require_subgroup_rejects_another_loops_set(q8):
     d4 = catalog.dihedral(4)
     # {e, r} of D4 read against Q8: the loops differ, whatever the indices

@@ -911,16 +911,19 @@ def test_haar_cross_check_solves_each_covering_number_once(oct16,
     assert len(calls) == 6
 
 
-def test_haar_cross_check_catches_a_wrong_closed_form(oct16, monkeypatch):
-    closed = haar.LoopFunction.total
-    monkeypatch.setattr(haar.LoopFunction, "total",
-                        lambda self: closed(self) + 1)
-    with pytest.raises(FanLoopCheckFailed, match="point-mass covering mismatch"):
-        haar.haar_limit(oct16)
+def _wrong_closed_form(monkeypatch):
+    """Σf read one too high wherever the closed form reads it."""
+    closed = haar.LoopFunction.total_form
+
+    def off_by_one(self):
+        total, scale = closed(self)
+        return total + scale, scale
+
+    monkeypatch.setattr(haar.LoopFunction, "total_form", off_by_one)
 
 
-def test_haar_cross_check_catches_height_dependence(oct16, monkeypatch):
-    # a covering number that is off by one unless φ has height 1
+def _height_dependent_covering(monkeypatch):
+    """A covering number that is off by one unless φ has height 1."""
     covering = haar.covering_number
 
     def faulty(f, phi):
@@ -928,5 +931,65 @@ def test_haar_cross_check_catches_height_dependence(oct16, monkeypatch):
         return value if phi.sup_norm() == 1 else value + 1
 
     monkeypatch.setattr(haar, "covering_number", faulty)
+
+
+def _quarter_reference(G):
+    return haar.char(G, G.analysis.fan).scale(F(1, 4))
+
+
+def test_haar_cross_check_catches_a_wrong_closed_form(oct16, monkeypatch):
+    _wrong_closed_form(monkeypatch)
     with pytest.raises(FanLoopCheckFailed, match="point-mass covering mismatch"):
         haar.haar_limit(oct16)
+
+
+def test_haar_cross_check_catches_height_dependence(oct16, monkeypatch):
+    _height_dependent_covering(monkeypatch)
+    with pytest.raises(FanLoopCheckFailed, match="point-mass covering mismatch"):
+        haar.haar_limit(oct16)
+
+
+@pytest.mark.parametrize("tamper", [_wrong_closed_form,
+                                    _height_dependent_covering])
+def test_rebased_cross_check_is_a_real_check(oct16, monkeypatch, tamper):
+    J = haar.haar_limit(oct16)
+    tamper(monkeypatch)
+    with pytest.raises(FanLoopCheckFailed, match="point-mass covering mismatch"):
+        J.rebased(_quarter_reference(oct16))
+
+
+def test_rebased_solves_only_its_reference_probes(oct16, monkeypatch):
+    # (g0 : h·δ_e) for three heights; the δ_e probes were certified by J
+    J = haar.haar_limit(oct16)
+    shapes, verdicts = _record_lps(monkeypatch)
+    solved = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda p: solved.append(p) or solve(p))
+    H = J.rebased(_quarter_reference(oct16))
+    assert len(solved) == 3
+    assert shapes == [(2, 2)] * 3 and verdicts == [True] * 3
+    assert H.loop is oct16 and H.fan == J.fan
+
+
+def test_rebased_equals_the_functional_built_from_scratch(q8, oct16,
+                                                          suite_loops):
+    rng = random.Random(SEED)
+    s4 = dict(suite_loops)["s4"]
+    for G in (q8, oct16, s4):
+        J = haar.haar_limit(G)
+        for _ in range(3):
+            g0 = haar.fan_average(haar.random_function(G, rng),
+                                  G.analysis.fan)
+            H, want = J.rebased(g0), haar.haar_limit(G, g0)
+            assert H.reference == want.reference
+            for f in [haar.delta(G, x) for x in range(G.order)] + [
+                    haar.random_function(G, rng) for _ in range(5)]:
+                assert H(f) == want(f)
+
+
+def test_rebased_refuses_a_reference_outside_upsilon(oct16, q8):
+    J = haar.haar_limit(oct16)
+    with pytest.raises(ReferenceNotInUpsilon):
+        J.rebased(haar.delta(oct16))
+    with pytest.raises(LoopMismatch):
+        J.rebased(haar.constant(q8))

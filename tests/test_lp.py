@@ -2,13 +2,14 @@
 status behaviour.
 
 The oracle solves min c.x, Ax >= b, x >= 0 by enumerating every basic point
-(all n-subsets of the m+n constraint rows, Gaussian elimination over
-Fraction) -- no code shared with the simplex.  It needs c >= 0 so the
+(all n-subsets of the m+n constraint rows, fraction-free elimination over
+the integers) -- no code shared with the simplex.  It needs c >= 0 so the
 program can never be unbounded; unboundedness gets dedicated cases.
 """
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -23,43 +24,60 @@ F = Fraction
 # --- oracle ------------------------------------------------------------------
 
 def _solve_square(M, v):
-    """Solve M x = v over Fractions; None when singular."""
+    """Solve M x = v for an integer M and v by fraction-free Gauss-Jordan
+    elimination (Bareiss): each step divides by the previous pivot, which
+    is exact, and leaves d·I | X with x = X/d.  Returns (d, X) with d > 0;
+    None when M is singular."""
     n = len(v)
     M = [row[:] + [v[i]] for i, row in enumerate(M)]
+    prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col] != 0), None)
         if piv is None:
             return None
         M[col], M[piv] = M[piv], M[col]
-        inv = F(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
+        p, top = M[col][col], M[col]
         for r in range(n):
-            if r != col and M[r][col] != 0:
+            if r != col:
                 f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+                M[r] = [(p * a - f * b) // prev for a, b in zip(M[r], top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [sign * M[r][n] for r in range(n)]
+
+
+def _scaled(row):
+    """(s, ints): a row of Fractions times s, the lcm of its denominators."""
+    s = math.lcm(*(v.denominator for v in row))
+    return s, [v.numerator * (s // v.denominator) for v in row]
 
 
 def brute_minimum(problem):
-    """Minimum over all feasible basic points; None when infeasible."""
+    """Minimum over all feasible basic points; None when infeasible.
+
+    Each constraint row (A_i, b_i) is scaled to integers by its own lcm,
+    which changes neither its solutions nor its sense, so every basis is
+    solved and checked in ints; only the minimum is a Fraction."""
     n, m = problem.n_vars, problem.n_constraints
-    rows = [list(r) for r in problem.A]
-    rows += [[F(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    rhs = list(problem.b) + [F(0)] * n
-    best = None
+    cons = [_scaled((*a, b))[1] for a, b in zip(problem.A, problem.b)]
+    rows = [r[:n] for r in cons]
+    rows += [[int(j == i) for j in range(n)] for i in range(n)]
+    rhs = [r[n] for r in cons] + [0] * n
+    sc, cost = _scaled(problem.objective)
+    best = None   # (numerator, denominator > 0)
     for combo in itertools.combinations(range(m + n), n):
-        x = _solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
-        if x is None or any(v < 0 for v in x):
+        sol = _solve_square([rows[i] for i in combo], [rhs[i] for i in combo])
+        if sol is None:
             continue
-        if any(
-            sum(a * v for a, v in zip(row, x)) < b
-            for row, b in zip(problem.A, problem.b)
-        ):
+        d, X = sol
+        if any(v < 0 for v in X):
             continue
-        val = sum(c * v for c, v in zip(problem.objective, x))
-        if best is None or val < best:
+        if any(sum(map(operator.mul, r[:n], X)) < r[n] * d for r in cons):
+            continue
+        val = (sum(map(operator.mul, cost, X)), sc * d)
+        if best is None or val[0] * best[1] < best[0] * val[1]:
             best = val
-    return best
+    return None if best is None else F(*best)
 
 
 def random_problem(rng):
