@@ -72,7 +72,7 @@ def latin_violation(table):
 
 
 # ---------------------------------------------------------------------------
-# Stack axes.  division_tables, assoc_tensors, nucleus_masks,
+# Stack axes.  division_tables, assoc_slabs, assoc_tensors, nucleus_masks,
 # nucleus_screen, value_mask and central_mask take any leading axes,
 # (..., n, n), and treat each n×n slice as its own table; with none they
 # index as for a single table.
@@ -109,25 +109,41 @@ def division_tables(table):
 #   t[a,b,c] = ((ab)c) / (a(bc))      p[a,b,c] = (a(bc)) \ ((ab)c)
 # ---------------------------------------------------------------------------
 
-def assoc_tensors(table, ldiv, rdiv):
+def assoc_slabs(table, ldiv, rdiv, domain=None):
+    """Yield (a, t, p) for consecutive slices a of the first axis of the
+    domain (x, y, z), three 1-D index arrays (every element in order, by
+    default): t[..., i, j, k] = t(x[a][i], y[j], z[k]), and p likewise.
+
+    A slab holds at least one x and, while one x's entries number fewer
+    than SLAB, at most SLAB entries, so peak memory is O(SLAB + n^2) per
+    table; a census stack fills a slab with one x.  A witness found slab by
+    slab, first to last, is the first in C order over the domain.
+    """
     lead, n = table.shape[:-2], table.shape[-1]
-    t = np.empty((*lead, n, n, n), table.dtype)
-    p = np.empty((*lead, n, n, n), table.dtype)
+    x, y, z = domain if domain is not None else (np.arange(n),) * 3
     # the gathers index the flattened stack: one flat index array is faster
     # than one index array per axis (about 1.4x at n = 128, 1.7x on a stack
     # of 256 tables of order 7)
     start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1, 1)
     T = table.astype(np.intp)
     flat_T, flat_l, flat_r = T.ravel(), ldiv.ravel(), rdiv.ravel()
-    cols = np.arange(n)
-    an = (np.arange(n) * n)[:, None, None]
-    # a slab of a values at a time keeps peak memory at O(SLAB + n^2) per
-    # table; a census stack fills a slab with one a
-    for a in slabs(n, table.size):
-        lhs = flat_T[start + T[..., a, :, None] * n + cols]  # (ab)c
-        rhs = flat_T[start + an[a] + T[..., None, :, :]]  # a(bc)
-        t[..., a, :, :] = flat_r[start + lhs * n + rhs]
-        p[..., a, :, :] = flat_l[start + rhs * n + lhs]
+    xy = T[..., x[:, None], y]  # ab
+    yz = T[..., y[:, None], z]  # bc
+    xn = (x * n)[:, None, None]
+    for a in slabs(len(x), table.size // (n * n) * len(y) * len(z)):
+        lhs = flat_T[start + xy[..., a, :, None] * n + z]  # (ab)c
+        rhs = flat_T[start + xn[a] + yz[..., None, :, :]]  # a(bc)
+        yield a, flat_r[start + lhs * n + rhs], flat_l[start + rhs * n + lhs]
+
+
+def assoc_tensors(table, ldiv, rdiv):
+    """The whole tensors (t, p), filled slab by slab from assoc_slabs."""
+    lead, n = table.shape[:-2], table.shape[-1]
+    t = np.empty((*lead, n, n, n), table.dtype)
+    p = np.empty((*lead, n, n, n), table.dtype)
+    for a, t_slab, p_slab in assoc_slabs(table, ldiv, rdiv):
+        t[..., a, :, :] = t_slab
+        p[..., a, :, :] = p_slab
     return t, p
 
 
@@ -162,6 +178,71 @@ def nucleus_screen(table):
     # right[a, b]: (bc)a = b(ca)
     right = flat_T[start + yc * n + i] == flat_T[start + i.T * n + ca]
     return assoc.all(axis=-1) & assoc.all(axis=-2) & right.all(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Nucleus parts of one table without an n^3 array.  Write A(x,y,z) for
+# (xy)z = x(yz); then
+#   N_l = {a : A(a,b,c)},  N_m = {a : A(b,a,c)},  N_r = {a : A(b,c,a)}
+# for all b, c.  Every part contains e, and A holds whenever one argument
+# is e.
+# ---------------------------------------------------------------------------
+
+def _assoc_box(T, slot, cand, cols):
+    """A on the box (len(cand), n, len(cols)) whose axes hold the candidate
+    a, every b and the column c, with a in argument `slot` of the part's
+    law above and c in the slot that b leaves free."""
+    n = len(T)
+    a, c = cand[:, None, None], cols[None, None, :]
+    b = np.arange(n)[None, :, None]
+    x, y, z = ((a, b, c), (b, a, c), (b, c, a))[slot]
+    flat = T.ravel()  # one flat index per gather is the fastest take
+    return flat[flat[x * n + y] * n + z] == flat[x * n + flat[y * n + z]]
+
+
+def _screen(T, slot, cols):
+    """The candidates that pass the part's law on every b and every column
+    in cols, checked one block of columns at a time.  A candidate that fails
+    a block is dropped, so each block is sized to the candidates left: at
+    most SLAB triples, or one column over slabs of the candidates while one
+    column holds more."""
+    n = len(T)
+    cand, done = np.arange(n), 0
+    while done < len(cols) and len(cand):
+        block = cols[done:done + max(1, SLAB // (len(cand) * n))]
+        step = max(1, SLAB // (n * len(block)))
+        cand = cand[np.concatenate([
+            _assoc_box(T, slot, cand[s:s + step], block).all(axis=(1, 2))
+            for s in range(0, len(cand), step)])]
+        done += len(block)
+    return cand
+
+
+def nucleus_parts(table):
+    """Masks (N_l, N_m, N_r) of one table, each exact, with no array larger
+    than SLAB triples once n^3 exceeds it.
+
+    When the whole cube fits one slab (n^3 <= SLAB), A is taken on all of
+    it and each part read off, as nucleus_masks reads the t tensor.
+    Otherwise N_r is screened first, on the columns from n-1 down to 0.  A
+    column c in N_r satisfies A(a,b,c) and A(b,a,c) for every a and b, so
+    N_l and N_m need only the columns outside N_r.  A part's candidates are
+    checked on every column it needs, so each survivor is verified on all
+    n^2 pairs (b, c): the screen is exact, not a filter.
+    """
+    T = table.astype(np.intp)
+    n = len(T)
+    every = np.arange(n)
+    if n ** 3 <= SLAB:
+        # T[T][x, y] is the row of xy, and x(yz) sits at x·n + yz
+        A = T[T] == T.ravel()[(every * n)[:, None, None] + T]
+        return A.all(axis=(1, 2)), A.all(axis=(0, 2)), A.all(axis=(0, 1))
+    masks = np.zeros((3, n), dtype=bool)
+    masks[2, _screen(T, 2, every[::-1])] = True
+    outside = every[~masks[2]]
+    for slot in (0, 1):
+        masks[slot, _screen(T, slot, outside)] = True
+    return tuple(masks)
 
 
 # ---------------------------------------------------------------------------

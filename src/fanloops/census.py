@@ -3,9 +3,10 @@
 Reduced form (first row and column in natural order) is the enumeration
 unit; every reduced square of order n is a loop table with identity 0.
 The squares are classified in fixed batches, stacked as one (k, n, n)
-array through the same kernels as core's per-loop analysis, so each
-filter is one mask over the batch and a FiniteLoop is built only for the
-squares emitted.  The n^3 associator tensors are built only for the
+array through the batched classifier `masks`, which reads whole
+associator tensors (core's per-loop analysis reads none), so each filter
+is one mask over the batch and a FiniteLoop is built only for the squares
+emitted.  The n^3 associator tensors are built only for the
 squares where some a != e passes the O(n^2) nucleus screen, the only
 squares that can be fan (1,032 of 9,408 at order 6, none of the first
 131,072 at order 7).  The number of reduced squares of each order is known
@@ -16,6 +17,7 @@ split (e/a != a\\e for some a).
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,38 @@ FILTERS = ("all", "fan-only", "non-fan", "central-fan",
            "nontrivial-two-sided-inverse-split")
 
 
+class Masks(NamedTuple):
+    """The element masks of a stack of tables.  Each has the stack axes,
+    then one axis over the elements; is_fan has only the stack axes,
+    central_pairs two element axes."""
+
+    nucleus_l: np.ndarray
+    nucleus_m: np.ndarray
+    nucleus_r: np.ndarray
+    nucleus: np.ndarray
+    com: np.ndarray
+    center: np.ndarray
+    t_range: np.ndarray
+    p_range: np.ndarray
+    is_fan: np.ndarray
+    central_pairs: np.ndarray  # [..., a, b]: (ab)/(ba) lies in Z
+
+
+def masks(table, rdiv, t, p):
+    """Masks of a stack of tables (..., n, n), given its right divisions
+    and associator tensors: the batched classifier of the census, which
+    reads whole tensors where core's per-loop analysis reads none."""
+    nl, nm, nr = _kernels.nucleus_masks(t)
+    nuc = nl & nm & nr
+    com = (table == table.swapaxes(-1, -2)).all(axis=-1)
+    z = com & nuc
+    t_range, p_range = _kernels.value_mask(t), _kernels.value_mask(p)
+    # fan: every associator value lies in the nucleus
+    is_fan = ~((t_range | p_range) & ~nuc).any(axis=-1)
+    return Masks(nl, nm, nr, nuc, com, z, t_range, p_range, is_fan,
+                 _kernels.central_mask(table, rdiv, z))
+
+
 def _filter_masks(batch, ldiv, rdiv, names):
     """Filter name -> boolean mask over a (k, n, n) stack of loop tables,
     for at least ``names``: no tensor is built when none of them reads one.
@@ -42,13 +76,13 @@ def _filter_masks(batch, ldiv, rdiv, names):
     square has a nucleus element a != e, and every nucleus element passes
     _kernels.nucleus_screen.  A square where no a != e passes is non-fan,
     and so not central-fan."""
-    masks = {
+    out = {
         "all": np.ones(len(batch), dtype=bool),
         # e/a != a\e for some a: the split is witnessed
         "nontrivial-two-sided-inverse-split":
             (ldiv[..., 0] != rdiv[..., 0, :]).any(axis=-1),
     }
-    if not masks.keys() >= set(names):
+    if not out.keys() >= set(names):
         is_fan = np.zeros(len(batch), dtype=bool)
         central = np.zeros(len(batch), dtype=bool)
         # at order 1 there is no a != e: its one square is a group
@@ -56,13 +90,12 @@ def _filter_masks(batch, ldiv, rdiv, names):
                 | (batch.shape[-1] == 1))
         if keep.any():
             sub, sub_l, sub_r = batch[keep], ldiv[keep], rdiv[keep]
-            m = core.masks(sub, sub_r,
-                           *_kernels.assoc_tensors(sub, sub_l, sub_r))
+            m = masks(sub, sub_r, *_kernels.assoc_tensors(sub, sub_l, sub_r))
             is_fan[keep] = m.is_fan
             central[keep] = m.is_fan & m.central_pairs.all(axis=(-2, -1))
-        masks.update({"fan-only": is_fan, "non-fan": ~is_fan,
+        out.update({"fan-only": is_fan, "non-fan": ~is_fan,
                       "central-fan": central})
-    return masks
+    return out
 
 
 def _check_reduced(batch):

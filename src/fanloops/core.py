@@ -7,13 +7,19 @@ Conventions used throughout the package:
     t(a,b,c) = ((ab)c)/(a(bc))        p(a,b,c) = (a(bc))\\((ab)c)
 so that (ab)c = t(a,b,c)·(a(bc)) and (ab)c = (a(bc))·p(a,b,c) hold by
 construction.  The identity element is always index 0 after ingestion.
+
+The analysis finds the nucleus first and reads t and p only on coset
+representatives, slab by slab, so it builds no n^3 array.  The whole
+tensors (FiniteLoop.assoc_tensors, kept on the loop) are built only for
+the law plans, which look them up at arbitrary triples; the product and
+quotient cross-checks stream _kernels.assoc_slabs, and the census builds
+its own batched tensors.
 """
 
 import numbers
 import operator
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -373,7 +379,7 @@ def verify_loop(table, identity=None, labels=None, cap=None):
 # -- analysis ----------------------------------------------------------------
 
 def _mask_set(G, mask):
-    return ElementSet(G, frozenset(int(i) for i in np.nonzero(mask)[0]))
+    return ElementSet(G, np.flatnonzero(mask).tolist())
 
 
 def subgroup_closure(G, seed):
@@ -396,73 +402,81 @@ def subgroup_closure(G, seed):
         mask = new
 
 
-class Masks(NamedTuple):
-    """The element masks an analysis is read from.  Each has the table's
-    leading (stack) axes, then one axis over the elements; is_fan has only
-    the leading axes, central_pairs two element axes."""
-
-    nucleus_l: np.ndarray
-    nucleus_m: np.ndarray
-    nucleus_r: np.ndarray
-    nucleus: np.ndarray
-    com: np.ndarray
-    center: np.ndarray
-    t_range: np.ndarray
-    p_range: np.ndarray
-    is_fan: np.ndarray
-    central_pairs: np.ndarray  # [..., a, b]: (ab)/(ba) lies in Z
-
-
-def masks(table, rdiv, t, p):
-    """Masks of a table, or of a stack of tables (..., n, n), given its
-    right divisions and associator tensors."""
-    nl, nm, nr = _kernels.nucleus_masks(t)
-    nuc = nl & nm & nr
-    com = (table == table.swapaxes(-1, -2)).all(axis=-1)
-    z = com & nuc
-    t_range, p_range = _kernels.value_mask(t), _kernels.value_mask(p)
-    # fan: every associator value lies in the nucleus
-    is_fan = ~((t_range | p_range) & ~nuc).any(axis=-1)
-    return Masks(nl, nm, nr, nuc, com, z, t_range, p_range, is_fan,
-                 _kernels.central_mask(table, rdiv, z))
-
-
 def _analyze(G):
-    t_tensor, p_tensor = G.assoc_tensors()
-    m = masks(G.table, G.rdiv, t_tensor, p_tensor)
-    # the first a outside N_l holds the first nonzero t in row-major order
-    a = _kernels.first(~m.nucleus_l)
+    """The analysis of G, nucleus first: no n^3 array is built or kept.
+
+    The nucleus parts come from _kernels.nucleus_parts.  With N the
+    nucleus and n in N, the definitions alone give, in every loop,
+        t(a·n,b,c) = t(a,n·b,c)    t(a,b·n,c) = t(a,b,n·c)
+        t(a,b,c·n) = t(a,b,c)
+    and the same for p, but for p(a,b,c·n) = n\\(p(a,b,c)·n): moving n
+    changes neither (ab)c nor a(bc), and in slot 3 it multiplies both on
+    the right.  The left cosets xN partition G (y = x·n gives
+    yN = x(nN) = xN); R holds the least element of each, and every x is
+    r·n with r the least element of xN.  Three steps move any triple into
+    R×R×R, each passing a slot's translate on to the next slot:
+        (r1·n, b, c) -> (r1, r2·m, c) -> (r1, r2, r3·k) -> (r1, r2, r3)
+    with n·b = r2·m and m·c = r3·k.  t keeps its value and p becomes its
+    conjugate by k; every conjugate occurs, as p(r1,r2,r3·k).  So t on
+    R×R×R gives every t value, and p there gives every p value up to
+    N-conjugation, which maps N, and its complement, onto itself.  Whether
+    a triple's t or p leaves N is thus that of its image, and the image is
+    no larger in C order: a step changes a slot only when the slot is not
+    least in its coset, and then makes it smaller, leaving earlier slots
+    alone.  The first violating triple in C order is therefore in R×R×R,
+    so the fan witness, first in that domain's C order, is the first in
+    G^3.  No normality of N is needed.  The fan verdict, t_range and
+    p_range are read on R×R×R, slab by slab from _kernels.assoc_slabs;
+    every other field needs O(n^2) lookups.
+    """
+    T, n = G.table, G.order
+    nl, nm, nr = _kernels.nucleus_parts(T)
+    nuc = nl & nm & nr
+    N = np.flatnonzero(nuc)
+    # x = x·e lies in xN, so x is least in its coset iff it is min(xN)
+    R = np.flatnonzero(T[:, N].min(axis=1) == np.arange(n))
+    t_range = np.zeros(n, dtype=bool)
+    p_values = np.zeros(n, dtype=bool)
+    fan_witness = None
+    for a, t, p in _kernels.assoc_slabs(T, G.ldiv, G.rdiv, (R, R, R)):
+        t_range[t] = True
+        p_values[p] = True
+        if fan_witness is None:
+            w = _kernels.first(~(nuc[t] & nuc[p]))
+            if w is not None:
+                i, j, k = w
+                fan_witness = (int(R[a][i]), int(R[j]), int(R[k]))
+    p_range = np.zeros(n, dtype=bool)
+    p_range[G.ldiv[N, T[np.flatnonzero(p_values)[:, None], N]]] = True
+    is_fan = fan_witness is None
+
+    # the first a outside N_l, then its first pair with (ab)c != a(bc)
+    a = _kernels.first(~nl)
     is_group = a is None
     non_assoc_witness = None if is_group else (
-        *a, *_kernels.first(t_tensor[a] != 0))
+        *a, *_kernels.first(T[T[a]] != T[a, T]))
 
-    is_fan = bool(m.is_fan)
-    fan_witness = None
-    if not is_fan:
-        fan_witness = _kernels.fan_violation(t_tensor, p_tensor,
-                                             m.nucleus)[1:]
-
-    fan_set = subgroup_closure(G, _mask_set(G, m.t_range | m.p_range))
-
+    com = (T == T.T).all(axis=-1)
+    center = com & nuc
     # central fan condition: (ab)/(ba) in Z for every pair
-    central_witness = _kernels.first(~m.central_pairs)
-    is_central = is_fan and central_witness is None
+    central_witness = _kernels.first(
+        ~_kernels.central_mask(T, G.rdiv, center))
 
     return LoopAnalysis(
         is_loop=True,
         is_group=is_group,
-        is_commutative=bool(m.com.all()),
+        is_commutative=bool(com.all()),
         is_fan_loop=is_fan,
-        is_central_fan_loop=is_central,
-        com=_mask_set(G, m.com),
-        nucleus_l=_mask_set(G, m.nucleus_l),
-        nucleus_m=_mask_set(G, m.nucleus_m),
-        nucleus_r=_mask_set(G, m.nucleus_r),
-        nucleus=_mask_set(G, m.nucleus),
-        center=_mask_set(G, m.center),
-        fan=fan_set,
-        t_range=_mask_set(G, m.t_range),
-        p_range=_mask_set(G, m.p_range),
+        is_central_fan_loop=is_fan and central_witness is None,
+        com=_mask_set(G, com),
+        nucleus_l=_mask_set(G, nl),
+        nucleus_m=_mask_set(G, nm),
+        nucleus_r=_mask_set(G, nr),
+        nucleus=_mask_set(G, nuc),
+        center=_mask_set(G, center),
+        fan=subgroup_closure(G, _mask_set(G, t_range | p_range)),
+        t_range=_mask_set(G, t_range),
+        p_range=_mask_set(G, p_range),
         non_assoc_witness=non_assoc_witness,
         fan_witness=fan_witness,
         central_witness=central_witness,

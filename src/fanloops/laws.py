@@ -310,7 +310,7 @@ def _reduced_holds(G, law, pools):
     return True
 
 
-def check_law(G, law):
+def check_law(G, law, *, pools=None):
     """Verify one registry law on G, on the smallest equivalent domain.
 
     The membership laws 2.1.9-t/2.1.9-p are read off the analysis' value
@@ -320,7 +320,9 @@ def check_law(G, law):
     its full domain, so a witness is always the lexicographically first
     one.  On HOLDS,
     tuples_checked is the size of the quantified domain the verdict covers
-    (times the clause count), however it was decided.
+    (times the clause count), however it was decided.  pools, G's
+    quantifier domains as _pools(G) builds them, lets check_all build them
+    once for every law.
 
     Raises UnknownLaw for an id not in the registry, ValueError for a
     law that is neither a Law nor an id, and NotApplicable when a fan-only
@@ -332,7 +334,8 @@ def check_law(G, law):
         raise ValueError(f"law must be a Law or a law id, got {law!r}")
     if law.scope == "fan" and not G.analysis.is_fan_loop:
         raise NotApplicable(law.id)
-    pools = _pools(G)
+    if pools is None:
+        pools = _pools(G)
     if _reduced_holds(G, law, pools):
         size = int(np.prod([len(pools[d]) for _, d in law.vars]))
         return LawReport(law.id, HOLDS, None, size * len(law.clauses), None)
@@ -431,12 +434,14 @@ def _check_full(G, law, pools):
 
 
 def check_all(G):
-    """One report per registry law; fan-only laws on non-fan loops come back
-    with status not-applicable rather than raising."""
+    """One report per registry law, as check_law gives it, with G's
+    quantifier pools built once for all of them; fan-only laws on non-fan
+    loops come back with status not-applicable rather than raising."""
+    pools = _pools(G)
     out = []
     for law in REGISTRY:
         try:
-            out.append(check_law(G, law))
+            out.append(check_law(G, law, pools=pools))
         except NotApplicable:
             out.append(LawReport(law.id, NOT_APPLICABLE, None, 0, None))
     return out

@@ -19,8 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from . import core, laws, quotient
-from ._kernels import first, slabs
+from . import _kernels, core, laws, quotient
+from ._kernels import first
 from .config import CAYLEY_DICKSON_CAP, check_order, order_cap
 from .errors import FanLoopCheckFailed, SizeCapExceeded, ValidationFailed
 
@@ -58,27 +58,43 @@ def _check_componentwise_sets(P, A, B):
             )
 
 
+def _rows(G, x):
+    """(t, p) of G on the rows x, an index array that may repeat, each
+    (len(x), n, n): joined from G's slabs, with no n^3 array kept."""
+    every = np.arange(G.order)
+    parts = _kernels.assoc_slabs(G.table, G.ldiv, G.rdiv, (x, every, every))
+    return [np.concatenate(slabs) for slabs in list(zip(*parts))[1:]]
+
+
 def _check_componentwise_assoc(P, A, B):
     """t and p of A×B must be the componentwise pairs; the witness names the
-    first mismatching tensor and its (a1,b1,a2,b2,a3,b3) index.
+    first mismatching tensor, t before p, and its (a1,b1,a2,b2,a3,b3) index.
 
-    Compared one a1 slab at a time, so the check needs no n^3 temporary
-    beside the product's own tensors.
+    P's associators are read slab by slab from _kernels.assoc_slabs, each
+    against its factors' rows, so no n^3 array is built.
     """
     nA, nB = A.order, B.order
-    shape = (nA, nB, nA, nB, nA, nB)
-    for name, XP, XA, XB in zip("tp", P.assoc_tensors(), A.assoc_tensors(),
-                                B.assoc_tensors()):
-        XP6 = XP.reshape(shape)
-        XB5 = XB[:, None, :, None, :]
-        for a1 in range(nA):
+    shape = (-1, nA, nB, nA, nB)
+    p_witness = None
+    for rows, tP, pP in _kernels.assoc_slabs(P.table, P.ldiv, P.rdiv):
+        x1 = np.arange(rows.start, rows.stop)
+        for name, XP, XA, XB in zip("tp", (tP, pP), _rows(A, x1 // nB),
+                                    _rows(B, x1 % nB)):
+            if name == "p" and p_witness is not None:
+                continue
             # values stay below nA·nB, so int16 cannot overflow
-            expect = XA[a1, None, :, None, :, None] * nB + XB5
-            w = first(XP6[a1] != expect)
+            expect = XA[:, :, None, :, None] * nB + XB[:, None, :, None, :]
+            w = first(XP.reshape(shape) != expect)
             if w is not None:
-                raise FanLoopCheckFailed(
-                    "direct-product associators not componentwise",
-                    (name, a1, *w))
+                witness = (name, *divmod(rows.start + w[0], nB), *w[1:])
+                if name == "t":
+                    raise FanLoopCheckFailed(
+                        "direct-product associators not componentwise",
+                        witness)
+                p_witness = witness
+    if p_witness is not None:
+        raise FanLoopCheckFailed(
+            "direct-product associators not componentwise", p_witness)
 
 
 def direct_product(loops, cap=None, verify=True):
@@ -411,39 +427,42 @@ def verify_smashed_product(data, P):
         errs.append(("fan-loop", ana.fan_witness))
         return errs  # everything below presumes a fan loop
 
-    tP, pP = P.assoc_tensors()
-    tA3, pA3 = A.assoc_tensors()
-    pB3 = B.assoc_tensors()[1]
-
     # --- 4.4.1 / 4.4.2: associator closed forms on the (x1, x2, x3) grid,
-    #     a block of x1 rows at a time; the first row where either form
+    #     P's slabs of x1 rows from _kernels.assoc_slabs, first to last,
+    #     each against its factors' rows; the first row where either form
     #     fails is reported, 4.4.2 before 4.4.1 on that row
     X = np.arange(n)[:, None]
     Y = np.arange(n)[None, :]
     a2, b2 = X // nB, X % nB
     a3, b3 = Y // nB, Y % nB
     b3a2 = phi[a2, b3]
-    for rows in slabs(n, n * n):
-        x1 = np.arange(rows.start, rows.stop)[:, None, None]
+    # the correction factors as elements of B, xi indexed by the packed
+    # pairs: xi[u·nB + c, v·nB + b] = xi((u,c),(v,b)), so xi[x2, x3] = xi
+    xi = ib[data.xi].reshape(n, n)
+    eta, kappa = ib[data.eta], ib[data.kappa]
+    x23 = TA[a2, a3] * nB + TB[b2, b3a2]  # (a2a3, b2·b3^a2)
+    for rows, tP, pP in _kernels.assoc_slabs(P.table, P.ldiv, P.rdiv):
+        x1 = np.arange(rows.start, rows.stop)
+        tA, pA = _rows(A, x1 // nB)
+        pB = _rows(B, x1 % nB)[1]
+        i = np.arange(len(x1))[:, None, None]  # the row within the slab
+        x1 = x1[:, None, None]
         a1, b1 = x1 // nB, x1 % nB
         a12 = TA[a1, a2]
         b2a1 = phi[a1, b2]
         b3a12 = phi[a12, b3]
         b = TB[b1, TB[b2a1, b3a12]]
-        pa = pA3[a1, a2, a3]
-        ta = tA3[a1, a2, a3]
-        xi1 = ib[data.xi[a1, b1, a2, b2]]
-        xi3 = ib[data.xi[a12, TB[b1, b2a1], a3, b3]]
-        p_B = pB3[b1, b2a1, b3a12]  # p_B(b1, b2^a1, b3^(a1a2))
+        pa = pA[i, a2, a3]
+        ta = tA[i, a2, a3]
+        xi1 = xi[x1, X]
+        xi3 = xi[a12 * nB + TB[b1, b2a1], Y]
+        p_B = pB[i, b2a1, b3a12]  # p_B(b1, b2^a1, b3^(a1a2))
         alpha = TB[TB[p_B, _r_check(B, b3a12, xi1)], xi3]
-        beta = TB[
-            TB[TB[ib[data.eta[a1, a2, b3]], ib[data.kappa[a1, b2, b3a2]]],
-               ib[data.xi[a2, b2, a3, b3]]],
-            ib[data.xi[a1, b1, TA[a2, a3], TB[b2, b3a2]]],
-        ]
+        beta = TB[TB[TB[eta[a1, a2, b3], kappa[a1, b2, b3a2]], xi],
+                  xi[x1, x23]]
         exp_p = pa.astype(np.int32) * nB + TB[inv_b[beta], alpha]
         exp_t = ta.astype(np.int32) * nB + _r_map(B, b, TB[alpha, inv_b[beta]])
-        bad_p, bad_t = pP[rows] != exp_p, tP[rows] != exp_t
+        bad_p, bad_t = pP != exp_p, tP != exp_t
         r = first(bad_p.any(axis=(1, 2)) | bad_t.any(axis=(1, 2)))
         if r is not None:
             check, bad = (("4.4.2", bad_p) if bad_p[r].any()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import _kernels, core
 from ._kernels import first, slabs
 from .errors import NotASubloop, NotNormal, WellDefinednessFailure
 
@@ -141,7 +141,9 @@ def quotient(G, H):
     if G.analysis.fan.members <= H.members:
         # t(a,b,c) = e exactly when p(a,b,c) = e, so t alone decides; an
         # associative loop is a group, where x\e = e/x
-        w = first(Q.assoc_tensors()[0] != 0)
-        if w is not None:
-            raise WellDefinednessFailure(tuple(Q.label(i) for i in w))
+        for rows, t, _ in _kernels.assoc_slabs(Q.table, Q.ldiv, Q.rdiv):
+            w = first(t != 0)
+            if w is not None:
+                raise WellDefinednessFailure(
+                    (Q.label(rows.start + w[0]), Q.label(w[1]), Q.label(w[2])))
     return Q

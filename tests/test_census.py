@@ -366,10 +366,10 @@ def _batches_of(order):
 
 def _tensor_masks_differ(batches):
     """Whether _filter_masks differs, on some batch, from the verdicts of
-    core.masks on the whole batch, with no screen."""
+    census.masks on the whole batch, with no screen."""
     for batch, ldiv, rdiv in batches:
         got = census._filter_masks(batch, ldiv, rdiv, census.FILTERS)
-        m = core.masks(batch, rdiv,
+        m = census.masks(batch, rdiv,
                        *_kernels.assoc_tensors(batch, ldiv, rdiv))
         want = {"fan-only": m.is_fan, "non-fan": ~m.is_fan,
                 "central-fan": m.is_fan & m.central_pairs.all(axis=(-2, -1))}

@@ -6,6 +6,7 @@ the independent vector-arithmetic multiplication oracle in
 test_products.py and from the naive nucleus oracle in test_kernels.py.
 """
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -13,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fanloops import catalog, census, core, haar, products, quotient
+from fanloops import _kernels, catalog, census, core, haar, products, quotient
 from fanloops.errors import (
     LoopMismatch,
     NoIdentity,
@@ -448,3 +449,125 @@ def test_witnesses_match_lexicographic_oracle():
         assert a.central_witness == (pairs[0] if pairs else None)
         seen.add((bool(triples), bool(pairs)))
     assert seen == {(False, False), (True, True)}
+
+
+# --- the nucleus-first analysis against the whole-tensor oracle -------------
+
+_SET_FIELDS = ("com", "nucleus_l", "nucleus_m", "nucleus_r", "nucleus",
+               "center", "t_range", "p_range")
+
+
+def _fields(a):
+    """A LoopAnalysis as a dict, each element set as its members."""
+    return {f.name: getattr(getattr(a, f.name), "members", getattr(a, f.name))
+            for f in dataclasses.fields(a)}
+
+
+def _tensor_fields(G, t, p, m):
+    """Every LoopAnalysis field of G read from its whole tensors t and p:
+    census' batched masks m, the first a outside N_l with its first
+    non-associative pair, and _kernels.fan_violation's witness."""
+    a = _kernels.first(~m.nucleus_l)
+    fan = bool(m.is_fan)
+    out = {name: frozenset(np.flatnonzero(getattr(m, name)).tolist())
+           for name in _SET_FIELDS}
+    out.update(
+        is_loop=True,
+        is_group=a is None,
+        is_commutative=bool(m.com.all()),
+        is_fan_loop=fan,
+        is_central_fan_loop=fan and bool(m.central_pairs.all()),
+        fan=core.subgroup_closure(G, out["t_range"] | out["p_range"]).members,
+        non_assoc_witness=None if a is None else (*a, *_kernels.first(t[a] != 0)),
+        fan_witness=None if fan else _kernels.fan_violation(t, p, m.nucleus)[1:],
+        central_witness=_kernels.first(~m.central_pairs),
+    )
+    return out
+
+
+def _oracle(G):
+    t, p = G.assoc_tensors()
+    return _tensor_fields(G, t, p, census.masks(G.table, G.rdiv, t, p))
+
+
+def _nucleus_is_normal(G):
+    N = sorted(G.analysis.nucleus.members)
+    return len(N) == 1 or bool(quotient.is_normal_subloop(G, N))
+
+
+def _square_loops(orders, keep=lambda m, k: True):
+    """(loop, oracle fields) for the reduced squares of these orders that
+    keep(batch masks, index in the batch) selects, the oracle read from
+    each batch's stacked tensors."""
+    for order in orders:
+        labels = core.default_labels(order)
+        for batch in _kernels.reduced_latin_squares(order, 256):
+            ldiv, rdiv = _kernels.division_tables(batch)
+            t, p = _kernels.assoc_tensors(batch, ldiv, rdiv)
+            m = census.masks(batch, rdiv, t, p)
+            for k in range(len(batch)):
+                if keep(m, k):
+                    G = core.FiniteLoop(labels, batch[k].copy(),
+                                        ldiv[k].copy(), rdiv[k].copy())
+                    yield G, _tensor_fields(G, t[k], p[k],
+                                            census.Masks(*(x[k] for x in m)))
+
+
+def test_analysis_matches_the_tensor_oracle_on_every_small_square():
+    # all 9,471 reduced squares of orders 1-6: fan and non-fan, with a
+    # normal and a non-normal nucleus
+    seen = set()
+    for G, want in _square_loops(range(1, 7)):
+        assert _fields(G.analysis) == want, G.table.tolist()
+        seen.add((want["is_fan_loop"], _nucleus_is_normal(G)))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_analysis_matches_the_tensor_oracle_in_small_slabs(monkeypatch):
+    # with 8-triple slabs an order-6 square takes the column screen and the
+    # representative domain in many slabs, as a loop of order >= 26 does;
+    # every square of orders 1-5, and the order-6 squares with N != {e}
+    # or at every 16th index
+    monkeypatch.setattr(_kernels, "SLAB", 8)
+    seen = set()
+    keep = lambda m, k: m.nucleus[k].sum() > 1 or k % 16 == 0  # noqa: E731
+    for G, want in _square_loops(range(1, 7), keep):
+        assert _fields(G.analysis) == want, G.table.tolist()
+        seen.add((want["is_fan_loop"], _nucleus_is_normal(G)))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _first_non_normal_nucleus(order):
+    return next(G for G in census.enumerate_loops(order)
+                if not _nucleus_is_normal(G))
+
+
+def test_analysis_matches_the_tensor_oracle_on_larger_loops(corpus_loops):
+    cd, dp = products.cayley_dickson_basis_loop, products.direct_product
+    oct16 = catalog.octonion16()
+    loops = dict(corpus_loops)
+    loops.update({
+        "cd5": cd(5),
+        "oct16xC2": dp([oct16, catalog.cyclic(2)]),
+        "oct16xQ8": dp([oct16, catalog.quaternion8()]),
+        "oct16xoct16": dp([oct16, oct16]),
+        # element 1 = (e, -1) is central, so every element passes the
+        # nucleus laws on column 1 (_kernels.nucleus_screen)
+        "C2xcd4": dp([catalog.cyclic(2), cd(4)]),
+        # a non-normal nucleus, and not fan, past one slab's n^3
+        "W6xC8": dp([_first_non_normal_nucleus(6), catalog.cyclic(8)],
+                    verify=False),
+    })
+    assert {"cd3", "cd4"} <= loops.keys()
+    for name, G in loops.items():
+        assert _fields(G.analysis) == _oracle(G), name
+    assert _kernels.nucleus_screen(loops["C2xcd4"].table).all()
+    W = loops["W6xC8"]
+    assert not W.analysis.is_fan_loop and not _nucleus_is_normal(W)
+    assert W.order ** 3 > _kernels.SLAB
+
+
+def test_analysis_builds_no_tensor():
+    G = products.direct_product([catalog.octonion16(), catalog.quaternion8()],
+                                verify=False)
+    assert G.analysis.is_fan_loop and G._tensors is None

@@ -239,6 +239,35 @@ def test_assoc_tensors_match_naive():
         assert np.array_equal(p, npp)
 
 
+@pytest.mark.parametrize("slab", [1 << 14, 7])
+def test_assoc_slabs_cover_a_domain_in_order(slab, monkeypatch):
+    # any index arrays, repeats included, in consecutive slabs of the first
+    # axis; at 7 entries per slab no slab holds more than two x
+    monkeypatch.setattr(_kernels, "SLAB", slab)
+    rng = np.random.default_rng(5)
+    for G in SAMPLE:
+        t, p = naive_assoc(G.table, G.ldiv, G.rdiv)
+        n = G.order
+        x, y, z = (rng.integers(0, n, size) for size in (2 * n, n, 3))
+        got = list(_kernels.assoc_slabs(G.table, G.ldiv, G.rdiv, (x, y, z)))
+        assert [a.start for a, *_ in got] == [0, *(a.stop for a, *_ in got[:-1])]
+        assert got[-1][0].stop == len(x)
+        grid = np.ix_(x, y, z)
+        assert np.array_equal(np.concatenate([s[1] for s in got]), t[grid])
+        assert np.array_equal(np.concatenate([s[2] for s in got]), p[grid])
+
+
+@pytest.mark.parametrize("slab", [1 << 14, 1])
+def test_nucleus_parts_match_naive(slab, monkeypatch):
+    # one slab holds an order-6 cube at the default; at 1 every part is
+    # screened one column and one candidate at a time
+    monkeypatch.setattr(_kernels, "SLAB", slab)
+    for G in SAMPLE + reduced_loops(5) + reduced_loops(6, 40):
+        got = _kernels.nucleus_parts(G.table)
+        for part, want in zip(got, naive_nucleus(G.table)):
+            assert np.array_equal(part, want)
+
+
 def test_nucleus_masks_match_naive():
     # the first 40 squares of order 6 include loops whose N_l, N_m and N_r
     # differ pairwise; those of order 5 have N_m = N_r throughout
@@ -426,13 +455,13 @@ def test_stacked_kernels_match_per_table_kernels():
     for T in tables:
         ldiv, rdiv = _kernels.division_tables(T)
         t, p = _kernels.assoc_tensors(T, ldiv, rdiv)
-        single.append((T, ldiv, rdiv, t, p, core.masks(T, rdiv, t, p)))
+        single.append((T, ldiv, rdiv, t, p, census.masks(T, rdiv, t, p)))
     stacked = np.stack(tables)
     for shape in ((12,), (3, 4)):
         T = stacked.reshape(*shape, 6, 6)
         ldiv, rdiv = _kernels.division_tables(T)
         t, p = _kernels.assoc_tensors(T, ldiv, rdiv)
-        m = core.masks(T, rdiv, t, p)
+        m = census.masks(T, rdiv, t, p)
         for k, (_, ld1, rd1, t1, p1, m1) in enumerate(single):
             at = np.unravel_index(k, shape)
             for got, want in ((ldiv, ld1), (rdiv, rd1), (t, t1), (p, p1)):

@@ -489,3 +489,13 @@ def test_check_all_computes_no_subgroup_closure(smash_products, monkeypatch):
         assert all(reports), [r.law_id for r in reports if not r]
         assert len(G.analysis.nucleus) > 1
         assert calls == []
+
+
+def test_check_all_builds_the_pools_once(oct16, monkeypatch):
+    # one sort of N and Z per loop, and the same reports as law by law
+    calls = []
+    pools = laws._pools
+    monkeypatch.setattr(laws, "_pools", lambda G: calls.append(G) or pools(G))
+    reports = laws.check_all(oct16)
+    assert calls == [oct16]
+    assert reports == [laws.check_law(oct16, law) for law in laws.REGISTRY]

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fanloops import _kernels, catalog, census, core, products
+from fanloops import _kernels, catalog, census, core, products, quotient
 from fanloops.errors import (
     FanLoopCheckFailed,
     OrderCapExceeded,
@@ -454,6 +454,23 @@ def test_omitted_smashing_tables_are_not_built_before_the_cap(monkeypatch):
     assert peak < 1 << 20, peak
 
 
+def test_product_analysis_and_quotient_build_no_tensors():
+    # oct16 × Q8 (n = 128): t and p would take 4 MB each, and the
+    # cross-checks, the analysis and the quotient's group check read slabs
+    oct16, q8 = catalog.octonion16(), catalog.quaternion8()
+    tracemalloc.start()
+    try:
+        P = products.direct_product([oct16, q8])
+        assert P.analysis.is_fan_loop
+        Q = quotient.quotient(P, P.analysis.fan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Q.order * len(P.analysis.fan) == P.order
+    assert P._tensors is None and Q._tensors is None
+    assert peak < 4 << 20, peak
+
+
 # --- smashed products: construction and closed forms -------------------------
 
 def test_all_smash_products_are_fan_loops(smash_products):
@@ -547,6 +564,21 @@ def test_left_division_exact_form_discriminates_on_s6(smash_products):
     assert P.labels[mismatches[0]] == "(e,h)"
 
 
+_ASSOC_SLABS = _kernels.assoc_slabs
+
+
+def _serve(monkeypatch, P, t, p):
+    """Have _kernels.assoc_slabs yield the tensors (t, p), planted copies of
+    P's, as P's slabs; every other table and domain is computed as usual."""
+    def assoc_slabs(table, ldiv, rdiv, domain=None):
+        if table is not P.table or domain is not None:
+            yield from _ASSOC_SLABS(table, ldiv, rdiv, domain)
+            return
+        for a, _, _ in _ASSOC_SLABS(table, ldiv, rdiv):
+            yield a, t[a], p[a]
+    monkeypatch.setattr(_kernels, "assoc_slabs", assoc_slabs)
+
+
 def test_direct_product_componentwise_internal_check_fires():
     # sanity for the tripwire: tampering with a verified product is caught
     A, B = catalog.cyclic(2), catalog.cyclic(3)
@@ -559,7 +591,8 @@ def test_direct_product_componentwise_internal_check_fires():
     ({"p": (7, 2, 9)}, ("p", 1, 1, 0, 2, 1, 3)),
     ({"t": (7, 2, 9), "p": (0, 0, 1)}, ("t", 1, 1, 0, 2, 1, 3)),
 ])
-def test_componentwise_assoc_witness_names_the_tensor(tamper, expect):
+def test_componentwise_assoc_witness_names_the_tensor(tamper, expect,
+                                                     monkeypatch):
     # C2×S3: element 6a+b is (a, b); a tampered p alone must still yield a
     # witness, and t is searched before p
     A, B = catalog.cyclic(2), catalog.symmetric3()
@@ -567,7 +600,7 @@ def test_componentwise_assoc_witness_names_the_tensor(tamper, expect):
     tensors = dict(zip("tp", (X.copy() for X in P.assoc_tensors())))
     for name, idx in tamper.items():
         tensors[name][idx] = 1
-    P._tensors = (tensors["t"], tensors["p"])
+    _serve(monkeypatch, P, tensors["t"], tensors["p"])
     with pytest.raises(FanLoopCheckFailed) as info:
         products._check_componentwise_assoc(P, A, B)
     assert info.value.check == "direct-product associators not componentwise"
@@ -609,13 +642,13 @@ def test_cross_check_witnesses_on_other_products(smash_products):
         ("fan-loop", (1, 1, 2))]
 
 
-def test_cross_check_witnesses_on_planted_tables():
+def test_cross_check_witnesses_on_planted_tables(monkeypatch):
     # checks that no data edit reaches alone: a t entry (p agrees), and a
     # pair of entries swapped in a row of each division table
     P = _product("s4")
     t, p = (X.copy() for X in P.assoc_tensors())
     t[3, 5, 6] = (t[3, 5, 6] + 1) % 16
-    P._tensors = (t, p)
+    _serve(monkeypatch, P, t, p)
     assert products.verify_smashed_product(_instance("s4"), P) == [
         ("4.4.1", (3, 5, 6))]
     for name, errs in (("ldiv", [("4.4.9", (3, 2))]),
@@ -664,8 +697,7 @@ def test_blocked_associator_check_matches_a_row_loop(prefix, slab,
             X = t if name == "t" else p
             X[idx] = (X[idx] + 1) % n
         Q = _product(prefix)
-        Q.analysis  # decided on the product's own tensors
-        Q._tensors = (t, p)
+        _serve(monkeypatch, Q, t, p)
         errs = products.verify_smashed_product(_instance(prefix), Q)
         got = [e for e in errs if e[0] in ("4.4.1", "4.4.2")]
         assert got == _first_changed_row(P, t, p) != [], plant
