@@ -75,16 +75,10 @@ def latin_violation(table):
 # Stack axes.  division_tables, assoc_slabs, assoc_tensors, nucleus_masks,
 # nucleus_screen, value_mask and central_mask take any leading axes,
 # (..., n, n), and treat each n×n slice as its own table; with none they
-# index as for a single table.
+# index as for a single table.  The gathers and scatters index the
+# flattened stack, table k's cells from k·n² on: one flat index array is
+# faster than one index array per axis.
 # ---------------------------------------------------------------------------
-
-def _stack(lead, trailing):
-    """Open-grid indices of the leading axes `lead`, each shaped to
-    broadcast against index arrays with `trailing` more axes; () when
-    there are no leading axes."""
-    return tuple(g.reshape(g.shape + (1,) * trailing)
-                 for g in np.ix_(*map(np.arange, lead)))
-
 
 # ---------------------------------------------------------------------------
 # Division tables.  ldiv[a, b] = a \ b  (solution x of a·x = b)
@@ -93,14 +87,15 @@ def _stack(lead, trailing):
 # ---------------------------------------------------------------------------
 
 def division_tables(table):
-    n = table.shape[-1]
-    k = _stack(table.shape[:-2], 2)
+    lead, n = table.shape[:-2], table.shape[-1]
+    start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1)
+    T = table.astype(np.intp)
+    rows = np.arange(n)[:, None]
+    cols = np.arange(n)
     ldiv = np.empty(table.shape, table.dtype)
     rdiv = np.empty(table.shape, table.dtype)
-    rows = np.arange(n, dtype=table.dtype)[:, None]
-    cols = np.arange(n, dtype=table.dtype)[None, :]
-    ldiv[(*k, rows, table)] = np.broadcast_to(cols, table.shape)
-    rdiv[(*k, table, cols)] = np.broadcast_to(rows, table.shape)
+    ldiv.ravel()[start + rows * n + T] = cols  # ldiv[a, ab] = b
+    rdiv.ravel()[start + T * n + cols] = rows  # rdiv[ab, b] = a
     return ldiv, rdiv
 
 
@@ -252,16 +247,20 @@ def nucleus_parts(table):
 def value_mask(X):
     """mask[..., v] iff v occurs in the tensor X[...] of shape (n, n, n);
     unlike np.unique, no sorted copy of X."""
-    lead = X.shape[:-3]
-    mask = np.zeros((*lead, X.shape[-1]), dtype=bool)
-    mask[(*_stack(lead, 3), X)] = True
+    lead, n = X.shape[:-3], X.shape[-1]
+    mask = np.zeros((*lead, n), dtype=bool)
+    start = np.arange(0, mask.size, n).reshape(*lead, 1, 1, 1)
+    mask.ravel()[start + X] = True
     return mask
 
 
 def central_mask(table, rdiv, member):
     """m[..., a, b] iff (ab)/(ba) lies in the membership mask member[...]."""
-    k = _stack(table.shape[:-2], 2)
-    return member[(*k, rdiv[(*k, table, table.swapaxes(-1, -2))])]
+    lead, n = table.shape[:-2], table.shape[-1]
+    start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1)
+    T = table.astype(np.intp)
+    q = rdiv.ravel()[start + T * n + T.swapaxes(-1, -2)]  # (ab)/(ba)
+    return member.ravel()[start // n + q]
 
 
 # ---------------------------------------------------------------------------

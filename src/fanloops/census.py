@@ -6,14 +6,15 @@ The squares are classified in fixed batches, stacked as one (k, n, n)
 array through the batched classifier `masks`, which reads whole
 associator tensors (core's per-loop analysis reads none), so each filter
 is one mask over the batch and a FiniteLoop is built only for the squares
-emitted.  The n^3 associator tensors are built only for the
-squares where some a != e passes the O(n^2) nucleus screen, the only
-squares that can be fan (1,032 of 9,408 at order 6, none of the first
-131,072 at order 7).  The number of reduced squares of each order is known
-(OEIS A000315), and every pass that runs to the end checks that the
-enumerator yielded exactly that many.  The census is a corpus feeder for
-fan/non-fan examples — including loops where the left and right inverses
-split (e/a != a\\e for some a).
+emitted, on row views of one copy per batch of those squares.  The n^3
+associator tensors are built only for the squares where some a != e
+passes the O(n^2) nucleus screen, the only squares that can be fan
+(1,032 of 9,408 at order 6, none of the first 131,072 at order 7).  The
+number of reduced squares of each order is known (OEIS A000315), and every
+pass that runs to the end checks that the enumerator yielded exactly that
+many.  The census is a corpus feeder for fan/non-fan examples —
+including loops where the left and right inverses split (e/a != a\\e for
+some a).
 """
 
 from dataclasses import dataclass
@@ -101,11 +102,17 @@ def _filter_masks(batch, ldiv, rdiv, names):
 def _check_reduced(batch):
     """Re-check the enumerator's guarantee on a batch: every line is a
     permutation of 0..n-1, and row 0 and column 0 are natural (identity 0).
-    The first square that fails goes to core.verify_loop, which raises the
-    typed error with its witness."""
-    natural = np.arange(batch.shape[-1])
-    ok = ((np.sort(batch, axis=-1) == natural).all(axis=(-2, -1))
-          & (np.sort(batch, axis=-2) == natural[:, None]).all(axis=(-2, -1))
+    With every entry in 0..n-1, a line is a permutation iff its n powers
+    2^v sum to 2^n - 1: that sum has n one-bits, so n powers of two reach
+    it only without a carry, that is with no value twice.  The first square
+    that fails goes to core.verify_loop, which raises the typed error with
+    its witness."""
+    n = batch.shape[-1]
+    natural = np.arange(n)
+    bits = 1 << batch  # garbage outside 0..n-1, where the range test fails
+    ok = (((batch >= 0) & (batch < n)).all(axis=(-2, -1))
+          & (bits.sum(axis=-1) == (1 << n) - 1).all(axis=-1)
+          & (bits.sum(axis=-2) == (1 << n) - 1).all(axis=-1)
           & (batch[:, 0, :] == natural).all(axis=-1)
           & (batch[:, :, 0] == natural).all(axis=-1))
     bad = _kernels.first(~ok)
@@ -165,13 +172,17 @@ def enumerate_loops(query):
     q = query if isinstance(query, CensusQuery) else CensusQuery(order=query)
     if q.limit == 0:
         return
-    labels = core.default_labels(q.order)
+    labels = tuple(core.default_labels(q.order))
     emitted = 0
     for batch, ldiv, rdiv, masks in _batches(q.order, (q.filter,)):
-        for i in np.flatnonzero(masks[q.filter]):
-            # own copies, so the loop does not keep the batch alive
-            yield core.FiniteLoop(labels, batch[i].copy(),
-                                  ldiv[i].copy(), rdiv[i].copy())
+        # one copy of the emitted squares, so a kept loop pins those alone
+        # and never the whole batch; each loop is built on row views of it
+        keep = np.flatnonzero(masks[q.filter])
+        tables, ls, rs = batch[keep], ldiv[keep], rdiv[keep]
+        for arr in (tables, ls, rs):
+            arr.setflags(write=False)
+        for table, ld, rd in zip(tables, ls, rs):
+            yield core.FiniteLoop(labels, table, ld, rd)
             emitted += 1
             if emitted == q.limit:
                 return

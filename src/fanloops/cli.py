@@ -161,10 +161,14 @@ def parse_loop_file(path, cap=None):
 
 
 def serialize_loop(G):
-    """Canonical loop-file text: byte-stable, re-parses to the same loop."""
-    head = " ".join([str(G.order), *G.labels])
-    rows = [" ".join(G.labels[v] for v in row) for row in G.table.tolist()]
-    return "\n".join([head, *rows]) + "\n"
+    """Canonical loop-file text: byte-stable, re-parses to the same loop.
+    The body is one pass over the cells: each cell's label, then a space,
+    or a newline at the end of its row."""
+    labels, n = G.labels, G.order
+    body = [" "] * (2 * n * n)
+    body[::2] = [labels[v] for v in G.table.ravel().tolist()]
+    body[2 * n - 1::2 * n] = ["\n"] * n
+    return " ".join([str(n), *labels]) + "\n" + "".join(body)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class FiniteLoop:
             arr.setflags(write=False)
         self._analysis = None
         self._tensors = None
-        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
+        self._label_index = None
 
     # -- basics ------------------------------------------------------------
 
@@ -96,6 +96,9 @@ class FiniteLoop:
         return self.labels[self.element(x)]
 
     def index(self, label):
+        # built on first use: most loops (a census stream's) never read it
+        if self._label_index is None:
+            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         return self._label_index[label]
 
     def equals(self, other):

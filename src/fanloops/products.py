@@ -58,12 +58,28 @@ def _check_componentwise_sets(P, A, B):
             )
 
 
-def _rows(G, x):
-    """(t, p) of G on the rows x, an index array that may repeat, each
-    (len(x), n, n): joined from G's slabs, with no n^3 array kept."""
-    every = np.arange(G.order)
-    parts = _kernels.assoc_slabs(G.table, G.ldiv, G.rdiv, (x, every, every))
-    return [np.concatenate(slabs) for slabs in list(zip(*parts))[1:]]
+def _row_reader(G, x):
+    """read(i) -> (t, p) of G on the rows x[i], each (len(i), n, n), for a
+    nondecreasing index array i whose first entry never falls from one call
+    to the next: one assoc_slabs pass over x, holding only the rows from the
+    last call's first on, so no n^3 array is kept."""
+    n = G.order
+    every = np.arange(n)
+    slabs = _kernels.assoc_slabs(G.table, G.ldiv, G.rdiv, (x, every, every))
+    none = np.empty((0, n, n), G.table.dtype)
+    held = [0, none, none]
+
+    def read(i):
+        start, t, p = held
+        lo = int(i[0])
+        t, p = t[lo - start:], p[lo - start:]
+        while len(t) <= i[-1] - lo:
+            _, t_slab, p_slab = next(slabs)
+            t, p = np.concatenate([t, t_slab]), np.concatenate([p, p_slab])
+        held[:] = lo, t, p
+        return t[i - lo], p[i - lo]
+
+    return read
 
 
 def _check_componentwise_assoc(P, A, B):
@@ -71,15 +87,19 @@ def _check_componentwise_assoc(P, A, B):
     first mismatching tensor, t before p, and its (a1,b1,a2,b2,a3,b3) index.
 
     P's associators are read slab by slab from _kernels.assoc_slabs, each
-    against its factors' rows, so no n^3 array is built.
+    against its factors' rows, so no n^3 array is built.  A's row changes
+    every nB rows of P and B's rows repeat: each factor's rows are read once
+    per run of P rows that share an A row.
     """
     nA, nB = A.order, B.order
     shape = (-1, nA, nB, nA, nB)
+    every = np.arange(P.order)
+    read_A, read_B = _row_reader(A, np.arange(nA)), _row_reader(B, every % nB)
     p_witness = None
     for rows, tP, pP in _kernels.assoc_slabs(P.table, P.ldiv, P.rdiv):
-        x1 = np.arange(rows.start, rows.stop)
-        for name, XP, XA, XB in zip("tp", (tP, pP), _rows(A, x1 // nB),
-                                    _rows(B, x1 % nB)):
+        x1 = every[rows]
+        for name, XP, XA, XB in zip("tp", (tP, pP), read_A(x1 // nB),
+                                    read_B(x1)):
             if name == "p" and p_witness is not None:
                 continue
             # values stay below nA·nB, so int16 cannot overflow
@@ -441,10 +461,12 @@ def verify_smashed_product(data, P):
     xi = ib[data.xi].reshape(n, n)
     eta, kappa = ib[data.eta], ib[data.kappa]
     x23 = TA[a2, a3] * nB + TB[b2, b3a2]  # (a2a3, b2·b3^a2)
+    read_A = _row_reader(A, np.arange(nA))
+    read_B = _row_reader(B, X[:, 0] % nB)
     for rows, tP, pP in _kernels.assoc_slabs(P.table, P.ldiv, P.rdiv):
-        x1 = np.arange(rows.start, rows.stop)
-        tA, pA = _rows(A, x1 // nB)
-        pB = _rows(B, x1 % nB)[1]
+        x1 = X[rows, 0]
+        tA, pA = read_A(x1 // nB)
+        pB = read_B(x1)[1]
         i = np.arange(len(x1))[:, None, None]  # the row within the slab
         x1 = x1[:, None, None]
         a1, b1 = x1 // nB, x1 % nB

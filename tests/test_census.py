@@ -310,11 +310,41 @@ def test_batch_masks_and_loops_match_verify_loop(order):
     assert got == want
     emitted = list(census.enumerate_loops(order))
     assert [_snapshot(G) for G in emitted] == tables
-    for G in emitted[:3] + emitted[-3:]:
-        for arr in (G.table, G.ldiv, G.rdiv):
-            assert arr.dtype == np.int16 and arr.shape == (order, order)
-            assert arr.flags.c_contiguous and arr.flags.owndata
-            assert not arr.flags.writeable
+    _check_emitted_views(order, "all", emitted)
+
+
+def _check_emitted_views(order, filter, emitted):
+    """Each emitted loop's table, ldiv and rdiv are read-only, C-contiguous
+    int16 row views, and their base holds exactly the squares that their
+    batch emits (a copy, never the batch), so a kept loop pins no more."""
+    loops = iter(emitted)
+    for batch, ldiv, rdiv, masks in census._batches(order, (filter,)):
+        keep = np.flatnonzero(masks[filter])
+        group = list(itertools.islice(loops, len(keep)))
+        assert len(group) == len(keep)
+        for name, whole in (("table", batch), ("ldiv", ldiv), ("rdiv", rdiv)):
+            arrs = [getattr(G, name) for G in group]
+            if not arrs:
+                continue
+            base = arrs[0].base
+            assert base.flags.owndata and not base.flags.writeable
+            assert base.shape == (len(keep), order, order)
+            assert np.array_equal(base, whole[keep])
+            for i, arr in enumerate(arrs):
+                assert arr.base is base
+                assert (arr.__array_interface__["data"]
+                        == base[i].__array_interface__["data"])
+                assert arr.dtype == np.int16 and arr.shape == (order, order)
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert next(loops, None) is None
+
+
+@pytest.mark.parametrize("order, filter", [(6, "fan-only"), (6, "non-fan")])
+def test_emitted_loops_pin_only_their_batchs_emitted_squares(order, filter):
+    # fan-only keeps few squares of a batch (300 of 9,408 at order 6),
+    # and some batches none
+    emitted = list(census.enumerate_loops(census.CensusQuery(order, filter)))
+    _check_emitted_views(order, filter, emitted)
 
 
 def test_summary_order6_frozen():
@@ -470,6 +500,30 @@ def test_a_pass_that_misses_squares_is_refused(monkeypatch):
         assert e.value.witness == (6, 9408 - 9408 % census._BATCH)
     stopped = census.enumerate_loops(census.CensusQuery(6, limit=1))
     assert len(list(stopped)) == 1
+
+
+def test_the_reduced_check_refuses_exactly_the_unsorted_squares():
+    # oracle: each line sorts to 0..n-1, and row 0 and column 0 are natural
+    rng = np.random.default_rng(7)
+    batch = next(_kernels.reduced_latin_squares(6, 64))
+    natural = np.arange(6)
+    refused = 0
+    for square in batch:
+        for _ in range(20):
+            bad = square.copy()
+            for _ in range(rng.integers(1, 4)):
+                bad[tuple(rng.integers(0, 6, 2))] = rng.integers(-2, 9)
+            want = ((np.sort(bad, axis=1) == natural).all()
+                    and (np.sort(bad, axis=0) == natural[:, None]).all()
+                    and (bad[0] == natural).all()
+                    and (bad[:, 0] == natural).all())
+            if want:
+                census._check_reduced(bad[None])
+            else:
+                refused += 1
+                with pytest.raises((NotLatinSquare, NoIdentity)):
+                    census._check_reduced(bad[None])
+    assert 0 < refused < 64 * 20
 
 
 def test_a_non_latin_batch_is_refused():

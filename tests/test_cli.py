@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from fanloops import catalog, census, cli, haar, laws, lp, products
+from fanloops import (catalog, census, cli, core, haar, laws, lp,
+                      products, quotient)
 from fanloops.config import order_cap
 from fanloops.errors import (
     DuplicateLabel,
@@ -106,6 +107,49 @@ def test_loop_serialization_is_canonical():
     again = cli.parse_loop_text(text)
     assert again.equals(G)
     assert cli.serialize_loop(again) == text
+
+
+def _row_join(G):
+    """The oracle: loop-file text by the per-row formula, a header line and
+    then one space-joined line of labels per table row."""
+    head = " ".join([str(G.order), *G.labels])
+    rows = [" ".join(G.labels[v] for v in row) for row in G.table.tolist()]
+    return "\n".join([head, *rows]) + "\n"
+
+
+def _serializer_loops():
+    q8 = catalog.quaternion8()
+    yield "order 1", catalog.cyclic(1)
+    yield "long labels", core.verify_loop(
+        q8.table, identity=0, labels=[f"element_{i:03d}" for i in range(8)])
+    yield "non-ASCII labels", core.verify_loop(
+        q8.table, identity=0,
+        labels=["ε", "α₁", "β²", "γδ", "ζ-η", "θ", "ι_κ", "λμν"])
+    for data in catalog.smash_instances():
+        P = products.smashed_product(data)
+        yield f"smash {data.name}", P           # (a,b) labels
+        yield f"quotient of {data.name}", quotient.quotient(P, P.analysis.fan)
+    yield from ((f"census 5 #{i}", G)
+                for i, G in enumerate(census.enumerate_loops(5)))
+
+
+def test_serialize_loop_matches_the_row_join_formula():
+    names = []
+    for name, G in _serializer_loops():
+        text = cli.serialize_loop(G)
+        assert text == _row_join(G), name
+        again = cli.parse_loop_text(text)
+        assert again.labels == G.labels and again.equals(G), name
+        assert cli.serialize_loop(again) == text, name
+        names.append(name)
+    assert len([n for n in names if n.startswith("census 5")]) == 56
+    assert any(name.startswith("quotient") for name in names)
+
+
+def test_census_report_matches_the_row_join_formula(capsys):
+    assert cli.main(["census", "5"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["loops"] == [_row_join(G) for G in census.enumerate_loops(5)]
 
 
 # --- parse errors ------------------------------------------------------------

@@ -325,6 +325,33 @@ def test_membership_reads_numpy_integer_indices(q8):
     assert 2 not in Z and -1 not in Z and 99 not in Z
 
 
+def _labelled_loop(source):
+    if source == "verify_loop":
+        q8 = catalog.quaternion8()
+        return core.verify_loop(q8.table, identity=0, labels=q8.labels)
+    if source == "census":
+        return next(census.enumerate_loops(census.CensusQuery(6, "non-fan")))
+    P = products.direct_product([catalog.octonion16(), catalog.cyclic(2)])
+    return P if source == "direct_product" else quotient.quotient(
+        P, P.analysis.fan)
+
+
+@pytest.mark.parametrize("source", ["verify_loop", "census", "quotient",
+                                    "direct_product"])
+def test_the_label_index_is_built_on_first_use(source):
+    G = _labelled_loop(source)
+    assert G._label_index is None
+    # the first use may be a refusal
+    with pytest.raises(ValueError, match="unknown element label 'nowhere'"):
+        G.element("nowhere")
+    for i, lab in enumerate(G.labels):
+        assert G.element(lab) == G.index(lab) == i
+        assert G.label(i) == G.label(lab) == lab
+    assert G._label_index == {lab: i for i, lab in enumerate(G.labels)}
+    with pytest.raises(KeyError):
+        G.index("nowhere")
+
+
 def test_dropped_loop_is_freed_without_the_collector():
     # the cached analysis holds element sets of the loop; they must not
     # keep it (and its n^3 tensors) alive until a garbage collection
