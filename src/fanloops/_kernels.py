@@ -118,17 +118,24 @@ def assoc_slabs(table, ldiv, rdiv, domain=None):
     x, y, z = domain if domain is not None else (np.arange(n),) * 3
     # the gathers index the flattened stack: one flat index array is faster
     # than one index array per axis (about 1.4x at n = 128, 1.7x on a stack
-    # of 256 tables of order 7)
-    start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1, 1)
+    # of 256 tables of order 7).  t = rdiv[(ab)c, a(bc)] and p =
+    # ldiv[a(bc), (ab)c] = ldiv^T[(ab)c, a(bc)], so one index serves both;
+    # table k's offset k·n^2 is folded into the small arrays of ab and a,
+    # and into (ab)c by reading it from T + k·n
+    start = np.arange(0, table.size, n * n).reshape(*lead, 1, 1)
     T = table.astype(np.intp)
-    flat_T, flat_l, flat_r = T.ravel(), ldiv.ravel(), rdiv.ravel()
-    xy = T[..., x[:, None], y]  # ab
+    flat_T, flat_Tk = T.ravel(), (T + start // n).ravel()
+    flat_r, flat_lT = rdiv.ravel(), ldiv.swapaxes(-1, -2).ravel()
+    xy = start + T[..., x[:, None], y] * n  # ab·n
     yz = T[..., y[:, None], z]  # bc
-    xn = (x * n)[:, None, None]
+    xn = start[..., None] + (x * n)[:, None, None]  # a·n
     for a in slabs(len(x), table.size // (n * n) * len(y) * len(z)):
-        lhs = flat_T[start + xy[..., a, :, None] * n + z]  # (ab)c
-        rhs = flat_T[start + xn[a] + yz[..., None, :, :]]  # a(bc)
-        yield a, flat_r[start + lhs * n + rhs], flat_l[start + rhs * n + lhs]
+        idx = np.add(xy[..., a, :, None], z)
+        lhs = flat_Tk.take(idx)  # (ab)c + k·n
+        np.add(xn[..., a, :, :], yz[..., None, :, :], out=idx)
+        lhs *= n
+        lhs += flat_T.take(idx)  # a(bc)
+        yield a, flat_r.take(lhs), flat_lT.take(lhs)
 
 
 def assoc_tensors(table, ldiv, rdiv):

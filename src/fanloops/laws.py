@@ -13,17 +13,20 @@ slide across the grouping.
 check_law decides each law on the smallest domain that is provably
 equivalent.  The membership laws 2.1.9-t/2.1.9-p hold iff the value set of
 the t or p tensor lies in N(G), which the analysis' value masks already
-give.  The invariance laws quantified over Z(G) or N(G) (2.3.1, 2.3.3,
-2.3.4 and their primed forms) hold iff each element of the pool leaves
-the t or p tensor invariant slot by slot.
+give.  The invariance laws quantified over Z(G) or N(G) are read off the
+analysis: 2.3.1, 2.3.3 and their primed forms, and 2.3.4', hold in every
+loop once their pool lies in Z or N, and 2.3.4 holds, when N is normal,
+iff every element of N commutes with every t value (proofs in
+_reduced_holds).
 
-Every other law, and any reduced check that fails, is evaluated on its full
-domain by a straight-line plan compiled once per law: equal subterms share
-one register, and each operation is one take from the raveled table, ldiv,
-rdiv or t/p array at the flat index (x·n + y)·n + z.  The plan runs in slabs
-of the first variable, first to last, a fixed number of tuples at a time
-(_kernels.SLAB), so memory stays bounded and the first failing slab holds
-the first counterexample in C order, the lexicographically smallest one.
+Every other law, and any of these that the analysis does not prove, is
+evaluated on its full domain by a straight-line plan compiled once per law:
+equal subterms share one register, and each operation is one take from the
+raveled table, ldiv, rdiv or t/p array at the flat index (x·n + y)·n + z.
+The plan runs in slabs of the first variable, first to last, a fixed number
+of tuples at a time (_kernels.SLAB), so memory stays bounded and the first
+failing slab holds the first counterexample in C order, the
+lexicographically smallest one.
 """
 
 import re
@@ -32,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, quotient
 from .errors import NotApplicable, UnknownLaw
 
 HOLDS = "holds"
@@ -253,21 +256,10 @@ def _pools(G):
     }
 
 
-# Invariance laws X(.., b·a_k or a_k·b, ..) = φ_b(X(a1,a2,a3)) with X the t
-# or p tensor and b in the law's Z or N pool:
-#     law id -> (tensor 0=t / 1=p, translated slots, side, twist φ_b)
-# Each law is checked for every element b of its pool, one slot at a time.
-# A multi-slot law (2.3.1: z1, z2, z3) needs no more: once every slot is
-# invariant under every pool element, the slots chain one at a time,
-#   t(z1a1, z2a2, z3a3) = t(a1, z2a2, z3a3) = t(a1, a2, z3a3) = t(a1, a2, a3).
-_INVARIANCE = {
-    "2.3.1": (0, (0, 1, 2), "left", None),
-    "2.3.1'": (1, (0, 1, 2), "left", None),
-    "2.3.3": (0, (2,), "right", None),
-    "2.3.3'": (1, (0,), "left", None),
-    "2.3.4": (0, (0,), "left", "conj"),
-    "2.3.4'": (1, (2,), "right", "conj_inv"),
-}
+# Invariance laws: X(.., b·a_k or a_k·b, ..) = φ_b(X(a1,a2,a3)) with X the
+# t or p tensor and b in the law's Z or N pool, decided from the analysis
+# (proofs in _reduced_holds).
+_INVARIANCE = ("2.3.1", "2.3.1'", "2.3.3", "2.3.3'", "2.3.4", "2.3.4'")
 
 
 # Membership laws: X(a,b,c) lies in N(G) for all a, b, c exactly when the
@@ -277,50 +269,69 @@ MEMBERSHIP = {"2.1.9-t": "t_range", "2.1.9-p": "p_range"}
 
 
 def _reduced_holds(G, law, pools):
-    """Decide a membership or invariance law without its full domain.
+    r"""Decide a membership or invariance law from G's analysis.
 
-    Returns None for a law without a reduction, else whether it holds.  An
-    invariance law costs n^3 lookups per pool element and slot,
-    3·(|Z|−1)·n^3 for 2.3.1 against |Z|^3·n^3 on its full domain, compared
-    slab by slab; the identity translates and twists trivially and is
-    skipped.
+    Returns None for a law without a reduction, True when the reduction
+    proves that the law holds, and False otherwise: the law fails, or a
+    premise of its reduction does, and the full domain must decide.
+
+    An invariance law's premise is that its pool lies in the real center Z
+    (2.3.1, 2.3.1') or nucleus N (the others).  core._analyze's docstring
+    proves, for n in N and in every loop,
+        t(a·n,b,c) = t(a,n·b,c)   t(a,b·n,c) = t(a,b,n·c)
+        t(a,b,c·n) = t(a,b,c)
+    and the same for p, but for p(a,b,c·n) = n\(p(a,b,c)·n).  Also
+    p(n·a,b,c) = p(a,b,c): with X = (ab)c and Y = a(bc), n in N_l gives
+    ((na)b)c = nX and (na)(bc) = nY, and X = Y·p gives nX = (nY)·p.  So
+    2.3.3 and 2.3.3' hold in every loop, and so does 2.3.4', whose right
+    side (b^-1·p)·b is b\(p·b) for b in N: b·(b^-1·p) = p and
+    b·((b\p)·b) = p·b, both by b in N_l.  A z in Z commutes with every
+    element and lies in N, so
+        t(z·a,b,c) = t(a·z,b,c) = t(a,z·b,c) = t(a,b·z,c) = t(a,b,z·c)
+                   = t(a,b,c·z) = t(a,b,c),
+    and for p the last step reads z\(p·z) = z\(z·p) = p.  Each slot of
+    2.3.1 and 2.3.1' is thus invariant alone, and the slots chain one at a
+    time: t(z1a1, z2a2, z3a3) = t(a1, z2a2, z3a3) = t(a1, a2, z3a3) =
+    t(a1, a2, a3).  These five laws are decided without a lookup.
+
+    2.3.4, t(b·a1,a2,a3) = b·t(a1,a2,a3)·b^-1, also needs N normal (xN = Nx
+    for every x, Def 2.7.1, as quotient.is_normal_subloop checks it).  Then
+    b·a1 = a1·n for some n in N, and t(a1·n,a2,a3) = t(a1,a2,a3) by the
+    slot moves above, each translate passed on through Nx = xN: the left
+    side is t(a1,a2,a3), whatever b.  The analysis' t_range is t's exact
+    value set, and b and (a1,a2,a3) range independently, so the law holds
+    iff (b·v)·b^-1 = v for every b in the pool and v in t_range, that is,
+    iff b and v commute (multiply by b on the right; b and b^-1 lie in
+    N_r): |N|·|t_range| lookups.  A non-normal N, like a failed premise,
+    leaves the law to the full domain.
     """
     ana = G.analysis
     if law.id in MEMBERSHIP:
         return getattr(ana, MEMBERSHIP[law.id]).members <= ana.nucleus.members
-    spec = _INVARIANCE.get(law.id)
-    if spec is None:
+    if law.id not in _INVARIANCE:
         return None
-    which, slots, side, twist = spec
-    X = G.assoc_tensors()[which]
-    T, n = G.table, G.order
     (dom,) = {d for _, d in law.vars if d != "G"}
     pool = pools[dom]
-    for b in pool[pool != 0].tolist():
-        move = T[b] if side == "left" else T[:, b]
-        if twist is not None:
-            inv = G.ldiv[b, 0]
-            phi = T[T[b], inv] if twist == "conj" else T[T[inv], b]
-        for a in _kernels.slabs(n, n * n):
-            want = X[a] if twist is None else phi[X[a]]
-            for k in slots:
-                got = X[move[a]] if k == 0 else np.take(X[a], move, axis=k)
-                if (got != want).any():
-                    return False
-    return True
+    if not (ana.center if dom == "Z" else ana.nucleus).mask()[pool].all():
+        return False
+    if law.id != "2.3.4":
+        return True
+    if not quotient.is_normal_subloop(G, ana.nucleus):
+        return False
+    T, v = G.table, np.flatnonzero(ana.t_range.mask())
+    return bool((T[T[pool[:, None], v], G.ldiv[pool, 0, None]] == v).all())
 
 
 def check_law(G, law, *, pools=None):
     """Verify one registry law on G, on the smallest equivalent domain.
 
-    The membership laws 2.1.9-t/2.1.9-p are read off the analysis' value
-    masks, and the invariance laws 2.3.1, 2.3.3, 2.3.4 and their primed
-    forms are decided slot by slot on the t/p tensors, one pool element at
-    a time; every other law, and any of these that fails, is evaluated on
-    its full domain, so a witness is always the lexicographically first
-    one.  On HOLDS,
-    tuples_checked is the size of the quantified domain the verdict covers
-    (times the clause count), however it was decided.  pools, G's
+    The membership laws 2.1.9-t/2.1.9-p and the invariance laws 2.3.1,
+    2.3.3, 2.3.4 and their primed forms are decided from the analysis by
+    _reduced_holds, without their domains; every other law, and any of
+    these that the analysis does not prove, is evaluated on its full
+    domain, so a witness is always the lexicographically first one.  On
+    HOLDS, tuples_checked is the size of the quantified domain the verdict
+    covers (times the clause count), however it was decided.  pools, G's
     quantifier domains as _pools(G) builds them, lets check_all build them
     once for every law.
 

@@ -7,6 +7,7 @@ loops; and law checking must be isomorphism-invariant (metamorphic test:
 relabeling a loop cannot change any verdict).
 """
 
+import dataclasses
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -431,51 +432,71 @@ def test_reduced_check_catches_a_non_central_pool_element(oct16,
         assert rep == _oracle(oct16, law), law_id
 
 
-@pytest.mark.parametrize("law_id", sorted(laws._INVARIANCE))
-def test_reduced_check_agrees_on_equivariant_tensors(law_id, rng,
+def _record_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is appended to the returned list."""
+    calls, inner = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *a, **k: calls.append(a) or inner(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("law_id", laws._INVARIANCE)
+def test_invariance_law_is_decided_from_the_analysis(law_id, corpus_loops,
+                                                     oct16, smash_products,
                                                      monkeypatch):
-    # X(a1,a2,a3) = f(a_k) with f equivariant for one side and twist,
-    # f(move_b(a)) = twist_b(f(a)), over subgroups of S3 forced in as the
-    # pool: a reduction with the wrong side, twist or slots passes some of
-    # these tensors where the full evaluator finds a failure
-    G = catalog.symmetric3()
-    T, n = G.table, G.order
-    inv = G.ldiv[:, 0]
-    moves = {"left": lambda b: T[b], "right": lambda b: T[:, b]}
-    twists = {"none": lambda b: np.arange(n),
-              "conj": lambda b: T[T[b], inv[b]],
-              "conj_inv": lambda b: T[T[inv[b]], b]}
-    r = next(x for x in range(1, n) if T[x, x] != 0)
-    law = laws.get_law(law_id)
-    # the analysis reads the tensors: compute it from the real ones, so
-    # that the planted tensors below are swapped under a fixed analysis
-    G.analysis
-    seen = set()
-    for members in ([0, G.index("s")], [0, r, int(T[r, r])], range(n)):
-        pool = np.array(sorted(members), dtype=np.intp)
-        monkeypatch.setattr(laws, "_pools", lambda _: {
-            "G": np.arange(n, dtype=np.intp), "N": pool, "Z": pool})
-        for k in range(3):
-            for side, twist in [(s, t) for s in moves for t in twists]:
-                f = np.full(n, -1)
-                for a in range(n):
-                    if f[a] < 0:
-                        v = rng.randrange(n)
-                        for b in pool:
-                            f[moves[side](b)[a]] = twists[twist](b)[v]
-                shape = [1, 1, 1]
-                shape[k] = n
-                X = np.broadcast_to(f.reshape(shape), (n, n, n))
-                G._tensors = (X.astype(T.dtype), X.astype(T.dtype))
-                rep = laws.check_law(G, law)
-                assert rep == _oracle(G, law), (members, k, side, twist)
-                seen.add(rep.status)
-    assert seen == {laws.HOLDS, laws.FAILS}
+    # on every fan loop the invariance law is settled by the analysis
+    # alone: no t/p tensor is built and no full-domain plan runs, and the
+    # report is still the whole-grid oracle's
+    tensors = _record_calls(monkeypatch, core.FiniteLoop, "assoc_tensors")
+    full = _record_calls(monkeypatch, laws, "_check_full")
+    fan = [(name, G) for name, G in
+           _oracle_loops(corpus_loops, oct16, smash_products)
+           if G.analysis.is_fan_loop]
+    assert len(fan) > 20
+    for name, G in fan:
+        tensors.clear()
+        full.clear()
+        rep = laws.check_law(G, law_id)
+        assert tensors == [] and full == [], name
+        assert rep == _oracle(G, laws.get_law(law_id)), name
+
+
+def _nonassociative_fan_x_s3():
+    """W×S3, W the first nonassociative fan loop of order 6 (N(W) = {e, x1},
+    normal): a fan loop of order 36 whose nucleus N(W)×S3 is normal and not
+    commutative."""
+    W = next(W for W in census.enumerate_loops(
+        census.CensusQuery(6, filter="fan-only")) if not W.analysis.is_group)
+    return products.direct_product([W, catalog.symmetric3()])
+
+
+@pytest.mark.parametrize("forced", ["non-normal N", "non-commuting t value"])
+def test_2_3_4_goes_to_the_full_domain_when_a_premise_fails(forced,
+                                                             monkeypatch):
+    # negative controls on a patched analysis: a nucleus that is not
+    # normal (the subgroup {e}×<s>), or a t value (e, r) that does not
+    # commute with (e, s) in N, each leave 2.3.4 to the full-domain plan,
+    # which gives the oracle's report
+    G = _nonassociative_fan_x_s3()
+    law = laws.get_law("2.3.4")
+    ana = G.analysis
+    assert laws._reduced_holds(G, law, laws._pools(G)) is True
+    if forced == "non-normal N":
+        ana = dataclasses.replace(ana, nucleus=G.subset({"(e,e)", "(e,s)"}))
+    else:
+        ana = dataclasses.replace(
+            ana, t_range=ana.t_range.union(G.subset({"(e,r)"})))
+    monkeypatch.setattr(G, "_analysis", ana)
+    assert laws._reduced_holds(G, law, laws._pools(G)) is False
+    full = _record_calls(monkeypatch, laws, "_check_full")
+    rep = laws.check_law(G, law)
+    assert len(full) == 1
+    assert rep == _oracle(G, law)
 
 
 def test_check_all_computes_no_subgroup_closure(smash_products, monkeypatch):
-    # the invariance laws check every element of their pool, so once the
-    # analysis exists no subloop is generated, even with |Z| = |N| = 8
+    # the invariance laws are decided from the analysis' sets, so once it
+    # exists no subloop is generated, even with |Z| = |N| = 8
     s = dict((d.name, P) for d, P in smash_products)
     s4xC2 = products.direct_product([s["s4-xi-c2-q8"], catalog.cyclic(2)])
     calls = []

@@ -189,6 +189,34 @@ def test_normality_matches_pairwise_oracle(corpus_loops):
     assert {None, "2.7.1", "2.7.2a", "2.7.2b"} <= conditions
 
 
+def test_normality_inside_the_nucleus_skips_the_pair_loop(corpus_loops,
+                                                          monkeypatch):
+    # a subloop inside N satisfies 2.7.2 by the nucleus laws alone: every
+    # one-element-generated H ⊆ N of the corpus loops (cd4 and the six
+    # smashed products among them) is decided without a 2.7.2 slab, while
+    # a census-5 subloop outside N that passes 2.7.1 still takes them
+    calls = []
+    monkeypatch.setattr(quotient, "slabs",
+                        lambda *a: calls.append(a) or _kernels.slabs(*a))
+    census5 = list(census.enumerate_loops(census.CensusQuery(5)))
+    inside = outside = 0
+    for name, G in corpus_loops + [(f"census5-{i}", W)
+                                   for i, W in enumerate(census5)]:
+        nucleus = G.analysis.nucleus.members
+        for g in range(G.order):
+            H = core.subgroup_closure(G, [g])
+            calls.clear()
+            rep = quotient.is_normal_subloop(G, H)
+            assert rep == _normality_oracle(G, H), (name, sorted(H.members))
+            if H.members <= nucleus:
+                assert calls == [], (name, sorted(H.members))
+                inside += 1
+            elif rep.condition != "2.7.1":
+                assert len(calls) == 1, (name, sorted(H.members))
+                outside += 1
+    assert inside > 200 and outside > 200
+
+
 def test_normality_witness_across_slab_edges(monkeypatch):
     # one row of x per slab: the first violation is still the first in
     # (x, y) row-major order
