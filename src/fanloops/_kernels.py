@@ -33,7 +33,7 @@ def first(mask):
 
 
 # Elements per step of every n^3 sweep that runs in slabs of its first axis:
-# the law plans, the reduced law checks, the smashed-product cross-check and
+# the analysis' associator pass, the product and quotient cross-checks and
 # assoc_tensors.  A slab holds at least one row, so witnesses found slab by
 # slab, first to last, are still the first in C order.
 SLAB = 1 << 14

@@ -453,11 +453,12 @@ def cmd_check(path, cap=None):
         return _classify_exit(exc), _error_report("check", exc)
     reports = laws.check_all(G)
     failed = [r.law_id for r in reports if r.status == laws.FAILS]
-    # Exit 3 means the law suite disagrees with the classification (a table
-    # or implementation inconsistency).  On a non-fan loop the membership
-    # laws are *expected* to fail, and one of them always does: both they
-    # and is_fan are read from the t/p value masks.  Everything else
-    # failing, or a fan loop failing anything, is an inconsistency.
+    # Exit 3 means the law suite disagrees with the classification.  Every
+    # other law is a theorem (laws' docstring) and holds, or is not
+    # applicable, whenever its scope admits the loop, so only a membership
+    # law can fail: on a non-fan loop one of them always does, as both they
+    # and is_fan are read from the analysis' one pass over t and p.  A fan
+    # loop failing anything is an inconsistency.
     expected = () if G.analysis.is_fan_loop else laws.MEMBERSHIP
     inconsistent = [i for i in failed if i not in expected]
     code = EXIT_OK if not inconsistent else EXIT_LAW

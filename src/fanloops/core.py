@@ -9,11 +9,9 @@ so that (ab)c = t(a,b,c)·(a(bc)) and (ab)c = (a(bc))·p(a,b,c) hold by
 construction.  The identity element is always index 0 after ingestion.
 
 The analysis finds the nucleus first and reads t and p only on coset
-representatives, slab by slab, so it builds no n^3 array.  The whole
-tensors (FiniteLoop.assoc_tensors, kept on the loop) are built only for
-the law plans, which look them up at arbitrary triples; the product and
-quotient cross-checks stream _kernels.assoc_slabs, and the census builds
-its own batched tensors.
+representatives, slab by slab, so it builds no n^3 array; the product and
+quotient cross-checks stream _kernels.assoc_slabs too, and only the census
+builds whole (batched) tensors.
 """
 
 import numbers
@@ -60,7 +58,7 @@ def count(x, name, low=0):
 class FiniteLoop:
     """Immutable finite loop with precomputed division tables."""
 
-    __slots__ = ("labels", "table", "ldiv", "rdiv", "_analysis", "_tensors",
+    __slots__ = ("labels", "table", "ldiv", "rdiv", "_analysis",
                  "_label_index", "__weakref__")
 
     identity = 0
@@ -74,7 +72,6 @@ class FiniteLoop:
         for arr in (table, ldiv, rdiv):
             arr.setflags(write=False)
         self._analysis = None
-        self._tensors = None
         self._label_index = None
 
     # -- basics ------------------------------------------------------------
@@ -141,15 +138,6 @@ class FiniteLoop:
         a, b, c = map(self.element, (a, b, c))
         T = self.table
         return int(self.ldiv[T[a, T[b, c]], T[T[a, b], c]])
-
-    def assoc_tensors(self):
-        """Full n^3 tensors (t, p), computed once and kept on the loop."""
-        if self._tensors is None:
-            tensors = _kernels.assoc_tensors(self.table, self.ldiv, self.rdiv)
-            for arr in tensors:
-                arr.setflags(write=False)
-            self._tensors = tensors
-        return self._tensors
 
     def subset(self, members):
         """members as a set of this loop: an ElementSet of this loop or of
@@ -280,10 +268,13 @@ class LoopAnalysis:
     fan: ElementSet
     t_range: ElementSet
     p_range: ElementSet
-    # first failing tuple (lexicographic) for each flag that is False
+    # first failing tuple (lexicographic) for each flag that is False, and
+    # the first triple whose t, and whose p, lies outside the nucleus
     non_assoc_witness: tuple | None
     fan_witness: tuple | None
     central_witness: tuple | None
+    t_witness: tuple | None
+    p_witness: tuple | None
 
 
 def default_labels(n, identity=0):
@@ -423,14 +414,16 @@ def _analyze(G):
     conjugate by k; every conjugate occurs, as p(r1,r2,r3·k).  So t on
     R×R×R gives every t value, and p there gives every p value up to
     N-conjugation, which maps N, and its complement, onto itself.  Whether
-    a triple's t or p leaves N is thus that of its image, and the image is
-    no larger in C order: a step changes a slot only when the slot is not
-    least in its coset, and then makes it smaller, leaving earlier slots
-    alone.  The first violating triple in C order is therefore in R×R×R,
-    so the fan witness, first in that domain's C order, is the first in
-    G^3.  No normality of N is needed.  The fan verdict, t_range and
-    p_range are read on R×R×R, slab by slab from _kernels.assoc_slabs;
-    every other field needs O(n^2) lookups.
+    a triple's t leaves N is thus that of its image, and so is whether its
+    p does, and the image is no larger in C order: a step changes a slot
+    only when the slot is not least in its coset, and then makes it
+    smaller, leaving earlier slots alone.  The first triple in C order
+    whose t leaves N is therefore in R×R×R, and so is the first whose p
+    does: each witness, first in that domain's C order, is the first in
+    G^3, and the fan witness is the earlier of the two.  No normality of N
+    is needed.  The witnesses, t_range and p_range are read on R×R×R, slab
+    by slab from _kernels.assoc_slabs; every other field needs O(n^2)
+    lookups.
     """
     T, n = G.table, G.order
     nl, nm, nr = _kernels.nucleus_parts(T)
@@ -440,17 +433,17 @@ def _analyze(G):
     R = np.flatnonzero(T[:, N].min(axis=1) == np.arange(n))
     t_range = np.zeros(n, dtype=bool)
     p_values = np.zeros(n, dtype=bool)
-    fan_witness = None
+    witness = [None, None]  # the first triple whose t, and whose p, leaves N
     for a, t, p in _kernels.assoc_slabs(T, G.ldiv, G.rdiv, (R, R, R)):
         t_range[t] = True
         p_values[p] = True
-        if fan_witness is None:
-            w = _kernels.first(~(nuc[t] & nuc[p]))
-            if w is not None:
-                i, j, k = w
-                fan_witness = (int(R[a][i]), int(R[j]), int(R[k]))
+        for k, X in enumerate((t, p)):
+            if witness[k] is None and not (inside := nuc[X]).all():
+                i, j, l = _kernels.first(~inside)
+                witness[k] = (int(R[a][i]), int(R[j]), int(R[l]))
     p_range = np.zeros(n, dtype=bool)
     p_range[G.ldiv[N, T[np.flatnonzero(p_values)[:, None], N]]] = True
+    fan_witness = min((w for w in witness if w is not None), default=None)
     is_fan = fan_witness is None
 
     # the first a outside N_l, then its first pair with (ab)c != a(bc)
@@ -483,6 +476,8 @@ def _analyze(G):
         non_assoc_witness=non_assoc_witness,
         fan_witness=fan_witness,
         central_witness=central_witness,
+        t_witness=witness[0],
+        p_witness=witness[1],
     )
 
 

@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import _kernels, core, laws, quotient
+from . import _kernels, core, quotient
 from ._kernels import first
 from .config import CAYLEY_DICKSON_CAP, check_order, order_cap
 from .errors import FanLoopCheckFailed, SizeCapExceeded, ValidationFailed
@@ -517,13 +517,25 @@ def verify_smashed_product(data, P):
         w = first(got != expected)
         if w is not None:
             errs.append((check, w))
-    # --- divisions x\\y (4.4.9) and y/x (4.4.10) via the generic fan-loop
-    #     reconstructions, the registry laws 2.2.2b and 2.2.3b; a law's first
-    #     witness (a, b) is the first failing (x, y)
-    for check, law in (("4.4.9", "2.2.2b"), ("4.4.10", "2.2.3b")):
-        w = laws.check_law(P, law).witness
+    # --- divisions a\b (4.4.9) and b/a (4.4.10) against their fan-loop
+    #     reconstructions, laws 2.2.2b and 2.2.3b, gathered on every pair
+    #     (a, b) as the registry reads them, with y = a\e and u = e/a:
+    #       a\b = (yb)·p(a,y,b)    p(a,y,b) = (a(yb))\((ay)b)
+    #       b/a = (t^-1·b)u        t = t(b,u,a) = ((bu)a)/(b(ua))
+    #     the first failing (a, b) in C order is the witness
+    T, L, R = P.table, P.ldiv, P.rdiv
+    a, b = x[:, None], x
+    y, u = L[a, 0], R[0, a]
+    yb, bu = T[y, b], T[b, u]
+    p = L[T[a, yb], T[T[a, y], b]]
+    t = R[T[bu, a], T[b, T[u, a]]]
+    for check, got, expected in (
+        ("4.4.9", L[a, b], T[yb, p]),
+        ("4.4.10", R[b, a], T[T[L[t, 0], b], u]),
+    ):
+        w = first(got != expected)
         if w is not None:
-            errs.append((check, (P.index(w["a"]), P.index(w["b"]))))
+            errs.append((check, w))
 
     # --- Cor 4.7-style containment: fan(P) inside the subgroup generated by
     #     the two embedded copies of N

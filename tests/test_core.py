@@ -354,12 +354,11 @@ def test_the_label_index_is_built_on_first_use(source):
 
 def test_dropped_loop_is_freed_without_the_collector():
     # the cached analysis holds element sets of the loop; they must not
-    # keep it (and its n^3 tensors) alive until a garbage collection
+    # keep it alive until a garbage collection
     gc.disable()
     try:
         G = products.direct_product([catalog.octonion16(), catalog.cyclic(8)])
         assert G.analysis.is_fan_loop
-        G.assoc_tensors()
         ref = weakref.ref(G)
         del G
         assert ref() is None
@@ -493,7 +492,8 @@ def _fields(a):
 def _tensor_fields(G, t, p, m):
     """Every LoopAnalysis field of G read from its whole tensors t and p:
     census' batched masks m, the first a outside N_l with its first
-    non-associative pair, and _kernels.fan_violation's witness."""
+    non-associative pair, _kernels.fan_violation's witness, and the first
+    triple whose t, and whose p, leaves the nucleus."""
     a = _kernels.first(~m.nucleus_l)
     fan = bool(m.is_fan)
     out = {name: frozenset(np.flatnonzero(getattr(m, name)).tolist())
@@ -508,12 +508,14 @@ def _tensor_fields(G, t, p, m):
         non_assoc_witness=None if a is None else (*a, *_kernels.first(t[a] != 0)),
         fan_witness=None if fan else _kernels.fan_violation(t, p, m.nucleus)[1:],
         central_witness=_kernels.first(~m.central_pairs),
+        t_witness=_kernels.first(~m.nucleus[t]),
+        p_witness=_kernels.first(~m.nucleus[p]),
     )
     return out
 
 
 def _oracle(G):
-    t, p = G.assoc_tensors()
+    t, p = _kernels.assoc_tensors(G.table, G.ldiv, G.rdiv)
     return _tensor_fields(G, t, p, census.masks(G.table, G.rdiv, t, p))
 
 
@@ -594,7 +596,11 @@ def test_analysis_matches_the_tensor_oracle_on_larger_loops(corpus_loops):
     assert W.order ** 3 > _kernels.SLAB
 
 
-def test_analysis_builds_no_tensor():
+def test_analysis_builds_no_tensor(monkeypatch):
+    calls = []
+    build = _kernels.assoc_tensors
+    monkeypatch.setattr(_kernels, "assoc_tensors",
+                        lambda *a: calls.append(a) or build(*a))
     G = products.direct_product([catalog.octonion16(), catalog.quaternion8()],
                                 verify=False)
-    assert G.analysis.is_fan_loop and G._tensors is None
+    assert G.analysis.is_fan_loop and calls == []

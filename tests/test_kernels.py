@@ -186,6 +186,11 @@ def reduced_loops(n, count=None):
     return [core.verify_loop(t) for t in tables]
 
 
+def _tensors(G):
+    """G's whole t and p tensors."""
+    return _kernels.assoc_tensors(G.table, G.ldiv, G.rdiv)
+
+
 def test_latin_violation_matches_dense_kernel():
     # seeded Latin squares of order 1..11 with 0-3 cells overwritten by
     # values from -1 to n, so range, row and column faults all occur
@@ -274,7 +279,7 @@ def test_nucleus_masks_match_naive():
     # the first 40 squares of order 6 include loops whose N_l, N_m and N_r
     # differ pairwise; those of order 5 have N_m = N_r throughout
     for G in SAMPLE + reduced_loops(5) + reduced_loops(6, 40):
-        nl, nm, nr = _kernels.nucleus_masks(G.assoc_tensors()[0])
+        nl, nm, nr = _kernels.nucleus_masks(_tensors(G)[0])
         el, em, er = naive_nucleus(G.table)
         assert np.array_equal(nl, el)
         assert np.array_equal(nm, em)
@@ -338,7 +343,7 @@ def test_fan_violation_matches_lexicographic_oracle():
         masks = {"nucleus": np.logical_and.reduce(naive_nucleus(G.table)),
                  "e": only_e, "empty": np.zeros(n, dtype=bool)}
         for name, member in masks.items():
-            got = _kernels.fan_violation(*G.assoc_tensors(), member)
+            got = _kernels.fan_violation(*_tensors(G), member)
             assert got == naive_fan_violation(G.table, G.ldiv, G.rdiv, member)
             seen.add((name, got[0]))
     # fan and non-fan loops, groups and non-groups all occur
@@ -348,7 +353,7 @@ def test_fan_violation_matches_lexicographic_oracle():
 
 def test_fan_violation_octonion():
     G = catalog.octonion16()
-    t, p = G.assoc_tensors()
+    t, p = _tensors(G)
     member = np.zeros(16, dtype=bool)
     member[[0, 1]] = True  # {1, -1}, the nucleus
     assert _kernels.fan_violation(t, p, member) == (False, -1, -1, -1)

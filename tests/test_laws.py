@@ -3,20 +3,22 @@
 Strategy: the whole registry must hold on everything the package can
 build (groups, Cayley-Dickson loops, smashed products); the membership
 laws 2.1.9-t/2.1.9-p must fail with a usable witness exactly on non-fan
-loops; and law checking must be isomorphism-invariant (metamorphic test:
-relabeling a loop cannot change any verdict).
+loops; law checking must be isomorphism-invariant (metamorphic test:
+relabeling a loop cannot change any verdict); and every report must equal
+the one a whole-grid evaluation of the law's text gives, the oracle that
+this file keeps, since check_law evaluates no law itself.
 """
 
-import dataclasses
+import re
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
-from random import Random
 
 import numpy as np
 import pytest
 
-from fanloops import _kernels, catalog, census, core, laws, products
+from fanloops import _kernels, catalog, census, cli, core, laws, products
 from fanloops.errors import FanloopsError, NotApplicable, UnknownLaw
 
 ALL_IDS = laws.law_ids()
@@ -165,6 +167,87 @@ def test_law_text_uses_division_notation():
 
 # --- the registry as read from its law texts ---------------------------------
 
+class Expr:
+    """A term: a variable ("var", name), the identity ("e",) or an
+    operation of _ARRAYS applied to argument terms."""
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op, *args):
+        self.op, self.args = op, args
+
+
+def _term(text):
+    r"""Read one side of a law text into its Expr tree.
+
+    Products, written as juxtaposition or ·, bind loosest and associate to
+    the left; \ and / bind tighter and associate to the left; the suffix
+    ^-1 (x^-1 = x\e, used only where x lies in the nucleus) binds tightest.
+    [ ] are brackets like ( ), t(…) and p(…) take three arguments, e is
+    the identity and a letter with optional digits is a variable.  Raises
+    ValueError on any other text.
+    """
+    tokens = re.findall(r"\^-1|[a-z]\d*|[()\[\],·\\/]", text)
+    if "".join(tokens) != "".join(text.split()):
+        raise ValueError(f"unknown character in law text {text!r}")
+    tokens.append(None)
+    pos = 0
+
+    def take(*want):
+        nonlocal pos
+        tok = tokens[pos]
+        if tok is None or (want and tok not in want):
+            raise ValueError(f"expected {' or '.join(want) or 'a term'} at "
+                             f"{tok or 'the end'!r} in law text {text!r}")
+        pos += 1
+        return tok
+
+    def product():
+        out = quotient()
+        while tokens[pos] and (tokens[pos] in ("·", "(", "[")
+                               or tokens[pos][0].isalpha()):
+            if tokens[pos] == "·":
+                take()
+            out = Expr("·", out, quotient())
+        return out
+
+    def quotient():
+        out = power()
+        while tokens[pos] in ("\\", "/"):
+            out = Expr(take(), out, power())
+        return out
+
+    def power():
+        tok = take()
+        if tok in ("(", "["):
+            out = product()
+            take(")" if tok == "(" else "]")
+        elif tok in ("t", "p"):
+            take("(")
+            args = [product(), take(",") and product(), take(",") and product()]
+            take(")")
+            out = Expr(tok, *args)
+        elif tok[0].isalpha():
+            out = Expr("e") if tok == "e" else Expr("var", tok)
+        else:
+            raise ValueError(f"unexpected {tok!r} in law text {text!r}")
+        while tokens[pos] == "^-1":
+            take()
+            out = Expr("\\", out, Expr("e"))
+        return out
+
+    out = product()
+    if tokens[pos] is not None:
+        raise ValueError(f"trailing {tokens[pos]!r} in law text {text!r}")
+    return out
+
+
+def _trees(law):
+    """The law's clauses as Expr trees, rhs None for membership in N(G)."""
+    return [(_term(lhs), None if rhs is None else _term(rhs))
+            for lhs, rhs in law.clauses]
+
+
 def _render(expr):
     """A term fully bracketed: ((a·b)·c), t(a,b,c), e."""
     if expr.op == "var":
@@ -181,7 +264,7 @@ def _render_law(law):
     clauses = "; ".join(
         f"{_render(lhs)} in N(G)" if rhs is None
         else f"{_render(lhs)} = {_render(rhs)}"
-        for lhs, rhs in law.clauses)
+        for lhs, rhs in _trees(law))
     names = " ".join(f"{name}:{dom}" for name, dom in law.vars)
     return f"{law.id} [{names}] {law.scope}: {clauses}"
 
@@ -241,10 +324,38 @@ def test_registry_reads_as_pinned():
 ])
 def test_bad_law_text_is_refused(text):
     with pytest.raises(ValueError):
-        laws._term(text)
+        _term(text)
 
 
 # --- an independent evaluator: recursive lookups on the whole meshgrid -----
+
+@lru_cache(maxsize=1)
+def _tensors(G):
+    """G's whole t and p tensors; the oracle runs law by law on one loop,
+    so the last loop's are kept."""
+    return _kernels.assoc_tensors(G.table, G.ldiv, G.rdiv)
+
+
+# Each operation of the signature is one lookup: index the array it names at
+# the values of its arguments.
+_ARRAYS = {
+    "·": lambda G: G.table,
+    "\\": lambda G: G.ldiv,
+    "/": lambda G: G.rdiv,
+    "t": lambda G: _tensors(G)[0],   # t(x,y,z) = ((xy)z)/(x(yz))
+    "p": lambda G: _tensors(G)[1],   # p(x,y,z) = (x(yz)) \ ((xy)z)
+}
+
+
+def _pools(G):
+    """Index arrays of the quantifier domains G, N(G) and Z(G), with N read
+    off the whole t tensor and Z its commuting part, not from the
+    analysis."""
+    nuc = np.logical_and.reduce(_kernels.nucleus_masks(_tensors(G)[0]))
+    com = (G.table == G.table.T).all(axis=1)
+    return {"G": np.arange(G.order), "N": np.flatnonzero(nuc),
+            "Z": np.flatnonzero(nuc & com)}
+
 
 def _ev(G, expr, env):
     """A term's values on the open grid env: each operation indexes the
@@ -253,7 +364,7 @@ def _ev(G, expr, env):
         return env[expr.args[0]]
     if expr.op == "e":
         return np.intp(0)
-    return laws._ARRAYS[expr.op](G)[tuple(_ev(G, a, env) for a in expr.args)]
+    return _ARRAYS[expr.op](G)[tuple(_ev(G, a, env) for a in expr.args)]
 
 
 def _domains(law, pools):
@@ -266,12 +377,12 @@ def _domains(law, pools):
 
 def _oracle(G, law):
     """The law's report from whole-grid evaluation, clause by clause."""
-    pools = laws._pools(G)
+    pools = _pools(G)
     axes, shape = _domains(law, pools)
     env = {name: ax for (name, _), ax in zip(law.vars, axes)}
     per_clause = int(np.prod(shape))
-    nuc_mask = G.analysis.nucleus.mask()
-    for ci, (lhs, rhs) in enumerate(law.clauses):
+    nuc_mask = np.isin(np.arange(G.order), pools["N"])
+    for ci, (lhs, rhs) in enumerate(_trees(law)):
         lv = _ev(G, lhs, env)
         bad = ~nuc_mask[lv] if rhs is None else lv != _ev(G, rhs, env)
         coords = _kernels.first(np.broadcast_to(bad, shape))
@@ -315,13 +426,13 @@ def _scalar(G, expr, names):
 def test_expression_nodes_match_a_scalar_interpreter(oct16, smash_products):
     s4 = dict((d.name, P) for d, P in smash_products)["s4-xi-c2-q8"]
     for G in (oct16, s4, census.find_witness(5, "non-fan")):
-        pools = laws._pools(G)
+        pools = _pools(G)
         for law in laws.REGISTRY:
             axes, shape = _domains(law, pools)
             names = [name for name, _ in law.vars]
             env = dict(zip(names, axes))
             values = [pools[d].tolist() for _, d in law.vars]
-            terms = [s for clause in law.clauses for s in clause
+            terms = [s for clause in _trees(law) for s in clause
                      if s is not None]
             for k, term in enumerate(terms):
                 grid = np.broadcast_to(_ev(G, term, env), shape)
@@ -331,7 +442,7 @@ def test_expression_nodes_match_a_scalar_interpreter(oct16, smash_products):
                 assert grid.ravel().tolist() == scalar, (law.id, k)
 
 
-# --- plans and reduced domains against the whole-grid oracle -----------------
+# --- check_law against the whole-grid oracle ---------------------------------
 
 def _oracle_loops(corpus_loops, oct16, smash_products):
     """Every corpus loop, two direct products, and every non-fan loop of
@@ -346,90 +457,10 @@ def _oracle_loops(corpus_loops, oct16, smash_products):
     return loops
 
 
-def test_check_law_matches_full_meshgrid_oracle(corpus_loops, oct16,
-                                                smash_products):
-    loops = _oracle_loops(corpus_loops, oct16, smash_products)
-    reduced = 0
-    for name, G in loops:
-        pools = laws._pools(G)
-        for law in laws.REGISTRY:
-            want = _oracle(G, law)
-            # the plan on the full domain, whatever check_law decides on
-            assert laws._check_full(G, law, pools) == want, (name, law.id)
-            try:
-                rep = laws.check_law(G, law)
-            except NotApplicable:
-                continue
-            assert rep == want, (name, law.id)
-            if laws._reduced_holds(G, law, pools):
-                reduced += 1
-    # the six invariance laws and the two membership laws on every fan
-    # loop took the reduced path
-    assert reduced == 8 * sum(G.analysis.is_fan_loop for _, G in loops)
-
-
-@pytest.mark.parametrize("slab", ["1", "n"])
-def test_plans_match_the_oracle_across_slab_edges(slab, corpus_loops, oct16,
-                                                  smash_products,
-                                                  monkeypatch):
-    # one first-variable row per slab at SLAB = 1, and at SLAB = n for a
-    # binary law: every witness falls on a slab edge
-    for name, G in _oracle_loops(corpus_loops, oct16, smash_products):
-        monkeypatch.setattr(_kernels, "SLAB", 1 if slab == "1" else G.order)
-        pools = laws._pools(G)
-        for law in laws.REGISTRY:
-            want = _oracle(G, law)
-            assert laws._check_full(G, law, pools) == want, (name, law.id)
-            assert laws._reduced_holds(G, law, pools) in (
-                None, want.status == laws.HOLDS), (name, law.id)
-
-
-def test_plans_share_equal_subterms():
-    # (bc)\a, and with it bc, occurs twice in 2.2.2': one register each
-    fixed, sliced, _ = laws._plan(laws.get_law("2.2.2'"))
-    steps = [(op, args) for _, op, args in fixed + sliced]
-    assert len(steps) == len(set(steps)) == 7
-    # bc reads neither a nor its slab: it is looked up once, not per slab
-    assert [op for _, op, _ in fixed] == ["·"]
-
-
-def test_membership_reduction_fails_on_non_fan_loops():
-    # negative control: on a non-fan loop a t or p value leaves the
-    # nucleus, so the value-mask check refuses both membership laws, and
-    # the full evaluation names the oracle's witness and clause
-    loops = list(census.enumerate_loops(
-        census.CensusQuery(5, filter="non-fan")))
-    assert len(loops) == 50
-    for W in loops:
-        for law_id in ("2.1.9-t", "2.1.9-p"):
-            law = laws.get_law(law_id)
-            assert laws._reduced_holds(W, law, laws._pools(W)) is False
-            rep = laws.check_law(W, law)
-            assert rep.status == laws.FAILS and rep.clause == 0
-            assert rep == _oracle(W, law), law_id
-
-
-def test_reduced_check_catches_a_non_central_pool_element(oct16,
-                                                          monkeypatch):
-    # negative control: with e1 forced into the Z and N pools every
-    # invariance law fails, first in its slot-wise check, then with the
-    # oracle's witness
-    e1 = oct16.index("e1")
-    pools = laws._pools
-
-    def forced(G):
-        out = pools(G)
-        for dom in ("Z", "N"):
-            out[dom] = np.union1d(out[dom], [e1])
-        return out
-
-    monkeypatch.setattr(laws, "_pools", forced)
-    for law_id in laws._INVARIANCE:
-        law = laws.get_law(law_id)
-        assert laws._reduced_holds(oct16, law, forced(oct16)) is False
-        rep = laws.check_law(oct16, law)
-        assert rep.status == laws.FAILS, law_id
-        assert rep == _oracle(oct16, law), law_id
+def _squares(orders, filter, keep=lambda W: True):
+    return [(f"{filter}-{W.order}-{i}", W) for n in orders
+            for i, W in enumerate(census.enumerate_loops(
+                census.CensusQuery(n, filter=filter))) if keep(W)]
 
 
 def _record_calls(monkeypatch, owner, name):
@@ -440,63 +471,80 @@ def _record_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("law_id", laws._INVARIANCE)
+@pytest.mark.parametrize("family", [
+    "fan-squares-1-6", "non-fan-squares-4-5", "non-fan-squares-6-nucleus",
+    "oracle-loops"])
+def test_check_law_matches_full_meshgrid_oracle(family, corpus_loops, oct16,
+                                                smash_products, monkeypatch):
+    # every law on every loop of the family: a fan-scope law is not
+    # applicable exactly when the oracle's N misses a t or p value, and
+    # every other verdict is the oracle's report, witness, clause and
+    # tuple count, decided without a whole t/p tensor
+    loops = {
+        "fan-squares-1-6": lambda: _squares(range(1, 7), "fan-only"),
+        "non-fan-squares-4-5": lambda: _squares((4, 5), "non-fan"),
+        "non-fan-squares-6-nucleus": lambda: _squares(
+            (6,), "non-fan", lambda W: len(W.analysis.nucleus) > 1),
+        "oracle-loops": lambda: _oracle_loops(corpus_loops, oct16,
+                                              smash_products),
+    }[family]()
+    assert len(loops) == {"fan-squares-1-6": 313, "non-fan-squares-4-5": 50,
+                          "non-fan-squares-6-nucleus": 60,
+                          "oracle-loops": 82}[family]
+    tensors = _record_calls(monkeypatch, _kernels, "assoc_tensors")
+    for name, G in loops:
+        want = {law.id: _oracle(G, law) for law in laws.REGISTRY}
+        fan = all(want[i] for i in laws.MEMBERSHIP)
+        tensors.clear()
+        for law in laws.REGISTRY:
+            if law.scope == "fan" and not fan:
+                with pytest.raises(NotApplicable):
+                    laws.check_law(G, law)
+            else:
+                assert laws.check_law(G, law) == want[law.id], (name, law.id)
+        assert tensors == [], name
+
+
+def test_membership_reduction_fails_on_non_fan_loops():
+    # negative control: on a non-fan loop a t or p value leaves the
+    # nucleus, so both membership laws fail, with the oracle's witness and
+    # clause
+    loops = list(census.enumerate_loops(
+        census.CensusQuery(5, filter="non-fan")))
+    assert len(loops) == 50
+    for W in loops:
+        for law_id in ("2.1.9-t", "2.1.9-p"):
+            law = laws.get_law(law_id)
+            rep = laws.check_law(W, law)
+            assert rep.status == laws.FAILS and rep.clause == 0
+            assert rep == _oracle(W, law), law_id
+
+
+_INVARIANCE = ("2.3.1", "2.3.1'", "2.3.3", "2.3.3'", "2.3.4", "2.3.4'")
+
+
+@pytest.mark.parametrize("law_id", _INVARIANCE)
 def test_invariance_law_is_decided_from_the_analysis(law_id, corpus_loops,
                                                      oct16, smash_products,
                                                      monkeypatch):
     # on every fan loop the invariance law is settled by the analysis
-    # alone: no t/p tensor is built and no full-domain plan runs, and the
-    # report is still the whole-grid oracle's
-    tensors = _record_calls(monkeypatch, core.FiniteLoop, "assoc_tensors")
-    full = _record_calls(monkeypatch, laws, "_check_full")
+    # alone: no t/p tensor is built, and the report is still the
+    # whole-grid oracle's
+    tensors = _record_calls(monkeypatch, _kernels, "assoc_tensors")
     fan = [(name, G) for name, G in
            _oracle_loops(corpus_loops, oct16, smash_products)
            if G.analysis.is_fan_loop]
     assert len(fan) > 20
     for name, G in fan:
         tensors.clear()
-        full.clear()
         rep = laws.check_law(G, law_id)
-        assert tensors == [] and full == [], name
+        assert tensors == [], name
         assert rep == _oracle(G, laws.get_law(law_id)), name
 
 
-def _nonassociative_fan_x_s3():
-    """W×S3, W the first nonassociative fan loop of order 6 (N(W) = {e, x1},
-    normal): a fan loop of order 36 whose nucleus N(W)×S3 is normal and not
-    commutative."""
-    W = next(W for W in census.enumerate_loops(
-        census.CensusQuery(6, filter="fan-only")) if not W.analysis.is_group)
-    return products.direct_product([W, catalog.symmetric3()])
-
-
-@pytest.mark.parametrize("forced", ["non-normal N", "non-commuting t value"])
-def test_2_3_4_goes_to_the_full_domain_when_a_premise_fails(forced,
-                                                             monkeypatch):
-    # negative controls on a patched analysis: a nucleus that is not
-    # normal (the subgroup {e}×<s>), or a t value (e, r) that does not
-    # commute with (e, s) in N, each leave 2.3.4 to the full-domain plan,
-    # which gives the oracle's report
-    G = _nonassociative_fan_x_s3()
-    law = laws.get_law("2.3.4")
-    ana = G.analysis
-    assert laws._reduced_holds(G, law, laws._pools(G)) is True
-    if forced == "non-normal N":
-        ana = dataclasses.replace(ana, nucleus=G.subset({"(e,e)", "(e,s)"}))
-    else:
-        ana = dataclasses.replace(
-            ana, t_range=ana.t_range.union(G.subset({"(e,r)"})))
-    monkeypatch.setattr(G, "_analysis", ana)
-    assert laws._reduced_holds(G, law, laws._pools(G)) is False
-    full = _record_calls(monkeypatch, laws, "_check_full")
-    rep = laws.check_law(G, law)
-    assert len(full) == 1
-    assert rep == _oracle(G, law)
-
-
 def test_check_all_computes_no_subgroup_closure(smash_products, monkeypatch):
-    # the invariance laws are decided from the analysis' sets, so once it
-    # exists no subloop is generated, even with |Z| = |N| = 8
+    # the laws are decided from the analysis' sets, so once it exists no
+    # subloop is generated, even with |Z| = |N| = 8
     s = dict((d.name, P) for d, P in smash_products)
     s4xC2 = products.direct_product([s["s4-xi-c2-q8"], catalog.cyclic(2)])
     calls = []
@@ -512,11 +560,20 @@ def test_check_all_computes_no_subgroup_closure(smash_products, monkeypatch):
         assert calls == []
 
 
-def test_check_all_builds_the_pools_once(oct16, monkeypatch):
-    # one sort of N and Z per loop, and the same reports as law by law
-    calls = []
-    pools = laws._pools
-    monkeypatch.setattr(laws, "_pools", lambda G: calls.append(G) or pools(G))
-    reports = laws.check_all(oct16)
-    assert calls == [oct16]
-    assert reports == [laws.check_law(oct16, law) for law in laws.REGISTRY]
+def test_cmd_check_builds_no_tensor(tmp_path, monkeypatch):
+    # oct16 × Q8 (n = 128): t and p would take 4 MB each; the analysis
+    # reads them slab by slab and every law is decided from it
+    path = tmp_path / "oct16xq8.loop"
+    path.write_text(cli.serialize_loop(products.direct_product(
+        [catalog.octonion16(), catalog.quaternion8()])))
+    tensors = _record_calls(monkeypatch, _kernels, "assoc_tensors")
+    tracemalloc.start()
+    try:
+        code, report = cli.cmd_check(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK and report["failedLaws"] == []
+    assert report["analysis"]["isFanLoop"] and len(report["laws"]) == 30
+    assert tensors == []
+    assert peak < 4 << 20, peak

@@ -454,10 +454,14 @@ def test_omitted_smashing_tables_are_not_built_before_the_cap(monkeypatch):
     assert peak < 1 << 20, peak
 
 
-def test_product_analysis_and_quotient_build_no_tensors():
+def test_product_analysis_and_quotient_build_no_tensors(monkeypatch):
     # oct16 × Q8 (n = 128): t and p would take 4 MB each, and the
     # cross-checks, the analysis and the quotient's group check read slabs
     oct16, q8 = catalog.octonion16(), catalog.quaternion8()
+    calls = []
+    build = _kernels.assoc_tensors
+    monkeypatch.setattr(_kernels, "assoc_tensors",
+                        lambda *a: calls.append(a) or build(*a))
     tracemalloc.start()
     try:
         P = products.direct_product([oct16, q8])
@@ -467,7 +471,7 @@ def test_product_analysis_and_quotient_build_no_tensors():
     finally:
         tracemalloc.stop()
     assert Q.order * len(P.analysis.fan) == P.order
-    assert P._tensors is None and Q._tensors is None
+    assert calls == []
     assert peak < 4 << 20, peak
 
 
@@ -567,6 +571,11 @@ def test_left_division_exact_form_discriminates_on_s6(smash_products):
 _ASSOC_SLABS = _kernels.assoc_slabs
 
 
+def _tensors(P):
+    """P's whole t and p tensors."""
+    return _kernels.assoc_tensors(P.table, P.ldiv, P.rdiv)
+
+
 def _serve(monkeypatch, P, t, p):
     """Have _kernels.assoc_slabs yield the tensors (t, p), planted copies of
     P's, as P's slabs; every other table and domain is computed as usual."""
@@ -597,7 +606,7 @@ def test_componentwise_assoc_witness_names_the_tensor(tamper, expect,
     # witness, and t is searched before p
     A, B = catalog.cyclic(2), catalog.symmetric3()
     P = products.direct_product([A, B])
-    tensors = dict(zip("tp", (X.copy() for X in P.assoc_tensors())))
+    tensors = dict(zip("tp", (X.copy() for X in _tensors(P))))
     for name, idx in tamper.items():
         tensors[name][idx] = 1
     _serve(monkeypatch, P, tensors["t"], tensors["p"])
@@ -646,7 +655,7 @@ def test_cross_check_witnesses_on_planted_tables(monkeypatch):
     # checks that no data edit reaches alone: a t entry (p agrees), and a
     # pair of entries swapped in a row of each division table
     P = _product("s4")
-    t, p = (X.copy() for X in P.assoc_tensors())
+    t, p = (X.copy() for X in _tensors(P))
     t[3, 5, 6] = (t[3, 5, 6] + 1) % 16
     _serve(monkeypatch, P, t, p)
     assert products.verify_smashed_product(_instance("s4"), P) == [
@@ -664,7 +673,7 @@ def _first_changed_row(P, t, p):
     """Row-at-a-time reference for 4.4.1/4.4.2: the first x1 row where the
     planted tensors differ from P's own, which match the closed forms,
     with 4.4.2 (p) before 4.4.1 (t) on that row."""
-    t0, p0 = P.assoc_tensors()
+    t0, p0 = _tensors(P)
     for x1 in range(P.order):
         for check, X, X0 in (("4.4.2", p, p0), ("4.4.1", t, t0)):
             w = _kernels.first(X[x1] != X0[x1])
@@ -692,7 +701,7 @@ def test_blocked_associator_check_matches_a_row_loop(prefix, slab,
         [("t", (k - 1, 3, 3)), ("p", (k, 0, 0))],
     ]
     for plant in plants:
-        t, p = (X.copy() for X in P.assoc_tensors())
+        t, p = (X.copy() for X in _tensors(P))
         for name, idx in plant:
             X = t if name == "t" else p
             X[idx] = (X[idx] + 1) % n
