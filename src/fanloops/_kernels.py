@@ -33,9 +33,10 @@ def first(mask):
 
 
 # Elements per step of every n^3 sweep that runs in slabs of its first axis:
-# the analysis' associator pass, the product and quotient cross-checks and
-# assoc_tensors.  A slab holds at least one row, so witnesses found slab by
-# slab, first to last, are still the first in C order.
+# the analysis' associator pass, the census classifier, the product and
+# quotient cross-checks and assoc_tensors.  A slab holds at least one row,
+# so witnesses found slab by slab, first to last, are still the first in C
+# order.
 SLAB = 1 << 14
 
 
@@ -75,7 +76,9 @@ def latin_violation(table):
 # Stack axes.  division_tables, assoc_slabs, assoc_tensors, nucleus_masks,
 # nucleus_screen, value_mask and central_mask take any leading axes,
 # (..., n, n), and treat each n×n slice as its own table; with none they
-# index as for a single table.  The gathers and scatters index the
+# index as for a single table.  The census classifies its stacks of 256
+# squares through division_tables, nucleus_screen, the slabs of assoc_slabs,
+# value_mask and central_mask.  The gathers and scatters index the
 # flattened stack, table k's cells from k·n² on: one flat index array is
 # faster than one index array per axis.
 # ---------------------------------------------------------------------------
@@ -102,6 +105,7 @@ def division_tables(table):
 # ---------------------------------------------------------------------------
 # Associator defect tensors:
 #   t[a,b,c] = ((ab)c) / (a(bc))      p[a,b,c] = (a(bc)) \ ((ab)c)
+# Every reader in the package streams them from assoc_slabs.
 # ---------------------------------------------------------------------------
 
 def assoc_slabs(table, ldiv, rdiv, domain=None):
@@ -138,6 +142,12 @@ def assoc_slabs(table, ldiv, rdiv, domain=None):
         yield a, flat_r.take(lhs), flat_lT.take(lhs)
 
 
+# ---------------------------------------------------------------------------
+# The whole-tensor kernels: assoc_tensors, nucleus_masks and fan_violation.
+# No package code calls them.  They are kept as the tests' oracles for the
+# streamed passes, and for the span names perfbench's tracer wraps.
+# ---------------------------------------------------------------------------
+
 def assoc_tensors(table, ldiv, rdiv):
     """The whole tensors (t, p), filled slab by slab from assoc_slabs."""
     lead, n = table.shape[:-2], table.shape[-1]
@@ -149,15 +159,22 @@ def assoc_tensors(table, ldiv, rdiv):
     return t, p
 
 
-# ---------------------------------------------------------------------------
 # Nucleus part membership masks, read from the t tensor: t[a,b,c] = e
 # exactly when (ab)c = a(bc), so
 #   nl[a] = forall b,c: t[a,b,c] == e   (and likewise over slots 2, 3)
-# ---------------------------------------------------------------------------
-
 def nucleus_masks(t):
     return (~t.any(axis=(-2, -1)), ~t.any(axis=(-3, -1)),
             ~t.any(axis=(-3, -2)))
+
+
+# First (a,b,c) in lexicographic order with t[a,b,c] or p[a,b,c] outside a
+# membership mask.
+def fan_violation(t, p, member):
+    for a in range(t.shape[0]):
+        w = first(~(member[t[a]] & member[p[a]]))
+        if w is not None:
+            return (True, a, *w)
+    return False, -1, -1, -1
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +265,13 @@ def nucleus_parts(table):
 
 
 # ---------------------------------------------------------------------------
-# Value sets of the t/p tensors, and the central-fan pair condition.
+# Value sets of t/p slabs, and the central-fan pair condition.
 # ---------------------------------------------------------------------------
 
 def value_mask(X):
-    """mask[..., v] iff v occurs in the tensor X[...] of shape (n, n, n);
-    unlike np.unique, no sorted copy of X."""
+    """mask[..., v] iff v occurs in X[...], a slab of shape (m, n, n) of a
+    t or p tensor (m = n for a whole tensor); unlike np.unique, no sorted
+    copy of X."""
     lead, n = X.shape[:-3], X.shape[-1]
     mask = np.zeros((*lead, n), dtype=bool)
     start = np.arange(0, mask.size, n).reshape(*lead, 1, 1, 1)
@@ -268,19 +286,6 @@ def central_mask(table, rdiv, member):
     T = table.astype(np.intp)
     q = rdiv.ravel()[start + T * n + T.swapaxes(-1, -2)]  # (ab)/(ba)
     return member.ravel()[start // n + q]
-
-
-# ---------------------------------------------------------------------------
-# First (a,b,c) in lexicographic order with t[a,b,c] or p[a,b,c] outside a
-# membership mask.  Used for fan-loop witnesses.
-# ---------------------------------------------------------------------------
-
-def fan_violation(t, p, member):
-    for a in range(t.shape[0]):
-        w = first(~(member[t[a]] & member[p[a]]))
-        if w is not None:
-            return (True, a, *w)
-    return False, -1, -1, -1
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,20 @@
 Reduced form (first row and column in natural order) is the enumeration
 unit; every reduced square of order n is a loop table with identity 0.
 The squares are classified in fixed batches, stacked as one (k, n, n)
-array through the batched classifier `masks`, which reads whole
-associator tensors (core's per-loop analysis reads none), so each filter
-is one mask over the batch and a FiniteLoop is built only for the squares
-emitted, on row views of one copy per batch of those squares.  The n^3
-associator tensors are built only for the squares where some a != e
-passes the O(n^2) nucleus screen, the only squares that can be fan
-(1,032 of 9,408 at order 6, none of the first 131,072 at order 7).  The
-number of reduced squares of each order is known (OEIS A000315), and every
-pass that runs to the end checks that the enumerator yielded exactly that
-many.  The census is a corpus feeder for fan/non-fan examples —
+array, so each filter is one mask over the batch and a FiniteLoop is built
+only for the squares emitted, on row views of one copy per batch of those
+squares.  The associators are read, in one pass over the slabs of
+_kernels.assoc_slabs that builds no whole n^3 tensor, only for the squares
+where some a != e passes the O(n^2) nucleus screen, the only squares that
+can be fan (1,032 of 9,408 at order 6, none of the first 131,072 at order
+7).  The number of reduced squares of each order is known (OEIS A000315),
+and every pass that runs to the end checks that the enumerator yielded
+exactly that many.  The census is a corpus feeder for fan/non-fan examples —
 including loops where the left and right inverses split (e/a != a\\e for
 some a).
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,51 +25,39 @@ from .config import CENSUS_ORDER_CAP, check_order
 from .errors import FanLoopCheckFailed, UnknownPredicate
 
 # Squares classified per batch.  Large enough that the per-call overhead of
-# the kernels is spread thin, small enough that a batch's tensors stay a
-# few hundred kB.
+# the kernels is spread thin, small enough that a batch's associator slabs
+# stay a few hundred kB.
 _BATCH = 256
 
 FILTERS = ("all", "fan-only", "non-fan", "central-fan",
            "nontrivial-two-sided-inverse-split")
 
 
-class Masks(NamedTuple):
-    """The element masks of a stack of tables.  Each has the stack axes,
-    then one axis over the elements; is_fan has only the stack axes,
-    central_pairs two element axes."""
-
-    nucleus_l: np.ndarray
-    nucleus_m: np.ndarray
-    nucleus_r: np.ndarray
-    nucleus: np.ndarray
-    com: np.ndarray
-    center: np.ndarray
-    t_range: np.ndarray
-    p_range: np.ndarray
-    is_fan: np.ndarray
-    central_pairs: np.ndarray  # [..., a, b]: (ab)/(ba) lies in Z
-
-
-def masks(table, rdiv, t, p):
-    """Masks of a stack of tables (..., n, n), given its right divisions
-    and associator tensors: the batched classifier of the census, which
-    reads whole tensors where core's per-loop analysis reads none."""
-    nl, nm, nr = _kernels.nucleus_masks(t)
-    nuc = nl & nm & nr
-    com = (table == table.swapaxes(-1, -2)).all(axis=-1)
-    z = com & nuc
-    t_range, p_range = _kernels.value_mask(t), _kernels.value_mask(p)
-    # fan: every associator value lies in the nucleus
-    is_fan = ~((t_range | p_range) & ~nuc).any(axis=-1)
-    return Masks(nl, nm, nr, nuc, com, z, t_range, p_range, is_fan,
-                 _kernels.central_mask(table, rdiv, z))
+def _nucleus_and_values(batch, ldiv, rdiv):
+    """(N_l, N_m, N_r, values) of a stack of tables, each (k, n): the
+    nucleus parts and the values of t and p, read in one pass over the
+    slabs of _kernels.assoc_slabs.  t[a, b, c] = e exactly when
+    (ab)c = a(bc), so a slab of rows a decides N_l on those rows, and
+    narrows N_m and N_r, which quantify over every a."""
+    k, n = batch.shape[0], batch.shape[-1]
+    nl = np.empty((k, n), dtype=bool)
+    nm = np.ones((k, n), dtype=bool)
+    nr = np.ones((k, n), dtype=bool)
+    values = np.zeros((k, n), dtype=bool)
+    for a, t, p in _kernels.assoc_slabs(batch, ldiv, rdiv):
+        nl[:, a] = ~t.any(axis=(-2, -1))
+        nm &= ~t.any(axis=(-3, -1))
+        nr &= ~t.any(axis=(-3, -2))
+        values |= _kernels.value_mask(t) | _kernels.value_mask(p)
+    return nl, nm, nr, values
 
 
 def _filter_masks(batch, ldiv, rdiv, names):
     """Filter name -> boolean mask over a (k, n, n) stack of loop tables,
-    for at least ``names``: no tensor is built when none of them reads one.
+    for at least ``names``: no associator is read when none of them needs
+    one.
 
-    The tensors are built only for the squares that can be fan.  A fan
+    The associators are read only for the squares that can be fan.  A fan
     loop's associators lie in its nucleus N, so with N = {e} it would be
     a group, whose nucleus is the whole loop: at order n >= 2 every fan
     square has a nucleus element a != e, and every nucleus element passes
@@ -90,10 +76,15 @@ def _filter_masks(batch, ldiv, rdiv, names):
         keep = (_kernels.nucleus_screen(batch)[:, 1:].any(axis=-1)
                 | (batch.shape[-1] == 1))
         if keep.any():
-            sub, sub_l, sub_r = batch[keep], ldiv[keep], rdiv[keep]
-            m = masks(sub, sub_r, *_kernels.assoc_tensors(sub, sub_l, sub_r))
-            is_fan[keep] = m.is_fan
-            central[keep] = m.is_fan & m.central_pairs.all(axis=(-2, -1))
+            sub, sub_r = batch[keep], rdiv[keep]
+            nl, nm, nr, values = _nucleus_and_values(sub, ldiv[keep], sub_r)
+            nuc = nl & nm & nr
+            z = (sub == sub.swapaxes(-1, -2)).all(axis=-1) & nuc
+            # fan: every associator value lies in the nucleus
+            fan = ~(values & ~nuc).any(axis=-1)
+            is_fan[keep] = fan
+            central[keep] = fan & _kernels.central_mask(sub, sub_r, z).all(
+                axis=(-2, -1))
         out.update({"fan-only": is_fan, "non-fan": ~is_fan,
                       "central-fan": central})
     return out

@@ -9,9 +9,10 @@ so that (ab)c = t(a,b,c)·(a(bc)) and (ab)c = (a(bc))·p(a,b,c) hold by
 construction.  The identity element is always index 0 after ingestion.
 
 The analysis finds the nucleus first and reads t and p only on coset
-representatives, slab by slab, so it builds no n^3 array; the product and
-quotient cross-checks stream _kernels.assoc_slabs too, and only the census
-builds whole (batched) tensors.
+representatives, slab by slab, so it builds no n^3 array; the census
+classifier and the product and quotient cross-checks stream
+_kernels.assoc_slabs too, so no code in the package builds a whole t or p
+tensor.
 """
 
 import numbers

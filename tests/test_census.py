@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import test_kernels
 from fanloops import _kernels, census, cli, core
 from fanloops.config import CENSUS_ORDER_CAP
 from fanloops.errors import (
@@ -372,9 +373,10 @@ def test_limit_prefix_across_batch_edges(filter):
     ("all", False), ("nontrivial-two-sided-inverse-split", False),
     ("non-fan", True), ("central-fan", True)])
 def test_only_the_tensor_filters_build_tensors(filter, tensors, monkeypatch):
+    # the filters that read associators stream them from assoc_slabs
     calls = []
-    build = _kernels.assoc_tensors
-    monkeypatch.setattr(_kernels, "assoc_tensors",
+    build = _kernels.assoc_slabs
+    monkeypatch.setattr(_kernels, "assoc_slabs",
                         lambda *args: calls.append(1) or build(*args))
     emitted = sum(1 for _ in census.enumerate_loops(
         census.CensusQuery(5, filter)))
@@ -396,11 +398,11 @@ def _batches_of(order):
 
 def _tensor_masks_differ(batches):
     """Whether _filter_masks differs, on some batch, from the verdicts of
-    census.masks on the whole batch, with no screen."""
+    the whole-tensor masks of the whole batch, with no screen."""
     for batch, ldiv, rdiv in batches:
         got = census._filter_masks(batch, ldiv, rdiv, census.FILTERS)
-        m = census.masks(batch, rdiv,
-                       *_kernels.assoc_tensors(batch, ldiv, rdiv))
+        m = test_kernels.masks(batch, rdiv,
+                               *_kernels.assoc_tensors(batch, ldiv, rdiv))
         want = {"fan-only": m.is_fan, "non-fan": ~m.is_fan,
                 "central-fan": m.is_fan & m.central_pairs.all(axis=(-2, -1))}
         if any(not np.array_equal(got[name], want[name]) for name in want):
@@ -431,8 +433,8 @@ def test_a_screen_that_drops_nucleus_elements_is_caught(screen_batches,
 
 def test_only_the_screened_squares_reach_the_tensors(monkeypatch):
     sent = []
-    build = _kernels.assoc_tensors
-    monkeypatch.setattr(_kernels, "assoc_tensors",
+    build = _kernels.assoc_slabs
+    monkeypatch.setattr(_kernels, "assoc_slabs",
                         lambda table, *args: sent.append(table.copy())
                         or build(table, *args))
 
@@ -449,6 +451,27 @@ def test_only_the_screened_squares_reach_the_tensors(monkeypatch):
     assert len(squares) == 9408 and 300 <= kept.sum() < 1100
     classify(_prefix7())
     assert not sent
+
+
+@pytest.mark.parametrize("slab", [1 << 14, 8])
+def test_streamed_masks_match_the_tensor_masks(slab, monkeypatch):
+    # every batch of orders 1-6 with no screen; N_m and N_r are narrowed
+    # slab by slab, so a pass that kept only the last slab's shows where a
+    # batch takes several: six at order 6 with the default SLAB, one per
+    # row at 8
+    monkeypatch.setattr(_kernels, "SLAB", slab)
+    most = 0
+    for n in range(1, 7):
+        for batch, ldiv, rdiv in _batches_of(n):
+            t, p = _kernels.assoc_tensors(batch, ldiv, rdiv)
+            want = (*_kernels.nucleus_masks(t),
+                    _kernels.value_mask(t) | _kernels.value_mask(p))
+            got = census._nucleus_and_values(batch, ldiv, rdiv)
+            assert len(got) == len(want)
+            for part, oracle in zip(got, want):
+                assert np.array_equal(part, oracle)
+            most = max(most, len(_kernels.slabs(n, len(batch) * n * n)))
+    assert most == 6
 
 
 def test_batches_are_full_across_stack_edges():

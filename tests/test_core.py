@@ -14,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
+import test_kernels
 from fanloops import _kernels, catalog, census, core, haar, products, quotient
 from fanloops.errors import (
     LoopMismatch,
@@ -491,7 +492,7 @@ def _fields(a):
 
 def _tensor_fields(G, t, p, m):
     """Every LoopAnalysis field of G read from its whole tensors t and p:
-    census' batched masks m, the first a outside N_l with its first
+    the whole-tensor masks m, the first a outside N_l with its first
     non-associative pair, _kernels.fan_violation's witness, and the first
     triple whose t, and whose p, leaves the nucleus."""
     a = _kernels.first(~m.nucleus_l)
@@ -516,7 +517,8 @@ def _tensor_fields(G, t, p, m):
 
 def _oracle(G):
     t, p = _kernels.assoc_tensors(G.table, G.ldiv, G.rdiv)
-    return _tensor_fields(G, t, p, census.masks(G.table, G.rdiv, t, p))
+    return _tensor_fields(G, t, p,
+                          test_kernels.masks(G.table, G.rdiv, t, p))
 
 
 def _nucleus_is_normal(G):
@@ -533,13 +535,13 @@ def _square_loops(orders, keep=lambda m, k: True):
         for batch in _kernels.reduced_latin_squares(order, 256):
             ldiv, rdiv = _kernels.division_tables(batch)
             t, p = _kernels.assoc_tensors(batch, ldiv, rdiv)
-            m = census.masks(batch, rdiv, t, p)
+            m = test_kernels.masks(batch, rdiv, t, p)
             for k in range(len(batch)):
                 if keep(m, k):
                     G = core.FiniteLoop(labels, batch[k].copy(),
                                         ldiv[k].copy(), rdiv[k].copy())
-                    yield G, _tensor_fields(G, t[k], p[k],
-                                            census.Masks(*(x[k] for x in m)))
+                    yield G, _tensor_fields(
+                        G, t[k], p[k], test_kernels.Masks(*(x[k] for x in m)))
 
 
 def test_analysis_matches_the_tensor_oracle_on_every_small_square():

@@ -1,11 +1,14 @@
 """Byte-identity of command reports: a manifest of sha256 sums.
 
-Each case renders one report through cli.main in-process, with the same
-command line, working directory and input file names as the shell
+Each command case renders one report through cli.main in-process, with the
+same command line, working directory and input file names as the shell
 commands it stands for, since a report embeds its input path:
-`fanloops check src/fanloops/corpus/<name>.loop` from the repository root,
+`fanloops check src/fanloops/corpus/<name>.loop` (and every command that
+names no built loop, `fanloops census` included) from the repository root,
 and `fanloops check <name>.loop` next to a serialized loop in a temporary
-directory.  The sums were taken from those commands.
+directory.  Each builder case renders the analysis report of a built loop,
+cli.render_report(cli.analysis_report(G)).  The sums were taken from those
+commands and scripts.
 """
 
 import hashlib
@@ -24,8 +27,8 @@ def _s4():
     return products.smashed_product(cli.parse_smash_file(str(path))[0])
 
 
-# Loops serialized into the temporary directory, built as the sums' commands
-# built them.
+# Loops built as the sums' commands and scripts built them: serialized into
+# the temporary directory for a command, analysed for a builder case.
 _BUILT = {
     "non-fan-5": lambda: census.find_witness(5, "non-fan"),
     "cd4": lambda: products.cayley_dickson_basis_loop(4),
@@ -36,10 +39,22 @@ _BUILT = {
         [products.cayley_dickson_basis_loop(4), catalog.cyclic(2)]),
     "oct16xq8": lambda: products.direct_product(
         [catalog.octonion16(), catalog.quaternion8()]),
+    "cd5": lambda: products.cayley_dickson_basis_loop(5),
+    "oct16xoct16": lambda: products.direct_product(
+        [catalog.octonion16(), catalog.octonion16()]),
+    "non-fan-5xc8": lambda: products.direct_product(
+        [census.find_witness(5, "non-fan"), catalog.cyclic(8)]),
 }
 
-# (case id, command line, sha256).  A path under CORPUS runs from the
-# repository root, any other from the temporary directory.
+
+def _analysis(name):
+    """A builder case: the analysis report of the built loop `name`."""
+    return lambda: cli.render_report(cli.analysis_report(_BUILT[name]()))
+
+
+# (case id, command line or builder, sha256).  A command that names a built
+# loop runs from the temporary directory, any other from the repository
+# root.
 MANIFEST = [
     # taken before law clauses were compiled into slab-wise plans; the
     # non-fan loop of order 5 fails both membership laws, so its witnesses
@@ -82,22 +97,86 @@ MANIFEST = [
      "95176c2fe48e10c7871e70a266e1a828a473c5fdfff40da9a5f0833640eb9fcf"),
     ("check-oct16xq8", ["check", "oct16xq8.loop"],
      "f56d1a63312e26975a06e6612e19a462e702f31acc46d69a58f9b73ef9af9b5a"),
+    # taken before the census classified in batches (the non-fan stream:
+    # before it enumerated in stacks); order 6 crosses many batch and stack
+    # edges.  The order 7, 4 and 1 sums were taken before the census read
+    # its reduced-square totals from OEIS A000315, and the order-7 fan-only
+    # one before the census screened squares for a nucleus: its first fan
+    # square is at stream index 3,097,894, and it is the one case that
+    # classifies squares of order 7.  The order-6 fan-only and
+    # inverse-split sums were taken before the census built its emitted
+    # loops from one copy of each batch's emitted squares; fan-only keeps
+    # few squares of a batch
+    ("census-5-non-fan", ["census", "5", "--filter", "non-fan"],
+     "1478ff654fbad3a2836869eeeb3ad32803032e879d9c7b1fe961f917e53f1eec"),
+    ("census-6-central-fan", ["census", "6", "--filter", "central-fan"],
+     "fb6beed5185805d406e0b7c79cfd30573bdf1ff1b1d544c0d04eb54734b84602"),
+    ("census-6-non-fan", ["census", "6", "--filter", "non-fan"],
+     "9d5d2ca5033ca77307a6a8661ddaabbb072723b9a51f2e7b3116e792dead0dc5"),
+    ("census-6-fan-only", ["census", "6", "--filter", "fan-only"],
+     "92d114c3ecc7a6fc3573e6d126ffbdaa8120e0b05cfc576566600e05b09d165c"),
+    ("census-6-split",
+     ["census", "6", "--filter", "nontrivial-two-sided-inverse-split"],
+     "5e80259410bb38c6622deaebc7aacee5ad97e18406a9c1f7f40957a3936b32b3"),
+    ("census-7-limit-2", ["census", "7", "--limit", "2"],
+     "b35b3eb375ec72ce5a8a6ac7fb0c1f14cf3ec69b7c681a405eac45abc86c6eb6"),
+    ("census-7-fan-only-limit-1",
+     ["census", "7", "--filter", "fan-only", "--limit", "1"],
+     "61951eb9bde642143b5da4bd1a8d949f627b450e214e66f6d0efa65c4be65359"),
+    ("census-4", ["census", "4"],
+     "80e23b7d97f8c8ffce16b614777f29e2f91a2e1f18fe0bd0828e2c1243f1d31b"),
+    ("census-1", ["census", "1"],
+     "c897ca8dd3a80949e40cdb00e4cdac916f2be2b3060e5bd624246eb0f872fc61"),
+    # taken before covering LPs were built from the functions' integer
+    # forms: the octonion loop with and without a reference file, and Q8
+    # with the defaults.  The two seeded cases (taken before LoopFunction
+    # kept only its integer form) draw other random references and fan
+    # averages
+    ("haar-oct16", ["haar", f"{CORPUS}/oct16.loop", "-f",
+                    f"{CORPUS}/chi_e1.fn", "-f", f"{CORPUS}/halves.fn"],
+     "2e77c608d6ced3af1b4e0f1ee4cdc3e042c6020ebf569215b29db39c9d17851c"),
+    ("haar-oct16-f0", ["haar", f"{CORPUS}/oct16.loop", "--f0",
+                       f"{CORPUS}/halves.fn", "-f", f"{CORPUS}/chi_e1.fn"],
+     "4ee2e018806bbe88d23a6bda8cface0155555526873cf21428aa8ed6f277522b"),
+    ("haar-q8", ["haar", f"{CORPUS}/q8.loop"],
+     "00ca2a18b3ead9e84d8fc31b318862fb8e8527a256ec243eadb3580fd6e473aa"),
+    ("haar-oct16-seed11", ["--seed", "11", "haar", f"{CORPUS}/oct16.loop",
+                           "-f", f"{CORPUS}/halves.fn"],
+     "1b430ee3c387346b71e786b4e7c05faff826e0068872e9e7c8b77ef1d211a2fd"),
+    ("haar-d4-seed3", ["--seed", "3", "haar", f"{CORPUS}/d4.loop"],
+     "cfd41a5cdc5fc0c68a005600a5da4db3c81582b64089c55a8624bc5b79414da4"),
+    # taken before the analysis found the nucleus first and read the
+    # associators on coset representatives, when every field came from the
+    # whole n^3 tensors
+    ("analysis-cd4", _analysis("cd4"),
+     "3a5b989511a1784d8762d34fc566b1164e9a340a71cf88d9a967d561baca183a"),
+    ("analysis-cd5", _analysis("cd5"),
+     "e0e8b23b433955e352b422d258274d09bb230bdd3d18018213e99fe341fbb7ff"),
+    ("analysis-oct16xc2", _analysis("oct16xc2"),
+     "75c95c96007b460d80167177f5452dfd733a7c578a15f9b152fad73148836c14"),
+    ("analysis-oct16xq8", _analysis("oct16xq8"),
+     "5061638daceb9ebd57925203637c4ea15602dc734ae28232bbd0949f004a4910"),
+    ("analysis-oct16xoct16", _analysis("oct16xoct16"),
+     "a97fd4501a037cfcf7ea0ebba10a7c7bb604cb91ed2599bf1388527420ff5679"),
+    ("analysis-non-fan-5xc8", _analysis("non-fan-5xc8"),
+     "02a0110b4458c4abee19e7a301c9a836e64ab9b708f930be71253b5547e75dd6"),
 ]
 
 
-def _render(argv, tmp_path, monkeypatch, capsys):
-    """The bytes cli.main writes for argv, run where its input path
-    points."""
+def _render(case, tmp_path, monkeypatch, capsys):
+    """The bytes of a builder case's report, or those cli.main writes for a
+    command line, run where its input paths point."""
+    if callable(case):
+        return case().encode()
     monkeypatch.delenv("FANLOOP_CAP", raising=False)
-    path = argv[-1]
-    if path.startswith(CORPUS):
-        monkeypatch.chdir(ROOT)
-    else:
+    built = [arg for arg in case
+             if arg.endswith(".loop") and not arg.startswith(CORPUS)]
+    for path in built:
         (tmp_path / path).write_text(
             cli.serialize_loop(_BUILT[path.removesuffix(".loop")]()))
-        monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(tmp_path if built else ROOT)
     capsys.readouterr()
-    cli.main(argv)
+    cli.main(case)
     return capsys.readouterr().out.encode()
 
 
@@ -105,12 +184,12 @@ def _matches(report, digest):
     return hashlib.sha256(report).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest",
+@pytest.mark.parametrize("case, digest",
                          [case[1:] for case in MANIFEST],
                          ids=[case[0] for case in MANIFEST])
-def test_report_is_byte_identical(argv, digest, tmp_path, monkeypatch,
+def test_report_is_byte_identical(case, digest, tmp_path, monkeypatch,
                                   capsys):
-    assert _matches(_render(argv, tmp_path, monkeypatch, capsys), digest)
+    assert _matches(_render(case, tmp_path, monkeypatch, capsys), digest)
 
 
 def test_a_one_byte_change_fails_its_case(tmp_path, monkeypatch, capsys):

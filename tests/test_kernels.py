@@ -2,11 +2,12 @@
 
 from itertools import islice
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from fanloops import _kernels, catalog, census, core
+from fanloops import _kernels, catalog, census, cli, core
 
 # --- naive oracles ---------------------------------------------------------
 
@@ -85,6 +86,40 @@ def naive_fan_violation(table, ldiv, rdiv, member):
                 if not (member[rdiv[left, right]] and member[ldiv[right, left]]):
                     return True, a, b, c
     return False, -1, -1, -1
+
+
+# --- the whole-tensor classifier: the oracle of core's analysis and of the
+# census' streamed masks ----------------------------------------------------
+
+class Masks(NamedTuple):
+    """The element masks of a stack of tables.  Each has the stack axes,
+    then one axis over the elements; is_fan has only the stack axes,
+    central_pairs two element axes."""
+
+    nucleus_l: np.ndarray
+    nucleus_m: np.ndarray
+    nucleus_r: np.ndarray
+    nucleus: np.ndarray
+    com: np.ndarray
+    center: np.ndarray
+    t_range: np.ndarray
+    p_range: np.ndarray
+    is_fan: np.ndarray
+    central_pairs: np.ndarray  # [..., a, b]: (ab)/(ba) lies in Z
+
+
+def masks(table, rdiv, t, p):
+    """Masks of a stack of tables (..., n, n), given its right divisions
+    and whole associator tensors."""
+    nl, nm, nr = _kernels.nucleus_masks(t)
+    nuc = nl & nm & nr
+    com = (table == table.swapaxes(-1, -2)).all(axis=-1)
+    z = com & nuc
+    t_range, p_range = _kernels.value_mask(t), _kernels.value_mask(p)
+    # fan: every associator value lies in the nucleus
+    is_fan = ~((t_range | p_range) & ~nuc).any(axis=-1)
+    return Masks(nl, nm, nr, nuc, com, z, t_range, p_range, is_fan,
+                 _kernels.central_mask(table, rdiv, z))
 
 
 def naive_count_reduced(n):
@@ -368,6 +403,32 @@ def test_fan_violation_octonion():
     assert int(G.rdiv[lhs, rhs]) != 0 or int(G.ldiv[rhs, lhs]) != 0
 
 
+def test_no_package_path_calls_the_oracle_kernels(monkeypatch, capsys):
+    # assoc_tensors, nucleus_masks and fan_violation are the tests'
+    # whole-tensor oracles: the census, the analysis, the laws and the
+    # product and quotient cross-checks stream assoc_slabs instead
+    def refuse(*args):
+        raise AssertionError("an oracle kernel was called")
+
+    for name in ("assoc_tensors", "nucleus_masks", "fan_violation"):
+        monkeypatch.setattr(_kernels, name, refuse)
+    for n in range(1, 7):
+        census.summary(n)
+    for filter in census.FILTERS:
+        for _ in census.enumerate_loops(census.CensusQuery(5, filter)):
+            pass
+    corpus = catalog.corpus_path("")
+    for path in sorted(corpus.iterdir()):
+        if path.suffix == ".loop":
+            assert cli.main(["--quiet", "check", str(path)]) == cli.EXIT_OK
+        elif path.suffix == ".smash":
+            assert cli.main(["--quiet", "smash", str(path)]) == cli.EXIT_OK
+    for name in ("q8.loop", "oct16.loop"):
+        assert cli.main(["--quiet", "haar", str(corpus / name),
+                         "-f", str(corpus / "halves.fn")]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
 def test_count_reduced_latin_vs_naive_oracle():
     for n in range(1, 6):
         assert census.count_reduced(n) == naive_count_reduced(n)
@@ -462,13 +523,13 @@ def test_stacked_kernels_match_per_table_kernels():
     for T in tables:
         ldiv, rdiv = _kernels.division_tables(T)
         t, p = _kernels.assoc_tensors(T, ldiv, rdiv)
-        single.append((T, ldiv, rdiv, t, p, census.masks(T, rdiv, t, p)))
+        single.append((T, ldiv, rdiv, t, p, masks(T, rdiv, t, p)))
     stacked = np.stack(tables)
     for shape in ((12,), (3, 4)):
         T = stacked.reshape(*shape, 6, 6)
         ldiv, rdiv = _kernels.division_tables(T)
         t, p = _kernels.assoc_tensors(T, ldiv, rdiv)
-        m = census.masks(T, rdiv, t, p)
+        m = masks(T, rdiv, t, p)
         for k, (_, ld1, rd1, t1, p1, m1) in enumerate(single):
             at = np.unravel_index(k, shape)
             for got, want in ((ldiv, ld1), (rdiv, rd1), (t, t1), (p, p1)):
